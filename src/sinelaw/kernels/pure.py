@@ -86,19 +86,24 @@ def j1(x):
 
 
 def _series_j0_arr(x):
-    # 60 fixed terms: past the series' noise floor for every x <= 12, and
-    # the compensation keeps the cancellation error near 1e-13
+    # the scalar stopping rule applied to the whole batch: stop once every
+    # term is below 1e-18 (terms only shrink once they get there), so a
+    # batch of small x runs a handful of terms and x = 12 runs 30; the
+    # compensation keeps the cancellation error near 1e-13
     q = 0.25 * x * x
     term = np.ones_like(x)
     s = np.ones_like(x)
     c = np.zeros_like(x)
-    for k in range(1, 61):
+    k = 0
+    while True:
+        k += 1
         term = term * (-q) / (k * k)
         y = term - c
         t = s + y
         c = (t - s) - y
         s = t
-    return s
+        if k > 3 and np.max(np.abs(term)) <= 1e-18:
+            return s
 
 
 def _asym_j0_arr(x):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .limitlaw import ParamFunction
 from .transforms import Decay
 
@@ -69,7 +70,8 @@ def sample_vn(f: ParamFunction, n: int, count: int, seed: int,
 
     Draws where f evaluates non-finite are resampled from the stream
     positions past `count` (in order, so chunking stays irrelevant); a
-    resample fraction above 0.1% triggers a warning.
+    resample fraction above 0.1% triggers a warning, and more than
+    max(1000, count) resamples raise ConvergenceError.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
@@ -96,7 +98,7 @@ def sample_vn(f: ParamFunction, n: int, count: int, seed: int,
     bad = np.flatnonzero(~np.isfinite(values))
     while bad.size:
         if resamples > max(1000, count):
-            raise RuntimeError(
+            raise ConvergenceError(
                 f"f failed to evaluate finitely after {resamples} resamples")
         u = uniform_stream(seed, offset, bad.size)
         offset += bad.size
@@ -147,6 +149,8 @@ def builtin_f(name: str) -> ParamFunction:
             c = float(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad constant in {name!r}")
+        if not math.isfinite(c):
+            raise ValueError(f"constant in {name!r} must be finite")
         return ParamFunction(
             eval=lambda u, c=c: np.full_like(np.asarray(u, dtype=np.float64), c),
             epsilon_f=None,

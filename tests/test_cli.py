@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +174,27 @@ def test_convergence_failure_exit_3(capsys):
     rc = run("--quiet", "charfn", "--f", "cauchy", "--t", "2.0",
              "--tol", "1e-15")
     assert rc == 3
+
+
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "sinelaw.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("const", ["const:nan", "const:inf"])
+def test_nonfinite_constant_f_is_a_usage_error(tmp_path, const):
+    out = _cli("--quiet", "sample", "--f", const, "--n", "10",
+               "--count", "50", "--out", str(tmp_path / "s.csv"))
+    assert out.returncode == 2
+    assert "must be finite" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_f_never_finite_is_a_numeric_failure(tmp_path):
+    table = tmp_path / "inf.csv"
+    table.write_text("u,f_of_u\n0.1,inf\n0.5,inf\n0.9,inf\n")
+    out = _cli("--quiet", "sample", "--f", f"table:{table}", "--n", "10",
+               "--count", "50", "--out", str(tmp_path / "s.csv"))
+    assert out.returncode == 3
+    assert "failed to evaluate finitely" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -4,12 +4,16 @@ Gaussian target: k(t) = e^{-t^2/2},            f(u) = sqrt(-2 ln u)
 Cauchy target:   k(t) = sqrt(pi)/sqrt(2t^2+pi), f(u) = sqrt(pi/2) sqrt(1-u^2)/u
 """
 
+import inspect
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from sinelaw import inverse
 from sinelaw.errors import BracketError, ModelViolationError
 from sinelaw.inverse import (CharFn, TabulatedMonotone, check_L, invert_k,
                              k_psi, solve_inverse)
@@ -182,6 +186,82 @@ def test_invert_below_attainable_range():
     # bracket at working precision
     with pytest.raises(BracketError):
         invert_k(psi_gauss(), 1e-320)
+    with pytest.raises(BracketError):
+        invert_k(psi_gauss(), np.array([0.5, 1e-320]))
+
+
+def _bisect_k(psi, u):
+    """Reference inversion: bracket by doubling, then bisect k_psi down to
+    adjacent doubles."""
+    hi = 1.0
+    while k_psi(psi, hi, use_closed_form=True) > u:
+        hi *= 2.0
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if k_psi(psi, mid, use_closed_form=True) > u:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
+def test_invert_batch_matches_reference_bisection(make_psi):
+    psi = make_psi()
+    us = np.linspace(1e-4, 1.0 - 1e-4, 1000)
+    got = invert_k(psi, us, use_closed_form=True)
+    want = np.array([_bisect_k(psi, float(u)) for u in us])
+    assert np.max(np.abs(got - want) / (1.0 + want)) <= 1e-12
+
+
+def test_invert_scalar_and_array_calls_agree_bitwise():
+    psi = psi_cauchy()
+    us = np.concatenate([np.geomspace(1e-4, 0.5, 40),
+                         1.0 - np.geomspace(1e-4, 0.5, 40)])
+    batch = invert_k(psi, us, use_closed_form=True)
+    single = [invert_k(psi, float(u), use_closed_form=True) for u in us]
+    assert all(isinstance(t, float) for t in single)
+    assert np.array_equal(batch, np.array(single))
+    assert np.array_equal(invert_k(psi, us[::-1], use_closed_form=True),
+                          batch[::-1])
+
+
+def test_kpsi_built_once_under_concurrent_first_use(monkeypatch):
+    built = []
+
+    class CountingKPsi(inverse.KPsi):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "KPsi", CountingKPsi)
+    psi = psi_gauss()
+    ts = (0.5, 1.0, 2.0)
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(n):
+        start.wait(timeout=30)
+        results[n] = [k_psi(psi, t, use_closed_form=True) for t in ts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(built) == 1
+    assert all(r == results[0] for r in results)
+    assert results[0] == pytest.approx([k_gauss_exact(t) for t in ts],
+                                       abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +274,38 @@ def test_tabulated_monotone_shape_checks():
         TabulatedMonotone([0.0, 1.0], [1.0, 0.5])
     with pytest.raises(ValueError):
         TabulatedMonotone([0.1, 1.0, 2.0], [1.0, 0.5, 0.2])
+
+
+def _bisect_70_sweeps(tab, y):
+    """Reference inversion: 70 bisection sweeps inside each located cell."""
+    idx = len(tab.values) - 1 - np.searchsorted(tab.values[::-1], y,
+                                                side="left")
+    idx = np.clip(idx, 0, len(tab.grid) - 2)
+    lo, hi = tab.grid[idx].copy(), tab.grid[idx + 1].copy()
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        above = tab.eval(mid) > y
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi), idx
+
+
+@pytest.mark.parametrize("solved", ["solved_gauss", "solved_cauchy"])
+def test_invert_array_matches_bisection_inside_cells(solved, request):
+    f = request.getfixturevalue(solved)
+    tab = inspect.getclosurevars(f.inverse).nonlocals["tab"]
+    # the values f.eval reads from the table: [table floor, 1 - u_min]
+    # (nearer 1 the slope of k vanishes and no inversion in double
+    # precision is defined to 1e-14)
+    top = 1.0 - 1e-4
+    nodes = tab.values[(tab.values >= tab.values[-1]) & (tab.values <= top)]
+    ys = np.concatenate([np.linspace(tab.values[-1], top, 2000),
+                         np.geomspace(tab.values[-1], 0.01, 200),
+                         1.0 - np.geomspace(1e-4, 0.01, 200), nodes])
+    got = tab.invert_array(ys)
+    want, idx = _bisect_70_sweeps(tab, ys)
+    assert np.max(np.abs(got - want) / (1.0 + want)) <= 1e-14
+    assert np.all((got >= tab.grid[idx]) & (got <= tab.grid[idx + 1]))
 
 
 def test_tabulated_monotone_stays_in_cell_and_inverts():
@@ -261,6 +373,20 @@ def test_solved_tail_fallback_is_direct(solved_cauchy):
     want = f_cauchy_exact(u)
     got = solved_cauchy.eval(u)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_solved_eval_inf_only_below_attainable_floor(solved_gauss):
+    # gaussian k is representable down to 100 ulp of 1 (2.2e-14); below
+    # that the fallback gives inf, which the sampler resamples
+    us = np.array([0.5, 1e-320, 3e-5, 1e-15, 1e-10, 1.0 - 1e-6, 1e-4])
+    got = solved_gauss.eval(us)
+    assert np.array_equal(np.isinf(got), us < 2.2e-14)
+    assert np.all(np.isfinite(got[us >= 2.2e-14]))
+    # at u = 1e-10 the table's absolute error in k (~1e-12) is already a
+    # relative error of 1e-2 in u, so the closed form is checked above 1e-5
+    near = us >= 1e-5
+    want = np.array([f_gauss_exact(u) for u in us[near]])
+    assert np.all(np.abs(got[near] - want) <= 1e-5 * (1.0 + want))
 
 
 def test_solved_inverse_roundtrip(solved_gauss):

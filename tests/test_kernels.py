@@ -3,8 +3,10 @@
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sinelaw import kernels
 from sinelaw.kernels import get_backend, pure
@@ -51,9 +53,31 @@ def test_get_backend_unknown():
 
 
 def test_pure_array_matches_pure_scalar():
-    # termination differs (dynamic vs fixed-depth) so agreement is at the
-    # documented accuracy level, not bitwise
+    # termination differs (the array stops on its batch's largest term, the
+    # scalar on its own) so agreement is at the documented accuracy level,
+    # not bitwise
     xs = np.linspace(0.0, 80.0, 1111)
     arr = pure.j0_array(xs)
     sc = np.array([pure.j0(float(x)) for x in xs])
     assert np.max(np.abs(arr - sc)) <= 2e-12
+
+
+def test_pure_array_batch_equals_per_element():
+    # the series stops on the batch's largest term: a point batched with
+    # x = 12 runs more terms than alone, which may move it by only the
+    # size of the terms left off
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([[0.0, 1e-8, 0.3, 12.0, 11.999, 12.001, 40.0],
+                         rng.uniform(0.0, 14.0, 200)])
+    batch = pure.j0_array(xs)
+    alone = np.array([pure.j0_array(np.array([x]))[0] for x in xs])
+    assert np.max(np.abs(batch - alone)) <= 1e-16
+
+
+@given(st.lists(st.floats(0.0, 12.0), min_size=15, max_size=15))
+@settings(max_examples=200, deadline=None)
+def test_pure_array_15_point_batches_against_mpmath(xs):
+    got = pure.j0_array(np.array(xs))
+    with mp.workdps(30):
+        want = [float(mp.besselj(0, mp.mpf(x))) for x in xs]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
