@@ -207,3 +207,10 @@ def j0_zero(m):
                     x -= fx / dfx
             _zeros.append(x)
     return _zeros[m - 1]
+
+
+def _j0_zeros(m):
+    """j0_zero over an integer array of indices m >= 1."""
+    m = np.asarray(m)
+    uniq, pos = np.unique(m, return_inverse=True)
+    return np.array([j0_zero(int(k)) for k in uniq])[pos].reshape(m.shape)

@@ -192,6 +192,8 @@ def _load_f(arg):
 
 def _cmd_sample(args):
     f = _load_f(args.f)
+    if args.n < 1 or args.count < 1:
+        raise ValueError("n and count must be >= 1")
     _say(args, f"sampling {args.count} draws of V_n[{f.f_id}], n={args.n}, "
                f"seed={args.seed}")
     batch = sample_vn(f, args.n, args.count, args.seed)
@@ -231,7 +233,7 @@ def _cmd_charfn(args):
     f = _load_f(args.f)
     cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol, max_panels=200_000)
     ts = _parse_floats(args.t)
-    vals = [limit_char_fn(f, t, cfg) for t in ts]
+    vals = limit_char_fn(f, np.array(ts), cfg)
     if args.out:
         lines = ["t,phi"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vals)]
         _atomic_write(args.out, "\n".join(lines) + "\n")

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, ModelViolationError
 from .limitlaw import ParamFunction
 from .quadrature import QuadConfig, integrate
-from .transforms import Decay, RealFunction, hankel0
+from .transforms import Decay, RealFunction, _eval_array, hankel0
 
 __all__ = ["CharFn", "TabulatedMonotone", "KPsi", "k_psi", "invert_k",
            "solve_inverse", "check_L", "LReport"]
@@ -55,15 +55,7 @@ class CharFn:
     name: str = "psi"
 
     def eval_array(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        try:
-            out = np.asarray(self.eval(t), dtype=np.float64)
-            if out.shape == t.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([self.eval(float(v)) for v in t.ravel()],
-                        dtype=np.float64).reshape(t.shape)
+        return _eval_array(self.eval, t)
 
     def as_real_function(self):
         return RealFunction(eval=self.eval, decay=self.decay)
@@ -278,10 +270,17 @@ class KPsi:
              (b - mid) / 6.0 * (fm + 4.0 * self._m(q2) + fb)
         tol = 0.04 * self.k_tol * (b - a) / (1.0 + a)
         if abs(simp - s2) / 15.0 <= tol or depth >= self._MAX_DEPTH:
-            self._edges.append(b)
-            self._mids.append(mid)
-            self._panel_int.append(s2)
-            self._cum.append(self._cum[-1] + s2)
+            # store the two halves the two-level value was built from:
+            # each half's quadratic through (edge, quarter point, edge)
+            # integrates to its Simpson term, so k(t) inside a leaf meets
+            # the cumulative sum at its edges
+            m = self._mvals
+            for lo, q, hi in ((a, q1, mid), (mid, q2, b)):
+                half = (hi - lo) / 6.0 * (m[lo] + 4.0 * m[q] + m[hi])
+                self._edges.append(hi)
+                self._mids.append(q)
+                self._panel_int.append(half)
+                self._cum.append(self._cum[-1] + half)
         else:
             self._grow(a, mid, depth + 1)
             self._grow(mid, b, depth + 1)
@@ -347,7 +346,10 @@ class KPsi:
                 return 1.0 - self._cum[-1]
             i = min(bisect.bisect_right(self._edges, t) - 1,
                     len(self._panel_int) - 1)
-            val = 1.0 - (self._cum[i] + self._partial(i, t))
+            # capped at the leaf's stored integral, so rounding cannot
+            # lift k above its value at the leaf's right edge
+            part = min(self._partial(i, t), self._panel_int[i])
+            val = 1.0 - (self._cum[i] + part)
         return min(val, 1.0)
 
     def invert(self, u):

@@ -86,24 +86,29 @@ def j1(x):
 
 
 def _series_j0_arr(x):
-    # the scalar stopping rule applied to the whole batch: stop once every
+    # the scalar stopping rule per element: an element stops once its
     # term is below 1e-18 (terms only shrink once they get there), so a
-    # batch of small x runs a handful of terms and x = 12 runs 30; the
-    # compensation keeps the cancellation error near 1e-13
+    # small x runs a handful of terms and x = 12 runs 30, and an element
+    # gets the same bits in any batch; the compensation keeps the
+    # cancellation error near 1e-13
     q = 0.25 * x * x
     term = np.ones_like(x)
     s = np.ones_like(x)
     c = np.zeros_like(x)
+    j = np.arange(x.size)
     k = 0
-    while True:
+    while j.size:
         k += 1
-        term = term * (-q) / (k * k)
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        if k > 3 and np.max(np.abs(term)) <= 1e-18:
-            return s
+        tj = term[j] * (-q[j]) / (k * k)
+        y = tj - c[j]
+        sj = s[j]
+        t = sj + y
+        c[j] = (t - sj) - y
+        s[j] = t
+        term[j] = tj
+        if k > 3:
+            j = j[np.abs(tj) > 1e-18]
+    return s
 
 
 def _asym_j0_arr(x):

@@ -15,10 +15,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import j0_array
+from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
-from .quadrature import QuadConfig, euler_alternating, integrate
-from .transforms import Decay, RealFunction, fourier1
+from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
+from .transforms import Decay, RealFunction, _eval_array, fourier1
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
            "numeric_inverse_derivative", "density_profile", "build_limit_law"]
@@ -27,6 +27,8 @@ __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
 # empirically tight (max observed ratio 0.99999992 on (0, 2000]), the
 # margin covers the kernel's own 1e-12 evaluation error
 _AMP_SAFETY = 1.02
+# largest (x, t) matrix a density table forms at once, in elements
+_TABLE_BLOCK = 1 << 20
 
 
 @dataclass
@@ -59,15 +61,7 @@ class ParamFunction:
             raise ValueError("integrability must be 'L1' or 'L1_loc'")
 
     def eval_array(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        try:
-            out = np.asarray(self.eval(u), dtype=np.float64)
-            if out.shape == u.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([self.eval(float(v)) for v in u.ravel()],
-                        dtype=np.float64).reshape(u.shape)
+        return _eval_array(self.eval, u)
 
     def spot_check(self, n=33, tol=1e-10):
         """Grid checks of the declared monotonicity and inverse."""
@@ -80,7 +74,7 @@ class ParamFunction:
                     f"f is not strictly {'increasing' if self.epsilon_f == 1 else 'decreasing'} "
                     "on the check grid")
         if self.inverse is not None:
-            back = np.array([self.inverse(float(v)) for v in vals])
+            back = _eval_array(self.inverse, vals)
             if np.max(np.abs(back - us)) > tol:
                 raise ValueError("inverse(eval(u)) deviates from u beyond tolerance")
         return True
@@ -96,46 +90,40 @@ class LimitLaw:
 
 
 def _amplitude_truncation(f, t, lo, hi, budget):
-    """Extend the truncated region from the diverging endpoint.
+    """Extend the truncated region from the diverging endpoint, per t.
 
     Uses |J0(z)| <= min(1, c/sqrt(z)) on the monotone stretch where
     t*f(u) is large; the envelope is monotone there, so a right/left
     Riemann sum over geometric steps is a rigorous overestimate of the
-    discarded mass. Returns (new_lo, new_hi, bound_used).
+    discarded mass. Returns arrays (new_lo, new_hi, bound_used).
     """
+    lo, hi = np.full(t.shape, lo), np.full(t.shape, hi)
+    used = np.zeros(t.shape)
     if f.epsilon_f is None or budget <= 0:
-        return lo, hi, 0.0
-    c = _AMP_SAFETY * math.sqrt(2.0 / (math.pi * t))
-
-    def env(u):
-        fu = abs(float(f.eval(u)))
-        if fu <= 0.0 or not math.isfinite(fu):
-            return 1.0  # conservative: stops the march
-        return min(1.0, c / math.sqrt(fu))
-
-    used = 0.0
-    if f.epsilon_f == -1:
-        # f biggest near u=0: march the lower cut upward
-        u = lo
-        while u < 0.25:
-            step = u * 0.25
-            bound = step * env(u + step)  # envelope increasing in u
-            if used + bound > budget or env(u + step) > 0.5:
-                break
-            used += bound
-            u += step
-        lo = u
-    else:
-        u = hi
-        while u > 0.75:
-            step = (1.0 - u) * 0.25
-            bound = step * env(u - step)
-            if used + bound > budget or env(u - step) > 0.5:
-                break
-            used += bound
-            u -= step
-        hi = u
-    return lo, hi, used
+        return lo, hi, used
+    c = _AMP_SAFETY * np.sqrt(2.0 / (math.pi * t))
+    # f biggest near u=0 (decreasing f): march the lower cut upward;
+    # otherwise march the upper cut downward
+    up = f.epsilon_f == -1
+    u = lo if up else hi
+    j = np.arange(t.size)
+    while True:
+        j = j[u[j] < 0.25] if up else j[u[j] > 0.75]
+        if not j.size:
+            return lo, hi, used
+        step = (u[j] if up else 1.0 - u[j]) * 0.25
+        nxt = u[j] + step if up else u[j] - step
+        fu = np.abs(f.eval_array(nxt))
+        # a zero or non-finite f gets the conservative envelope 1, which
+        # stops the march
+        ok = (fu > 0.0) & np.isfinite(fu)
+        env = np.ones_like(fu)
+        env[ok] = np.minimum(1.0, c[j][ok] / np.sqrt(fu[ok]))
+        bound = step * env
+        go = (used[j] + bound <= budget) & (env <= 0.5)
+        j = j[go]
+        used[j] += bound[go]
+        u[j] = nxt[go]
 
 
 def _oscillation_estimate(f, t):
@@ -144,86 +132,94 @@ def _oscillation_estimate(f, t):
     try:
         fu = abs(float(f.eval(probe)))
     except Exception:
-        return 0.0
+        return np.zeros_like(t)
     if not math.isfinite(fu):
-        return math.inf
+        return np.full_like(t, math.inf)
     return t * fu / math.pi
 
 
+def _j0_of_tf(f, t):
+    # the integrand J0(t f(u)) of every t at once: panel rows name their t
+    return lambda u, p: j0_array(t[p][:, None] * f.eval_array(u))
+
+
 def _charfn_zero_split(f, t, cfg):
-    """phi(t) via lobes of u -> J0(t f(u)), cut at u_m = f_inv(j0_m / t).
+    """phi at each t via lobes of u -> J0(t f(u)), cut at u_m = f_inv(j0_m / t).
 
     Needs a monotone f with an inverse. The lobe integrals alternate, so
     the Euler-accelerated tail converges in tens of lobes even when the
     raw oscillation count (for f diverging like 1/u) runs to millions.
+    Returns (values, error_bounds, failed).
     """
-    from .bessel import j0_zero
-
     eps = f.epsilon_f
-    inv = f.inverse
     a_rng, b_rng = f.range_
     delta = min(cfg.abs_tol / 4.0, 1e-3)
 
-    def u_of(w):
-        u = float(inv(w))
-        return min(max(u, 0.0), 1.0)
-
     # first zero index with j0_m / t inside the range of f
-    m0 = 1
-    while j0_zero(m0) / t <= a_rng:
-        m0 += 1
-        if m0 > cfg.max_panels:
+    m0 = np.ones(t.shape, dtype=np.intp)
+    low = _j0_zeros(m0) / t <= a_rng
+    while low.any():
+        m0[low] += 1
+        if m0.max() > cfg.max_panels:
             raise ConvergenceError("no usable kernel zero found", best=None)
+        low = _j0_zeros(m0) / t <= a_rng
 
-    def integrand(u):
-        return j0_array(t * f.eval_array(u))
-
-    state = {"err": 0.0}
-    panel_tol = max(cfg.truncation_tail_tol, cfg.abs_tol * 0.01, 1e-16)
-
-    def edge(m):
+    def edge(p, m):
         # u-coordinate of the m-th kernel zero; clamps to the truncation
         # cut once the zero leaves the range of f
-        w = j0_zero(m) / t
-        if w >= b_rng:
-            return delta if eps == -1 else 1.0 - delta
-        return u_of(w)
+        w = _j0_zeros(m) / t[p]
+        u = np.full(w.shape, delta if eps == -1 else 1.0 - delta)
+        inside = w < b_rng
+        u[inside] = np.clip(_eval_array(f.inverse, w[inside]), 0.0, 1.0)
+        return u
 
-    def segment(k):
+    def lobes(p, k):
+        # lobe k lies between zeros m - 1 and m; lobe 0 starts instead at
+        # the end of (0, 1) where f is smallest
+        m = m0[p] + k
+        both = edge(np.concatenate([p, p]),
+                    np.concatenate([np.maximum(m - 1, 1), m]))
+        prev, cur = both[:p.size], both[p.size:]
         if eps == -1:
             # f large near u=0: lobes march from u=1 down toward delta
-            if k == 0:
-                lo, hi = max(edge(m0), delta), 1.0
-            else:
-                lo = max(edge(m0 + k), delta)
-                hi = max(edge(m0 + k - 1), delta)
+            lo = np.maximum(cur, delta)
+            hi = np.where(k == 0, 1.0, np.maximum(prev, delta))
         else:
-            if k == 0:
-                lo, hi = 0.0, min(edge(m0), 1.0 - delta)
-            else:
-                lo = min(edge(m0 + k - 1), 1.0 - delta)
-                hi = min(edge(m0 + k), 1.0 - delta)
-        if hi <= lo:
-            return 0.0
-        v, e, _ = integrate(integrand, lo, hi, panel_tol, rel_tol=1e-13,
-                            max_panels=1024 if k == 0 else 256,
-                            raise_on_failure=False)
-        state["err"] += e
-        return v
+            lo = np.where(k == 0, 0.0, np.minimum(prev, 1.0 - delta))
+            hi = np.minimum(cur, 1.0 - delta)
+        return lo, hi
 
-    val, inc, _ = euler_alternating(
-        segment, max(cfg.truncation_tail_tol, cfg.abs_tol * 0.05),
-        rel_tol=1e-12, max_terms=cfg.max_panels)
-    err = 10.0 * inc + state["err"] + delta
-    if err > cfg.abs_tol:
-        raise ConvergenceError(
-            f"limit_char_fn error bound {err:.2e} exceeds "
-            f"{cfg.abs_tol:.2e} at t={t}", best=val, error_bound=err)
-    return min(1.0, max(-1.0, val))
+    panel_tol = max(cfg.truncation_tail_tol, cfg.abs_tol * 0.01, 1e-16)
+    val, err, _ = _lobe_sums(
+        _j0_of_tf(f, t), lobes, t.size, panel_tol,
+        max(cfg.truncation_tail_tol, cfg.abs_tol * 0.05), 1e-12,
+        cfg.max_panels)
+    err = err + delta
+    return val, err, err > cfg.abs_tol
 
 
-def limit_char_fn(f: ParamFunction, t: float, cfg: QuadConfig = QuadConfig()):
+def _charfn_clipped(f, t, cfg):
+    """phi at each t by adaptive panels on the clipped interval.
+    Returns (values, error_bounds, failed)."""
+    delta = min(cfg.abs_tol / 4.0, 1e-3)
+    trunc_err = 2.0 * delta
+    lo, hi, amp_err = _amplitude_truncation(f, t, delta, 1.0 - delta,
+                                            cfg.abs_tol / 4.0)
+    # |phi| <= 1, so a relative criterion would just duplicate the
+    # absolute one; run the panels on the absolute budget alone
+    budget = cfg.abs_tol - trunc_err - amp_err
+    val, err, _ = _integrate_rows(_j0_of_tf(f, t), lo, hi, budget * 0.9,
+                                  1e-15, cfg.max_panels)
+    total_err = err + trunc_err + amp_err
+    return val, total_err, (total_err > cfg.abs_tol) & (err > budget)
+
+
+def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     """phi(t) = int_0^1 J0(t f(u)) du, in [-1, 1], abs error <= cfg.abs_tol.
+
+    t is a scalar or an array; an array gives an array of its shape, and
+    every element has the same bits as a scalar call at that t. All t
+    share one batched quadrature per path.
 
     The interval is clipped to (delta, 1-delta) with delta = abs_tol/4;
     |J0| <= 1 bounds the discarded contribution by its length. Where f
@@ -231,38 +227,31 @@ def limit_char_fn(f: ParamFunction, t: float, cfg: QuadConfig = QuadConfig()):
     using the J0 amplitude envelope. When f also carries an inverse and
     the integrand oscillates heavily, the integral is instead split at
     the kernel zeros pulled back through the inverse and the alternating
-    lobe sums are Euler-accelerated.
+    lobe sums are Euler-accelerated. Raises ConvergenceError, naming the
+    first t whose error bound exceeds the tolerance.
     """
-    if not math.isfinite(t):
+    tt = np.asarray(t, dtype=np.float64)
+    ta = np.abs(tt).ravel()
+    if not np.all(np.isfinite(ta)):
         raise ValueError("t must be finite")
-    if t == 0.0:
-        return 1.0
-    t = abs(t)
-
-    if (f.epsilon_f is not None and f.inverse is not None
-            and _oscillation_estimate(f, t) > 8.0):
-        return _charfn_zero_split(f, t, cfg)
-
-    delta = min(cfg.abs_tol / 4.0, 1e-3)
-    lo, hi = delta, 1.0 - delta
-    trunc_err = 2.0 * delta
-    lo, hi, amp_err = _amplitude_truncation(f, t, lo, hi, cfg.abs_tol / 4.0)
-
-    def integrand(u):
-        return j0_array(t * f.eval_array(u))
-
-    # |phi| <= 1, so a relative criterion would just duplicate the
-    # absolute one; run the panels on the absolute budget alone
-    budget = cfg.abs_tol - trunc_err - amp_err
-    val, err, _ = integrate(integrand, lo, hi, budget * 0.9,
-                            rel_tol=1e-15, max_panels=cfg.max_panels,
-                            raise_on_failure=False)
-    total_err = err + trunc_err + amp_err
-    if total_err > cfg.abs_tol and err > budget:
+    val = np.ones(ta.shape)  # phi(0) = 1 exactly
+    err = np.zeros(ta.shape)
+    failed = np.zeros(ta.shape, dtype=bool)
+    split = np.zeros(ta.shape, dtype=bool)
+    if f.epsilon_f is not None and f.inverse is not None:
+        split = (ta != 0.0) & (_oscillation_estimate(f, ta) > 8.0)
+    clip = (ta != 0.0) & ~split
+    for mask, path in ((split, _charfn_zero_split), (clip, _charfn_clipped)):
+        if mask.any():
+            val[mask], err[mask], failed[mask] = path(f, ta[mask], cfg)
+    if failed.any():
+        i = int(np.argmax(failed))
         raise ConvergenceError(
-            f"limit_char_fn error bound {total_err:.2e} exceeds "
-            f"{cfg.abs_tol:.2e} at t={t}", best=val, error_bound=total_err)
-    return min(1.0, max(-1.0, val))
+            f"limit_char_fn error bound {err[i]:.2e} exceeds "
+            f"{cfg.abs_tol:.2e} at t={ta[i]}", best=float(val[i]),
+            error_bound=float(err[i]))
+    val = np.clip(val, -1.0, 1.0)
+    return float(val[0]) if tt.ndim == 0 else val.reshape(tt.shape)
 
 
 def numeric_inverse_derivative(f: ParamFunction, u: float):
@@ -318,24 +307,14 @@ def _invert_monotone(f, y, tol=1e-13):
 
 
 def _phi_function(f, cfg):
-    """phi as a RealFunction on (0, inf), memoized per wrapper."""
+    """phi as a RealFunction on (0, inf); a node array is one
+    limit_char_fn call."""
     if f.char_decay is None:
         raise ValueError(
             "f.char_decay must declare the decay class of the limiting "
             "characteristic function for the density path")
-    memo = {}
-
-    def phi(t):
-        tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.empty(tt.shape)
-        for i, x in enumerate(tt.ravel()):
-            x = float(x)
-            if x not in memo:
-                memo[x] = limit_char_fn(f, x, cfg)
-            out.ravel()[i] = memo[x]
-        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
-
-    return RealFunction(eval=phi, decay=f.char_decay)
+    return RealFunction(eval=lambda t: limit_char_fn(f, t, cfg),
+                        decay=f.char_decay)
 
 
 def limit_density(f: ParamFunction, x: float, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)):
@@ -363,9 +342,10 @@ def limit_density(f: ParamFunction, x: float, cfg: QuadConfig = QuadConfig(abs_t
 
 
 class _DensityTable:
-    """phi tabulated once on a composite Gauss grid; density values are
-    then dot products. The grid is fine enough for the cos(x t) phase up
-    to the x range it was built for."""
+    """phi tabulated once on a composite Gauss grid, in one limit_char_fn
+    call; density and CDF values are then sums against the weighted
+    table. The grid is fine enough for the cos(x t) and sin(x t) phases
+    up to the x range it was built for."""
 
     def __init__(self, f, cfg, x_max):
         d = f.char_decay
@@ -392,16 +372,27 @@ class _DensityTable:
             weights.append(h * _WK)
         self.x_max = x_max
         self.nodes = np.concatenate(nodes)
-        self.wphi = np.concatenate(weights) * np.array(
-            [limit_char_fn(f, float(t), inner) for t in self.nodes])
+        self.wphi = np.concatenate(weights) * limit_char_fn(f, self.nodes,
+                                                            inner)
+
+    def _sum(self, kernel, xs, w):
+        # (1/pi) sum_j w_j kernel(x t_j) for every x, in blocks of rows so
+        # the (x, t) matrix stays under _TABLE_BLOCK elements
+        xs = np.asarray(xs, dtype=np.float64)
+        flat = xs.ravel()
+        out = np.empty(flat.shape)
+        rows = max(1, _TABLE_BLOCK // self.nodes.size)
+        for i in range(0, flat.size, rows):
+            out[i:i + rows] = kernel(np.outer(flat[i:i + rows], self.nodes)) @ w
+        return out.reshape(xs.shape) / math.pi
 
     def values(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        out = np.empty(xs.shape)
-        flat = out.ravel()
-        for i, x in enumerate(xs.ravel()):
-            flat[i] = float(np.dot(self.wphi, np.cos(x * self.nodes))) / math.pi
-        return out.reshape(xs.shape)
+        """Density (1/pi) int_0^inf phi(t) cos(xt) dt at each x."""
+        return self._sum(np.cos, xs, self.wphi)
+
+    def cdf(self, xs):
+        """F(x) = 1/2 + (1/pi) int_0^inf phi(t) sin(xt)/t dt at each x."""
+        return 0.5 + self._sum(np.sin, xs, self.wphi / self.nodes)
 
 
 def _density_preconditions(f):
@@ -442,12 +433,5 @@ def build_limit_law(f: ParamFunction, cfg: QuadConfig = QuadConfig(abs_tol=1e-6,
             return tables[x_max]
 
         def cdf(x):
-            # the law is symmetric (phi real and even)
-            if x == 0.0:
-                return 0.5
-            s = 1.0 if x > 0 else -1.0
-            tab = table_for(x)
-            v, _, _ = integrate(tab.values, 0.0, abs(x), cfg.abs_tol * 10,
-                                max_panels=cfg.max_panels)
-            return 0.5 + s * v
+            return float(table_for(x).cdf(x))
     return LimitLaw(char_fn=char_fn, density=density, cdf=cdf)

@@ -1,12 +1,18 @@
 """Adaptive Gauss-Kronrod panels and Euler-accelerated alternating sums.
 
+The work is batched: one adaptive routine integrates many independent
+intervals at once, with one integrand call per refinement round, and the
+lobe sums of many oscillatory integrals integrate their lobes in blocks
+through it. Numpy's cost is per call, not per point, so large batches
+are what make the pure-numpy kernels fast. The public scalar functions
+are the one-interval case.
+
 The 7/15 nodes and weights were generated from the Stieltjes polynomial
 orthogonality conditions in exact rational arithmetic and are full
 float64 precision; test_quadrature checks them by integrating monomials
 up to the rule's exactness degree.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -53,6 +59,36 @@ class QuadConfig:
             raise ValueError("max_panels must be >= 1")
 
 
+def _gk_panels(f, a, b, rows):
+    """GK15 on the panels [a, b], one panel per element: (value, error).
+
+    `f(x, rows)` maps the (k, 15) node array of k panels, and the row
+    each panel belongs to, to the (k, 15) integrand values. The weighted
+    sums run along each panel's own 15 values, so a panel's result does
+    not depend on which other panels share the call.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    y = f(c[:, None] + h[:, None] * _XK, rows)
+    resk = h * (y * _WK).sum(axis=1)
+    resg = h * (y * _WG).sum(axis=1)
+    mean = np.divide(resk, b - a, out=np.zeros_like(resk), where=h != 0.0)
+    resasc = np.abs(h) * (np.abs(y - mean[:, None]) * _WK).sum(axis=1)
+    err = np.abs(resk - resg)
+    # QUADPACK-style rescaling of |K15 - G7|, reliably conservative for
+    # smooth integrands
+    scaled = (resasc != 0.0) & (err != 0.0)
+    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=scaled)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, err)
+    return resk, err
+
+
+def _one_row(f):
+    # a scalar-interval integrand f(x) as a row integrand f(x, rows)
+    return lambda x, rows: np.asarray(f(x.ravel()),
+                                      dtype=np.float64).reshape(x.shape)
+
+
 def gk15(f, a, b):
     """One Gauss-Kronrod 7/15 panel: returns (integral, error_estimate).
 
@@ -60,45 +96,87 @@ def gk15(f, a, b):
     QUADPACK-style rescaling of |K15 - G7|, which is reliably
     conservative for smooth integrands.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    y = f(c + h * _XK)
-    resk = h * float(np.dot(_WK, y))
-    resg = h * float(np.dot(_WG, y))
-    resasc = abs(h) * float(np.dot(_WK, np.abs(y - resk / (b - a))))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err
+    v, e = _gk_panels(_one_row(f), np.array([float(a)]), np.array([float(b)]),
+                      np.zeros(1, dtype=np.intp))
+    return float(v[0]), float(e[0])
+
+
+def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels):
+    """Adaptive GK15 on P independent intervals [a[i], b[i]] at once.
+
+    `f(x, rows)` is as in _gk_panels; `rows` names the interval of each
+    panel, so one integrand can differ per interval. Tolerances and
+    panel budgets broadcast to (P,). Each round bisects, with one
+    integrand call, every panel of every unconverged interval whose
+    error exceeds its share of that interval's tolerance: the tolerance
+    max(abs_tol, rel_tol * |value|) over the interval's panel count. An
+    interval stops once its summed error meets the tolerance or its
+    panels reach its max_panels (the largest errors are split first when
+    the budget is short). A panel too narrow to split keeps its error in
+    the bound. The panels of an interval are summed in an order that
+    depends on that interval alone, so its result is the same bits
+    whichever intervals share the call.
+
+    Returns (values, error_bounds, panels_used), each of shape (P,).
+    """
+    pa = np.array(a, dtype=np.float64, ndmin=1)
+    pb = np.array(b, dtype=np.float64, ndmin=1)
+    n_rows = pa.size
+    prow = np.arange(n_rows)
+    pv, pe = _gk_panels(f, pa, pb, prow)
+    used = np.ones(n_rows, dtype=np.intp)
+    active = np.ones(n_rows, dtype=bool)
+    while True:
+        total_v = np.bincount(prow, pv, n_rows)
+        total_e = np.bincount(prow, pe, n_rows)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total_v))
+        room = max_panels - used
+        active &= (total_e > tol) & (room > 0)
+        if not active.any():
+            return total_v, total_e, used
+        mid = 0.5 * (pa + pb)
+        idx = np.flatnonzero(active[prow] & (pe > (tol / used)[prow])
+                             & (mid != pa) & (mid != pb))
+        # rows left with no panel worth splitting stop here, unconverged
+        active &= np.bincount(prow[idx], minlength=n_rows) > 0
+        # largest errors first within each row, up to the row's budget
+        order = idx[np.lexsort((-pe[idx], prow[idx]))]
+        r = prow[order]
+        rank = np.arange(r.size) - np.searchsorted(r, r)
+        idx = np.sort(order[rank < room[r]])
+        r = prow[idx]
+        lo = np.concatenate([pa[idx], mid[idx]])
+        hi = np.concatenate([mid[idx], pb[idx]])
+        rows = np.concatenate([r, r])
+        cv, ce = _gk_panels(f, lo, hi, rows)
+        k = idx.size
+        # the left half takes its parent's slot, the right half is
+        # appended: a row's panels keep an order of their own
+        pb[idx], pv[idx], pe[idx] = mid[idx], cv[:k], ce[:k]
+        pa = np.concatenate([pa, lo[k:]])
+        pb = np.concatenate([pb, hi[k:]])
+        pv = np.concatenate([pv, cv[k:]])
+        pe = np.concatenate([pe, ce[k:]])
+        prow = np.concatenate([prow, r])
+        used += np.bincount(r, minlength=n_rows)
 
 
 def integrate(f, a, b, abs_tol, rel_tol=1e-12, max_panels=10_000,
               raise_on_failure=True):
-    """Adaptive bisection with worst-panel-first refinement.
+    """Adaptive GK15 quadrature of f over [a, b].
+
+    The one-interval case of the batched routine _integrate_rows: each
+    round bisects every panel whose error is above its share (the
+    tolerance max(abs_tol, rel_tol * |value|) over the panel count), in
+    one call of f on the nodes of all the halves. `f` maps a node array
+    to a value array of its shape.
 
     Returns (value, error_bound, panels_used). If the tolerance cannot be
     met within the panel budget, raises ConvergenceError carrying the best
     estimate, or returns it when raise_on_failure is false.
     """
-    v, e = gk15(f, a, b)
-    heap = [(-e, a, b, v, e)]
-    total_v, total_e = v, e
-    n = 1
-    while total_e > max(abs_tol, rel_tol * abs(total_v)) and n < max_panels:
-        _, a0, b0, v0, e0 = heapq.heappop(heap)
-        m = 0.5 * (a0 + b0)
-        if m <= a0 or m >= b0:
-            # panel narrower than float spacing: accept its estimate
-            heapq.heappush(heap, (0.0, a0, b0, v0, 0.0))
-            total_e -= e0
-            continue
-        v1, e1 = gk15(f, a0, m)
-        v2, e2 = gk15(f, m, b0)
-        total_v += v1 + v2 - v0
-        total_e += e1 + e2 - e0
-        heapq.heappush(heap, (-e1, a0, m, v1, e1))
-        heapq.heappush(heap, (-e2, m, b0, v2, e2))
-        n += 1
+    v, e, n = _integrate_rows(_one_row(f), a, b, abs_tol, rel_tol, max_panels)
+    total_v, total_e, n = float(v[0]), float(e[0]), int(n[0])
     if total_e > max(abs_tol, rel_tol * abs(total_v)) and raise_on_failure:
         raise ConvergenceError(
             f"adaptive quadrature stalled at error {total_e:.3e} "
@@ -146,3 +224,65 @@ def euler_alternating(term, abs_tol, rel_tol=0.0, max_terms=10_000,
     raise ConvergenceError(
         f"alternating series did not settle in {max_terms} terms",
         best=row[0], error_bound=abs(row[0] - prev) if prev is not None else None)
+
+
+# lobes integrated per open problem and round of _lobe_sums; 8 covers the
+# 7 terms every Euler sum takes before it may stop
+_LOBE_BLOCK = 8
+
+
+def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
+    """Euler-accelerated sums over lobes, for n problems at once.
+
+    Lobe m of problem p spans edges(p, m), for index arrays p and m; an
+    empty lobe (hi <= lo) contributes 0. f(x, p) is the integrand of
+    problem p at nodes x, as in _gk_panels. Each round integrates lobes
+    m0 .. m0 + _LOBE_BLOCK - 1 of every open problem in one
+    _integrate_rows call, lobe 0 on up to 1024 panels and the others on
+    256, at tolerance max(panel_tol, 1e-13 * the largest lobe of earlier
+    rounds); then euler_alternating(tail_tol, rel_tol, max_terms) runs
+    over each open problem's lobes, and the problem closes once its sum
+    settles within them. A problem's lobes and sum never depend on the
+    other problems.
+
+    Returns (values, error_bounds, lobes_used): each bound is 10 times
+    the last Euler increment plus the quadrature errors of the lobes the
+    sum used.
+    """
+    lobes = [[] for _ in range(n)]
+    errs = [[] for _ in range(n)]
+    scale = np.zeros(n)
+    out = np.zeros((3, n))
+    todo = np.arange(n)
+    m0 = 0
+    while todo.size:
+        m = np.arange(m0, min(m0 + _LOBE_BLOCK, max_terms))
+        p = np.repeat(todo, m.size)
+        mp = np.tile(m, todo.size)
+        lo, hi = edges(p, mp)
+        v, e = np.zeros(p.size), np.zeros(p.size)
+        live = hi > lo
+        if live.any():
+            pl = p[live]
+            v[live], e[live], _ = _integrate_rows(
+                lambda x, rows: f(x, pl[rows]), lo[live], hi[live],
+                np.maximum(panel_tol, 1e-13 * scale[pl]), 1e-13,
+                np.where(mp[live] == 0, 1024, 256))
+        v, e = v.reshape(todo.size, m.size), e.reshape(todo.size, m.size)
+        scale[todo] = np.maximum(scale[todo], np.abs(v).max(axis=1))
+        still = []
+        for q, vq, eq in zip(todo, v.tolist(), e.tolist()):
+            lobes[q] += vq
+            errs[q] += eq
+            try:
+                # an IndexError asks for lobes past those integrated
+                val, inc, k = euler_alternating(
+                    lobes[q].__getitem__, tail_tol, rel_tol=rel_tol,
+                    max_terms=max_terms)
+            except IndexError:
+                still.append(q)
+                continue
+            out[:, q] = val, 10.0 * inc + sum(errs[q][:k]), k
+        todo = np.array(still, dtype=np.intp)
+        m0 += _LOBE_BLOCK
+    return out[0], out[1], out[2].astype(np.intp)

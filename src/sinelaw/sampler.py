@@ -130,7 +130,7 @@ def builtin_f(name: str) -> ParamFunction:
         return ParamFunction(
             eval=lambda u: np.sqrt(-2.0 * np.log(u)),
             epsilon_f=-1,
-            inverse=lambda t: math.exp(-0.5 * t * t),
+            inverse=lambda t: np.exp(-0.5 * np.square(t)),
             range_=(0.0, math.inf),
             integrability="L1",
             f_id="gaussian",
@@ -139,7 +139,8 @@ def builtin_f(name: str) -> ParamFunction:
         return ParamFunction(
             eval=lambda u: _SQRT_PI_2 * np.sqrt(1.0 - np.square(u)) / u,
             epsilon_f=-1,
-            inverse=lambda t: math.sqrt(math.pi) / math.sqrt(2.0 * t * t + math.pi),
+            inverse=lambda t: math.sqrt(math.pi) / np.sqrt(
+                2.0 * np.square(t) + math.pi),
             range_=(0.0, math.inf),
             integrability="L1",
             f_id="cauchy",

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import j0_array, j0_zero
+from .bessel import _j0_zeros, j0_array, j0_zero
 from .errors import ConvergenceError
-from .quadrature import QuadConfig, euler_alternating, integrate
+from .quadrature import QuadConfig, _lobe_sums, _one_row, integrate
 
 __all__ = ["Decay", "RealFunction", "QuadConfig", "hankel0", "fourier1",
            "fourier2_radial_crosscheck"]
@@ -50,6 +50,23 @@ class Decay:
         return (1.0 + r) ** (-self.scale)
 
 
+def _eval_array(fn, x):
+    """fn over a float array, elementwise, in the array's shape.
+
+    One call when fn takes arrays and returns their shape; otherwise fn
+    is taken to be scalar-only and is called once per element.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        out = np.asarray(fn(x), dtype=np.float64)
+        if out.shape == x.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([fn(float(v)) for v in x.ravel()],
+                    dtype=np.float64).reshape(x.shape)
+
+
 @dataclass
 class RealFunction:
     """A real function on (0, inf) with the metadata the transforms need.
@@ -65,15 +82,7 @@ class RealFunction:
     bounded_variation: bool = True
 
     def eval_array(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        try:
-            out = np.asarray(self.eval(r), dtype=np.float64)
-            if out.shape == r.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([self.eval(float(v)) for v in r.ravel()],
-                        dtype=np.float64).reshape(r.shape)
+        return _eval_array(self.eval, r)
 
 
 def _amplitude(g: RealFunction):
@@ -150,24 +159,13 @@ def _panel_tol(cfg):
     return max(cfg.truncation_tail_tol * 0.05, cfg.abs_tol * 0.02, 1e-16)
 
 
-def _lobe_sum(f_vec, edges_fn, cfg, panel_tol):
-    """Euler-accelerated sum of integrals over lobes [edge_m, edge_{m+1}]."""
-    state = {"err": 0.0, "scale": 0.0}
-
-    def term(m):
-        a, b = edges_fn(m)
-        tol = max(panel_tol, 1e-13 * state["scale"])
-        v, e, _ = integrate(f_vec, a, b, tol, rel_tol=1e-13,
-                            max_panels=1024 if m == 0 else 256,
-                            raise_on_failure=False)
-        state["err"] += e
-        state["scale"] = max(state["scale"], abs(v))
-        return v
-
-    val, inc, terms = euler_alternating(
-        term, cfg.truncation_tail_tol, rel_tol=1e-11,
-        max_terms=cfg.max_panels)
-    return val, 10.0 * inc + state["err"], terms
+def _lobe_sum(f, edges, cfg):
+    """Euler-accelerated sum of the integrals of f over the lobes
+    edges(m) = (lo, hi) of a lobe-index array m: (value, error_bound)."""
+    v, e, _ = _lobe_sums(_one_row(f), lambda p, m: edges(m), 1,
+                         _panel_tol(cfg), cfg.truncation_tail_tol, 1e-11,
+                         cfg.max_panels)
+    return float(v[0]), float(e[0])
 
 
 def _check_hankel_integrable(g: RealFunction):
@@ -175,6 +173,44 @@ def _check_hankel_integrable(g: RealFunction):
         raise ValueError(
             f"algebraic decay p={g.decay.scale} makes r*g(r) non-integrable; "
             "the order-0 Hankel transform requires p > 2")
+
+
+def _transform(g, t, cfg, f, edges, weight_power, first_zero):
+    """(value, error_bound) of int_0^inf f, where f = r^weight_power g(r)
+    times an oscillating kernel whose first zero is at first_zero and
+    whose lobes are edges(m).
+
+    The lobe sum runs once the kernel oscillates inside the effective
+    support; otherwise one adaptive integral covers the support, plus
+    the bound of the truncated tail or, for an algebraic tail, the tail
+    folded with the kernel taken as 1 (only for t <= 1e-14, where the
+    neglected kernel curvature contributes O(t), below tolerance).
+    """
+    algebraic = g.decay.kind == "algebraic"
+    if algebraic:
+        cut = 8.0 * (1.0 + g.decay.scale) if t <= 1e-14 else None
+    else:
+        cut, tail = _truncation_radius(g, cfg.truncation_tail_tol,
+                                       weight_power)
+        if first_zero < cut:
+            cut = None
+    if cut is None:
+        return _lobe_sum(f, edges, cfg)
+    val, err, _ = integrate(f, 0.0, cut, cfg.abs_tol * 0.5,
+                            rel_tol=cfg.rel_tol, max_panels=cfg.max_panels,
+                            raise_on_failure=False)
+    if not algebraic:
+        return val, err + tail
+    tv, te = _folded_tail(g, cut, weight_power, cfg.abs_tol * 0.25, cfg)
+    return val + tv, err + te + 2.0 * t * _amplitude(g)
+
+
+def _checked(name, t, val, err, cfg, full_output):
+    if err > cfg.abs_tol and err > cfg.rel_tol * abs(val):
+        raise ConvergenceError(
+            f"{name} error bound {err:.2e} exceeds tolerance at t={t}",
+            best=val, error_bound=err)
+    return (val, err) if full_output else val
 
 
 def hankel0(g: RealFunction, t: float, cfg: QuadConfig = QuadConfig(),
@@ -192,47 +228,14 @@ def hankel0(g: RealFunction, t: float, cfg: QuadConfig = QuadConfig(),
     def f(r):
         return r * g.eval_array(r) * j0_array(r * t)
 
-    if g.decay.kind == "algebraic":
-        if t <= 1e-14:
-            # fold the tail with J0 ~ 1 there; the neglected kernel
-            # curvature contributes O(t) which is below tolerance
-            r0 = 8.0 * (1.0 + g.decay.scale)
-            val, err, _ = integrate(f, 0.0, r0, cfg.abs_tol * 0.5,
-                                    rel_tol=cfg.rel_tol,
-                                    max_panels=cfg.max_panels,
-                                    raise_on_failure=False)
-            tv, te = _folded_tail(g, r0, 1, cfg.abs_tol * 0.25, cfg)
-            val += tv
-            err += te + 2.0 * t * _amplitude(g)
-        else:
-            def edges(m):
-                lo = 0.0 if m == 0 else j0_zero(m) / t
-                return lo, j0_zero(m + 1) / t
+    def edges(m):
+        # lobe m lies between the m-th and (m+1)-th zeros of J0(rt)
+        lo = np.where(m == 0, 0.0, _j0_zeros(np.maximum(m, 1)) / t)
+        return lo, _j0_zeros(m + 1) / t
 
-            panel_tol = _panel_tol(cfg)
-            val, err, _ = _lobe_sum(f, edges, cfg, panel_tol)
-    else:
-        r_trunc, tail = _truncation_radius(g, cfg.truncation_tail_tol, 1)
-        first_zero = j0_zero(1) / t if t > 0 else math.inf
-        if first_zero >= r_trunc:
-            # kernel does not oscillate inside the effective support
-            val, err, _ = integrate(f, 0.0, r_trunc, cfg.abs_tol * 0.5,
-                                    rel_tol=cfg.rel_tol,
-                                    max_panels=cfg.max_panels,
-                                    raise_on_failure=False)
-            err += tail
-        else:
-            def edges(m):
-                lo = 0.0 if m == 0 else j0_zero(m) / t
-                return lo, j0_zero(m + 1) / t
-
-            val, err, _ = _lobe_sum(f, edges, cfg, _panel_tol(cfg))
-
-    if err > cfg.abs_tol and err > cfg.rel_tol * abs(val):
-        raise ConvergenceError(
-            f"hankel0 error bound {err:.2e} exceeds tolerance at t={t}",
-            best=val, error_bound=err)
-    return (val, err) if full_output else val
+    first_zero = j0_zero(1) / t if t > 0 else math.inf
+    val, err = _transform(g, t, cfg, f, edges, 1, first_zero)
+    return _checked("hankel0", t, val, err, cfg, full_output)
 
 
 def fourier1(g: RealFunction, t: float, cfg: QuadConfig = QuadConfig(),
@@ -248,46 +251,18 @@ def fourier1(g: RealFunction, t: float, cfg: QuadConfig = QuadConfig(),
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     t = abs(t)
-    pref = math.sqrt(2.0 / math.pi)
 
     def f(x):
         return g.eval_array(x) * np.cos(t * x)
 
     def edges(m):
-        return (0.0 if m == 0 else (m - 0.5) * math.pi / t,
+        return (np.where(m == 0, 0.0, (m - 0.5) * math.pi / t),
                 (m + 0.5) * math.pi / t)
 
-    if g.decay.kind == "algebraic":
-        if t <= 1e-14:
-            r0 = 8.0 * (1.0 + g.decay.scale)
-            val, err, _ = integrate(f, 0.0, r0, cfg.abs_tol * 0.5,
-                                    rel_tol=cfg.rel_tol,
-                                    max_panels=cfg.max_panels,
-                                    raise_on_failure=False)
-            tv, te = _folded_tail(g, r0, 0, cfg.abs_tol * 0.25, cfg)
-            val += tv
-            err += te + 2.0 * t * _amplitude(g)
-        else:
-            val, err, _ = _lobe_sum(f, edges, cfg, _panel_tol(cfg))
-    else:
-        r_trunc, tail = _truncation_radius(g, cfg.truncation_tail_tol, 0)
-        first_zero = (0.5 * math.pi / t) if t > 0 else math.inf
-        if first_zero >= r_trunc:
-            val, err, _ = integrate(f, 0.0, r_trunc, cfg.abs_tol * 0.5,
-                                    rel_tol=cfg.rel_tol,
-                                    max_panels=cfg.max_panels,
-                                    raise_on_failure=False)
-            err += tail
-        else:
-            val, err, _ = _lobe_sum(f, edges, cfg, _panel_tol(cfg))
-
-    val *= pref
-    err *= pref
-    if err > cfg.abs_tol and err > cfg.rel_tol * abs(val):
-        raise ConvergenceError(
-            f"fourier1 error bound {err:.2e} exceeds tolerance at t={t}",
-            best=val, error_bound=err)
-    return (val, err) if full_output else val
+    first_zero = (0.5 * math.pi / t) if t > 0 else math.inf
+    val, err = _transform(g, t, cfg, f, edges, 0, first_zero)
+    pref = math.sqrt(2.0 / math.pi)
+    return _checked("fourier1", t, val * pref, err * pref, cfg, full_output)
 
 
 def fourier2_radial_crosscheck(G: RealFunction, t: float,

@@ -198,3 +198,32 @@ def test_f_never_finite_is_a_numeric_failure(tmp_path):
     assert out.returncode == 3
     assert "failed to evaluate finitely" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flag", ["--n", "--count"])
+def test_sample_rejects_bad_size_before_progress(tmp_path, capsys, flag):
+    out = str(tmp_path / "s.csv")
+    rc = run("sample", "--f", "gaussian", flag, "0", "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n and count must be >= 1" in err
+    assert "sampling" not in err
+    assert not os.path.exists(out)
+
+
+def test_charfn_evaluates_all_t_in_one_call(monkeypatch, capsys):
+    import sinelaw.cli as cli
+    calls = []
+    real = cli.limit_char_fn
+
+    def counted(f, t, cfg):
+        calls.append(t)
+        return real(f, t, cfg)
+
+    monkeypatch.setattr(cli, "limit_char_fn", counted)
+    rc = run("--quiet", "charfn", "--f", "gaussian", "--t", "0.5,1,2")
+    assert rc == 0
+    assert len(calls) == 1 and list(calls[0]) == [0.5, 1.0, 2.0]
+    got = [float(v) for v in capsys.readouterr().out.split()]
+    assert got == pytest.approx([math.exp(-0.5 * t * t)
+                                 for t in (0.5, 1.0, 2.0)], abs=1e-6)

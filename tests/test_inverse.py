@@ -120,6 +120,18 @@ def test_k_strictly_decreasing_and_in_unit_interval():
         assert all(0.0 < k <= 1.0 for k in ks)
 
 
+@pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
+def test_k_continuous_and_non_increasing_across_leaf_edges(make_psi):
+    # inside a leaf k integrates the leaf's quadratic; at its right edge
+    # it switches to the stored cumulative sum, and the two must agree
+    kp = inverse.KPsi(make_psi(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
+    edges = np.array(kp._edges[1:-1])
+    left = np.array([kp.k(float(np.nextafter(e, 0.0))) for e in edges])
+    at = np.array([kp.k(float(e)) for e in edges])
+    assert np.all(left >= at)
+    assert np.max(left - at) <= 1e-15
+
+
 def test_k_closed_form_vs_numeric_hankel():
     for psi in (psi_gauss(), psi_cauchy()):
         for t in (0.5, 1.0, 2.0):

@@ -92,6 +92,62 @@ def test_charfn_increasing_f_mirror(t):
                                                      abs=1e-6)
 
 
+def f_const(c=2.5):
+    return ParamFunction(
+        eval=lambda u: np.full_like(np.asarray(u, dtype=np.float64), c),
+        range_=(c, c), f_id=f"const:{c}")
+
+
+def f_cauchy_mirror():
+    # increasing, with a scalar-only inverse
+    return ParamFunction(
+        eval=lambda u: A * np.sqrt(1.0 - np.square(1.0 - u)) / (1.0 - u),
+        epsilon_f=1,
+        inverse=lambda w: 1.0 - math.sqrt(math.pi) / math.sqrt(2.0 * w * w + math.pi),
+        range_=(0.0, math.inf), f_id="cauchy_mirror")
+
+
+@pytest.mark.parametrize("make", [f_gauss, f_cauchy, f_const, f_cauchy_mirror])
+def test_charfn_array_is_bitwise_the_scalar_calls(make):
+    # both paths (clipped panels at small t, zero split at large t), t = 0
+    # and a negative t, in one batch
+    f = make()
+    ts = np.array([[0.0, 0.01, 0.3, -1.0], [2.5, 6.0, 9.0, 30.0]])
+    got = limit_char_fn(f, ts, CFG)
+    assert got.shape == ts.shape
+    for t, v in zip(ts.ravel(), got.ravel()):
+        assert v == limit_char_fn(f, float(t), CFG)
+
+
+@pytest.mark.parametrize("make, exact", [
+    (f_gauss, lambda t: math.exp(-0.5 * t * t)),
+    (f_cauchy, lambda t: math.exp(-A * t)),
+    (f_cauchy_mirror, lambda t: math.exp(-A * t)),
+])
+def test_charfn_error_bounds_cover_closed_forms(make, exact):
+    from sinelaw.limitlaw import _charfn_clipped, _charfn_zero_split
+    f = make()
+    cfg = QuadConfig(abs_tol=1e-9, rel_tol=1e-9)
+    ts = np.array([0.01, 0.3, 1.0, 2.0, 4.0, 8.0])
+    want = np.array([exact(t) for t in ts])
+    for path in (_charfn_clipped, _charfn_zero_split):
+        val, err, _ = path(f, ts, cfg)
+        assert np.all(np.abs(val - want) <= err), path.__name__
+
+
+def test_charfn_array_failure_names_the_failing_t():
+    from sinelaw.errors import ConvergenceError
+    f = f_gauss()
+    # on 16 panels t = 3 converges and t = 6.5 does not
+    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=16)
+    assert limit_char_fn(f, 3.0, cfg) == pytest.approx(math.exp(-4.5),
+                                                       abs=1e-7)
+    with pytest.raises(ConvergenceError) as ei:
+        limit_char_fn(f, np.array([0.0, 3.0, 6.5, 3.0]), cfg)
+    assert "at t=6.5" in str(ei.value)
+    assert ei.value.best is not None and ei.value.error_bound > 1e-7
+
+
 def test_charfn_unreachable_tolerance_raises():
     from sinelaw.errors import ConvergenceError
     f = f_cauchy()
@@ -224,6 +280,16 @@ def test_density_profile_nonnegative_both_examples():
     for f in (f_gauss(), f_cauchy()):
         prof = density_profile(f, xs)
         assert np.all(prof >= -1e-8)
+
+
+def test_cdf_matches_closed_forms():
+    from sinelaw.verify import erf
+    cases = [(f_gauss(), lambda x: 0.5 * (1.0 + erf(x / math.sqrt(2.0)))),
+             (f_cauchy(), lambda x: 0.5 + math.atan(x / A) / math.pi)]
+    for f, exact in cases:
+        law = build_limit_law(f)
+        for x in (-20.0, -3.0, -0.7, 0.0, 0.4, 1.0, 2.5, 12.0):
+            assert law.cdf(x) == pytest.approx(exact(x), abs=1e-5), x
 
 
 def test_build_limit_law():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sinelaw.errors import ConvergenceError
-from sinelaw.quadrature import QuadConfig, euler_alternating, gk15, integrate
+from sinelaw.quadrature import (QuadConfig, _integrate_rows, _lobe_sums,
+                                euler_alternating, gk15, integrate)
 
 
 def test_gk15_exact_for_monomials():
@@ -40,6 +41,72 @@ def test_integrate_budget_exhaustion_raises_with_best():
         integrate(lambda x: np.cos(1000.0 * x), 0.0, 1.0, 1e-14, max_panels=3)
     assert ei.value.best is not None
     assert ei.value.error_bound is not None
+
+
+def _oscillators(n=40, seed=3):
+    # int_a^b cos(w x) e^{-x} dx, one (a, b, w) per row, with closed forms
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, n)
+    b = a + rng.uniform(0.1, 5.0, n)
+    w = rng.uniform(1.0, 60.0, n)
+    z = complex(-1.0, 0.0) + 1j * w
+
+    def f(x, rows):
+        return np.cos(w[rows][:, None] * x) * np.exp(-x)
+
+    exact = ((np.exp(z * b) - np.exp(z * a)) / z).real
+    return f, a, b, exact
+
+
+def test_integrate_rows_batch_equals_one_at_a_time():
+    f, a, b, exact = _oscillators()
+    cap = np.where(np.arange(a.size) % 3 == 0, 5, 1000)
+    v, e, n = _integrate_rows(f, a, b, 1e-12, 1e-12, cap)
+    assert np.all(n <= cap) and np.any(n == 5)
+    for i in range(a.size):
+        one = _integrate_rows(lambda x, rows, i=i: f(x, rows + i),
+                              a[i:i + 1], b[i:i + 1], 1e-12, 1e-12, cap[i])
+        assert (v[i], e[i], n[i]) == (one[0][0], one[1][0], one[2][0])
+    # every bound covers the true error, capped rows included
+    assert np.all(np.abs(v - exact) <= np.maximum(e, 1e-15))
+    done = cap == 1000
+    assert np.all(e[done] <= np.maximum(1e-12, 1e-12 * np.abs(v[done])))
+
+
+def test_unsplittable_panel_keeps_its_error():
+    # [1, 1 + ulp] cannot be split, and its nodes round to either side of
+    # the step at 1, so the panel has an error estimate that must stay in
+    # the bound
+    def step(x):
+        return (x >= 1.0).astype(float)
+
+    b = float(np.nextafter(1.0, 2.0))
+    v, e, n = integrate(step, 1.0, b, 1e-300, rel_tol=0.0,
+                        raise_on_failure=False)
+    assert n == 1
+    assert e > 0.0 and e >= abs(v - (b - 1.0))
+    with pytest.raises(ConvergenceError):
+        integrate(step, 1.0, b, 1e-300, rel_tol=0.0)
+
+
+def test_lobe_sums_batch_equals_one_at_a_time():
+    # sum_m int_{m pi}^{(m+1) pi} sin(x) / (x + c) dx for several c
+    c = np.array([0.5, 1.0, 3.0, 10.0])
+
+    def f(x, p):
+        return np.sin(x) / (x + c[p][:, None])
+
+    def edges(p, m):
+        return m * np.pi, (m + 1) * np.pi
+
+    v, e, k = _lobe_sums(f, edges, c.size, 1e-14, 1e-12, 1e-11, 10_000)
+    for i in range(c.size):
+        one = _lobe_sums(lambda x, p, i=i: f(x, p + i), edges, 1, 1e-14,
+                         1e-12, 1e-11, 10_000)
+        assert (v[i], e[i], k[i]) == (one[0][0], one[1][0], one[2][0])
+    # int_0^inf sin x / (x + 1) dx = Ci(1) sin 1 + (pi/2 - Si(1)) cos 1
+    assert v[1] == pytest.approx(0.6214496242358134, abs=1e-10)
+    assert e[1] >= abs(v[1] - 0.6214496242358134)
 
 
 def test_euler_alternating_slow_series():
