@@ -29,6 +29,8 @@ __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
 _AMP_SAFETY = 1.02
 # largest (x, t) matrix a density table forms at once, in elements
 _TABLE_BLOCK = 1 << 20
+# most t that limit_char_fn integrates in one batch
+_T_BLOCK = 2048
 
 
 @dataclass
@@ -218,8 +220,8 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     """phi(t) = int_0^1 J0(t f(u)) du, in [-1, 1], abs error <= cfg.abs_tol.
 
     t is a scalar or an array; an array gives an array of its shape, and
-    every element has the same bits as a scalar call at that t. All t
-    share one batched quadrature per path.
+    every element has the same bits as a scalar call at that t. The t
+    share one batched quadrature per path, up to 2048 t per batch.
 
     The interval is clipped to (delta, 1-delta) with delta = abs_tol/4;
     |J0| <= 1 bounds the discarded contribution by its length. Where f
@@ -241,9 +243,16 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     if f.epsilon_f is not None and f.inverse is not None:
         split = (ta != 0.0) & (_oscillation_estimate(f, ta) > 8.0)
     clip = (ta != 0.0) & ~split
-    for mask, path in ((split, _charfn_zero_split), (clip, _charfn_clipped)):
-        if mask.any():
-            val[mask], err[mask], failed[mask] = path(f, ta[mask], cfg)
+    # at most _T_BLOCK t per batch bounds the memory of the panel arrays;
+    # a t's result does not depend on its batch
+    for i in range(0, ta.size, _T_BLOCK):
+        part = slice(i, i + _T_BLOCK)
+        for mask, path in ((split[part], _charfn_zero_split),
+                           (clip[part], _charfn_clipped)):
+            if mask.any():
+                v, e, fail = path(f, ta[part][mask], cfg)
+                val[part][mask], err[part][mask] = v, e
+                failed[part][mask] = fail
     if failed.any():
         i = int(np.argmax(failed))
         raise ConvergenceError(

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from sinelaw import limitlaw
 from sinelaw.bessel import j0
 from sinelaw.limitlaw import (ParamFunction, build_limit_law, density_profile,
                               limit_char_fn, limit_density,
@@ -108,7 +109,7 @@ def f_cauchy_mirror():
 
 
 @pytest.mark.parametrize("make", [f_gauss, f_cauchy, f_const, f_cauchy_mirror])
-def test_charfn_array_is_bitwise_the_scalar_calls(make):
+def test_charfn_array_is_bitwise_the_scalar_calls(make, monkeypatch):
     # both paths (clipped panels at small t, zero split at large t), t = 0
     # and a negative t, in one batch
     f = make()
@@ -117,6 +118,9 @@ def test_charfn_array_is_bitwise_the_scalar_calls(make):
     assert got.shape == ts.shape
     for t, v in zip(ts.ravel(), got.ravel()):
         assert v == limit_char_fn(f, float(t), CFG)
+    # split into batches of 3 t, the same bits again
+    monkeypatch.setattr(limitlaw, "_T_BLOCK", 3)
+    assert np.array_equal(limit_char_fn(f, ts, CFG), got)
 
 
 @pytest.mark.parametrize("make, exact", [
