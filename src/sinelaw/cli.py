@@ -197,7 +197,7 @@ def _cmd_sample(args):
     _say(args, f"sampling {args.count} draws of V_n[{f.f_id}], n={args.n}, "
                f"seed={args.seed}")
     batch = sample_vn(f, args.n, args.count, args.seed)
-    _write_samples(args.out, batch)
+    _write_csv(args.out, "v", batch.values)
     config = {"command": "sample", "f": args.f, "n": args.n,
               "count": args.count, "seed": args.seed}
     _write_meta(args.out + ".meta.json", "sample", config, extra={
@@ -207,10 +207,9 @@ def _cmd_sample(args):
     return 0
 
 
-def _write_samples(path, batch):
-    lines = ["v"]
-    lines.extend(_fmt(v) for v in batch.values)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path, header, *columns):
+    rows = map(",".join, zip(*(map(_fmt, c) for c in columns)))
+    _atomic_write(path, "\n".join([header, *rows]) + "\n")
 
 
 def _read_samples(path):
@@ -235,8 +234,7 @@ def _cmd_charfn(args):
     ts = _parse_floats(args.t)
     vals = limit_char_fn(f, np.array(ts), cfg)
     if args.out:
-        lines = ["t,phi"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vals)]
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        _write_csv(args.out, "t,phi", ts, vals)
         config = {"command": "charfn", "f": args.f, "t": ts, "tol": args.tol}
         _write_meta(args.out + ".meta.json", "charfn", config)
     for v in vals:
@@ -254,8 +252,7 @@ def _cmd_density(args):
     cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol, max_panels=200_000)
     vals = density_profile(f, xs, cfg)
     if args.out:
-        lines = ["x,density"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        _write_csv(args.out, "x,density", xs, vals)
         config = {"command": "density", "f": args.f,
                   "x": [float(x) for x in xs], "tol": args.tol}
         _write_meta(args.out + ".meta.json", "density", config)
@@ -273,9 +270,7 @@ def _cmd_invert(args):
     f = solve_inverse(psi, grid_size=args.grid_size,
                       override_checks=args.override_checks)
     us = np.linspace(1e-4, 1.0 - 1e-4, args.table_points)
-    fs = f.eval(us)
-    lines = ["u,f_of_u"] + [f"{_fmt(u)},{_fmt(v)}" for u, v in zip(us, fs)]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, "u,f_of_u", us, f.eval(us))
     config = {"command": "invert", "psi": args.psi,
               "grid_size": args.grid_size, "table_points": args.table_points}
     _write_meta(args.out + ".meta.json", "invert", config)
@@ -283,30 +278,30 @@ def _cmd_invert(args):
     return 0
 
 
-def _ecf_rows(batch, target):
-    rows = []
-    e = ecf(batch, _ECF_GRID)
-    for t, z in zip(_ECF_GRID, e):
-        rows.append({"t": t, "re": float(z.real), "im": float(z.imag),
-                     "target": float(target.char_fn(t))})
-    return rows
+def _ks_report(batch, target, path, threshold):
+    """Write batch's KS and ECF report against target; (ks, passed)."""
+    ks = ks_statistic(batch, target)
+    passed = ks <= threshold
+    ecf_rows = [{"t": t, "re": float(z.real), "im": float(z.imag),
+                 "target": float(target.char_fn(t))}
+                for t, z in zip(_ECF_GRID, ecf(batch, _ECF_GRID))]
+    report = {
+        "ks": ks,
+        "ks_threshold": threshold,
+        "pass": bool(passed),
+        "ecf": ecf_rows,
+        "n": batch.n,
+        "count": batch.count,
+        "seed": batch.seed,
+    }
+    _atomic_write(path, json.dumps(report, indent=2) + "\n")
+    return ks, passed
 
 
 def _cmd_verify(args):
     batch = _read_samples(args.samples)
     target = target_library(args.target)
-    ks = ks_statistic(batch, target)
-    passed = ks <= args.ks_threshold
-    report = {
-        "ks": ks,
-        "ks_threshold": args.ks_threshold,
-        "pass": bool(passed),
-        "ecf": _ecf_rows(batch, target),
-        "n": batch.n,
-        "count": batch.count,
-        "seed": batch.seed,
-    }
-    _atomic_write(args.report, json.dumps(report, indent=2) + "\n")
+    ks, passed = _ks_report(batch, target, args.report, args.ks_threshold)
     config = {"command": "verify", "samples": args.samples,
               "target": args.target, "ks_threshold": args.ks_threshold}
     _write_meta(args.report + ".meta.json", "verify", config)
@@ -326,14 +321,12 @@ def _cmd_pipeline(args):
     os.makedirs(args.out_dir, exist_ok=True)
     f_path = os.path.join(args.out_dir, "f_table.csv")
     us = np.linspace(1e-4, 1.0 - 1e-4, 2001)
-    lines = ["u,f_of_u"] + [f"{_fmt(u)},{_fmt(v)}"
-                            for u, v in zip(us, f.eval(us))]
-    _atomic_write(f_path, "\n".join(lines) + "\n")
+    _write_csv(f_path, "u,f_of_u", us, f.eval(us))
 
     _say(args, f"sampling n={args.n}, count={args.count}, seed={args.seed}")
     batch = sample_vn(f, args.n, args.count, args.seed)
     s_path = os.path.join(args.out_dir, "samples.csv")
-    _write_samples(s_path, batch)
+    _write_csv(s_path, "v", batch.values)
     config = {"command": "pipeline", "psi": args.psi, "n": args.n,
               "count": args.count, "seed": args.seed,
               "grid_size": args.grid_size,
@@ -343,19 +336,8 @@ def _cmd_pipeline(args):
         "seed": batch.seed, "resamples": batch.resamples})
 
     target = target_library("std_normal" if args.psi == "gaussian" else "cauchy")
-    ks = ks_statistic(batch, target)
-    passed = ks <= args.ks_threshold
-    report = {
-        "ks": ks,
-        "ks_threshold": args.ks_threshold,
-        "pass": bool(passed),
-        "ecf": _ecf_rows(batch, target),
-        "n": batch.n,
-        "count": batch.count,
-        "seed": batch.seed,
-    }
     r_path = os.path.join(args.out_dir, "report.json")
-    _atomic_write(r_path, json.dumps(report, indent=2) + "\n")
+    ks, passed = _ks_report(batch, target, r_path, args.ks_threshold)
     _write_meta(r_path + ".meta.json", "pipeline", config)
     _say(args, f"KS = {ks:.5f} vs {target.name}: "
                f"{'pass' if passed else 'FAIL'}")
@@ -381,10 +363,9 @@ def _cmd_transform(args):
     op = hankel0 if args.kind == "hankel0" else fourier1
     cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol)
     ts = _parse_floats(args.t)
-    vals = [op(g, t, cfg) for t in ts]
+    vals = op(g, np.array(ts), cfg)
     if args.out:
-        lines = ["t,value"] + [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vals)]
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        _write_csv(args.out, "t,value", ts, vals)
         config = {"command": "transform", "kind": args.kind, "g": args.g,
                   "t": ts, "tol": args.tol}
         _write_meta(args.out + ".meta.json", "transform", config)

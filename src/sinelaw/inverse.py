@@ -25,10 +25,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, ModelViolationError
+from .errors import BracketError, ModelViolationError
 from .limitlaw import ParamFunction
 from .quadrature import QuadConfig, integrate
-from .transforms import Decay, RealFunction, _eval_array, hankel0
+from .transforms import (_HANKEL, Decay, RealFunction, _checked, _eval_array,
+                         _transform_rows)
 
 __all__ = ["CharFn", "TabulatedMonotone", "KPsi", "k_psi", "invert_k",
            "solve_inverse", "check_L", "LReport"]
@@ -192,12 +193,13 @@ class KPsi:
     """Tabulated k_psi(t) = 1 - int_0^t m, with m(u) = u * H0(psi)(u).
 
     Panels store (a, mid, b) values of m; within-panel integrals use the
-    interpolating quadratic in closed form. Each panel is refined locally
-    (adaptive Simpson with a position-weighted tolerance), and the table
-    extends itself along a fixed geometric landmark ladder. Both choices
-    make the table content a function of the covered range only, never of
-    the order in which callers requested it, so concurrent builds (which
-    serialize on a lock) reproduce the sequential table bit for bit.
+    interpolating quadratic in closed form. Spans are refined by adaptive
+    Simpson with a position-weighted tolerance, level by level, with one
+    batched H0 call per level, and the table extends itself along a fixed
+    geometric landmark ladder. So the table content is a function of the
+    covered range only, never of the order in which callers requested
+    it, and concurrent builds (which serialize on a lock) reproduce the
+    sequential table bit for bit.
     """
 
     _GROWTH = 1.7
@@ -224,74 +226,78 @@ class KPsi:
             t0 = 8.0 / d.scale
         else:
             t0 = 8.0 * (1.0 + d.scale)
-        self._t0 = t0
         with self._lock:
-            for i in range(48):
-                self._grow(i * t0 / 48.0, (i + 1) * t0 / 48.0, 0)
+            edges = np.arange(49) * t0 / 48.0
+            self._grow(edges[:-1], edges[1:])
 
     # -- m evaluation -------------------------------------------------
 
-    def _m(self, u):
-        if u in self._mvals:
-            return self._mvals[u]
-        if u == 0.0:
-            return 0.0
+    def _fill(self, us):
+        """m at each u of the array us not yet known, in one batch. H0 is
+        held to k_tol * 0.02 / (1 + u)^2, and a bound within 5 times that
+        is accepted; ConvergenceError names the first u beyond it."""
+        u = np.array([x for x in dict.fromkeys(us.tolist())
+                      if x not in self._mvals])
+        if not u.size:
+            return
         if self.use_closed_form:
-            val = u * float(self.psi.closed_form_hankel(u))
+            vals = u * _eval_array(self.psi.closed_form_hankel, u)
         else:
-            target = self.k_tol * 0.02 / (1.0 + u) ** 2
-            hcfg = QuadConfig(abs_tol=target, rel_tol=1e-9,
-                              truncation_tail_tol=max(target * 0.05, 1e-300),
-                              max_panels=self.cfg.max_panels)
-            self._h0_calls += 1
-            try:
-                h = hankel0(self._gf, u, hcfg)
-            except ConvergenceError as exc:
-                if exc.error_bound is not None and exc.error_bound <= 5 * target:
-                    h = exc.best
-                else:
-                    raise
-            val = u * h
-        self._mvals[u] = val
-        return val
+            target = np.array([self.k_tol * 0.02 / (1.0 + x) ** 2
+                               for x in u.tolist()])
+            self._h0_calls += u.size
+            h, err = _transform_rows(_HANKEL, self._gf, u, target,
+                                     np.maximum(target * 0.05, 1e-300), 1e-9,
+                                     self.cfg.max_panels)
+            _checked("hankel0", u, h, err, 5.0 * target, 1e-9)
+            vals = u * h
+        self._mvals.update(zip(u.tolist(), vals.tolist()))
 
     # -- table construction -------------------------------------------
 
-    def _grow(self, a, b, depth):
-        """Append leaves covering [a, b], splitting until the local
-        Simpson two-level disagreement meets the position-weighted
-        tolerance. Append-only and depth-first, so deterministic."""
-        mid = 0.5 * (a + b)
-        fa, fm, fb = self._m(a), self._m(mid), self._m(b)
-        self._check_sign(a, b, (fa, fm, fb))
-        simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
-        s2 = (mid - a) / 6.0 * (fa + 4.0 * self._m(q1) + fm) + \
-             (b - mid) / 6.0 * (fm + 4.0 * self._m(q2) + fb)
-        tol = 0.04 * self.k_tol * (b - a) / (1.0 + a)
-        if abs(simp - s2) / 15.0 <= tol or depth >= self._MAX_DEPTH:
-            # store the two halves the two-level value was built from:
-            # each half's quadratic through (edge, quarter point, edge)
-            # integrates to its Simpson term, so k(t) inside a leaf meets
-            # the cumulative sum at its edges
-            m = self._mvals
-            for lo, q, hi in ((a, q1, mid), (mid, q2, b)):
-                half = (hi - lo) / 6.0 * (m[lo] + 4.0 * m[q] + m[hi])
-                self._edges.append(hi)
-                self._mids.append(q)
-                self._panel_int.append(half)
-                self._cum.append(self._cum[-1] + half)
-        else:
-            self._grow(a, mid, depth + 1)
-            self._grow(mid, b, depth + 1)
-
-    def _check_sign(self, a, b, vals):
-        # permits the numeric noise of the inner transform, nothing more
-        floor = -(40.0 * (1.0 + b) * self.k_tol * 0.02 / (1.0 + a) + 1e-12)
-        if min(vals) < floor:
-            raise ModelViolationError(
-                f"u*H0(psi)(u) is negative on [{a:.6g}, {b:.6g}] "
-                f"(min {min(vals):.3e}); k_psi would not be decreasing there")
+    def _grow(self, a, b):
+        """Append leaves covering the adjacent spans [a[i], b[i]], split
+        breadth-first until the Simpson two-level disagreement of each
+        meets the position-weighted tolerance. The leaves are appended in
+        order once all are done, so a failure appends none."""
+        leaves = []
+        for depth in range(self._MAX_DEPTH + 1):
+            mid = 0.5 * (a + b)
+            q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
+            self._fill(np.concatenate([a, mid, b, q1, q2]))
+            fa, fm, fb, f1, f2 = (np.array([self._mvals[u] for u in x.tolist()])
+                                  for x in (a, mid, b, q1, q2))
+            # permits the numeric noise of the inner transform, nothing more
+            low = np.minimum(np.minimum(fa, fm), fb)
+            bad = low < -(40.0 * (1.0 + b) * self.k_tol * 0.02 / (1.0 + a)
+                          + 1e-12)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ModelViolationError(
+                    f"u*H0(psi)(u) is negative on [{a[i]:.6g}, {b[i]:.6g}] "
+                    f"(min {low[i]:.3e}); k_psi would not be decreasing there")
+            simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+            s2 = (mid - a) / 6.0 * (fa + 4.0 * f1 + fm) + \
+                (b - mid) / 6.0 * (fm + 4.0 * f2 + fb)
+            tol = 0.04 * self.k_tol * (b - a) / (1.0 + a)
+            done = (np.abs(simp - s2) / 15.0 <= tol) | (depth >= self._MAX_DEPTH)
+            # a done span stores the two halves its two-level value was
+            # built from: each half's quadratic through (edge, quarter
+            # point, edge) integrates to its Simpson term, so k(t) inside
+            # a leaf meets the cumulative sum at its edges
+            leaves += zip(a[done].tolist(), q1[done].tolist(), mid[done].tolist())
+            leaves += zip(mid[done].tolist(), q2[done].tolist(), b[done].tolist())
+            a, b = (np.concatenate([a[~done], mid[~done]]),
+                    np.concatenate([mid[~done], b[~done]]))
+            if not a.size:
+                break
+        m = self._mvals
+        for lo, q, hi in sorted(leaves):
+            half = (hi - lo) / 6.0 * (m[lo] + 4.0 * m[q] + m[hi])
+            self._edges.append(hi)
+            self._mids.append(q)
+            self._panel_int.append(half)
+            self._cum.append(self._cum[-1] + half)
 
     def ensure(self, t):
         if t <= self._edges[-1]:
@@ -300,10 +306,8 @@ class KPsi:
             while self._edges[-1] < min(t, _T_CAP):
                 # fixed ladder: t0 * growth^i, independent of the request
                 lo = self._edges[-1]
-                hi = min(lo * self._GROWTH, _T_CAP)
-                for a, b in zip(np.geomspace(lo, hi, 11)[:-1],
-                                np.geomspace(lo, hi, 11)[1:]):
-                    self._grow(float(a), float(b), 0)
+                edges = np.geomspace(lo, min(lo * self._GROWTH, _T_CAP), 11)
+                self._grow(edges[:-1], edges[1:])
 
     # -- evaluation ----------------------------------------------------
 
@@ -394,10 +398,6 @@ class KPsi:
                                   np.ones_like(r))
             t[ok] = a[i] + s * h
         return float(t[0]) if scalar else t
-
-    @property
-    def t_max(self):
-        return self._edges[-1]
 
 
 def _newton_bracketed(fn, x, lo, hi):

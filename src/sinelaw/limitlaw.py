@@ -18,7 +18,7 @@ import numpy as np
 from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
 from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
-from .transforms import Decay, RealFunction, _eval_array, fourier1
+from .transforms import Decay, RealFunction, _T_BLOCK, _eval_array, fourier1
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
            "numeric_inverse_derivative", "density_profile", "build_limit_law"]
@@ -29,8 +29,6 @@ __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
 _AMP_SAFETY = 1.02
 # largest (x, t) matrix a density table forms at once, in elements
 _TABLE_BLOCK = 1 << 20
-# most t that limit_char_fn integrates in one batch
-_T_BLOCK = 2048
 
 
 @dataclass
@@ -243,8 +241,6 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     if f.epsilon_f is not None and f.inverse is not None:
         split = (ta != 0.0) & (_oscillation_estimate(f, ta) > 8.0)
     clip = (ta != 0.0) & ~split
-    # at most _T_BLOCK t per batch bounds the memory of the panel arrays;
-    # a t's result does not depend on its batch
     for i in range(0, ta.size, _T_BLOCK):
         part = slice(i, i + _T_BLOCK)
         for mask, path in ((split[part], _charfn_zero_split),

@@ -242,13 +242,16 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
     256, at tolerance max(panel_tol, 1e-13 * the largest lobe of earlier
     rounds); then euler_alternating(tail_tol, rel_tol, max_terms) runs
     over each open problem's lobes, and the problem closes once its sum
-    settles within them. A problem's lobes and sum never depend on the
-    other problems.
+    settles within them. panel_tol and tail_tol are per problem or one
+    scalar for all. A problem's lobes and sum never depend on the other
+    problems.
 
     Returns (values, error_bounds, lobes_used): each bound is 10 times
     the last Euler increment plus the quadrature errors of the lobes the
     sum used.
     """
+    panel_tol = np.broadcast_to(panel_tol, (n,))
+    tail_tol = np.broadcast_to(tail_tol, (n,))
     lobes = [[] for _ in range(n)]
     errs = [[] for _ in range(n)]
     scale = np.zeros(n)
@@ -266,7 +269,7 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
             pl = p[live]
             v[live], e[live], _ = _integrate_rows(
                 lambda x, rows: f(x, pl[rows]), lo[live], hi[live],
-                np.maximum(panel_tol, 1e-13 * scale[pl]), 1e-13,
+                np.maximum(panel_tol[pl], 1e-13 * scale[pl]), 1e-13,
                 np.where(mp[live] == 0, 1024, 256))
         v, e = v.reshape(todo.size, m.size), e.reshape(todo.size, m.size)
         scale[todo] = np.maximum(scale[todo], np.abs(v).max(axis=1))
@@ -277,7 +280,7 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
             try:
                 # an IndexError asks for lobes past those integrated
                 val, inc, k = euler_alternating(
-                    lobes[q].__getitem__, tail_tol, rel_tol=rel_tol,
+                    lobes[q].__getitem__, tail_tol[q], rel_tol=rel_tol,
                     max_terms=max_terms)
             except IndexError:
                 still.append(q)

@@ -16,12 +16,17 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import _j0_zeros, j0_array, j0_zero
+from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
-from .quadrature import QuadConfig, _lobe_sums, _one_row, integrate
+from .quadrature import (QuadConfig, _integrate_rows, _lobe_sums, _one_row,
+                         integrate)
 
 __all__ = ["Decay", "RealFunction", "QuadConfig", "hankel0", "fourier1",
            "fourier2_radial_crosscheck"]
+
+# most t that one batched quadrature takes: bounds the panel arrays'
+# memory; a t's result does not depend on its batch
+_T_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -103,15 +108,14 @@ def _amplitude(g: RealFunction):
     return 4.0 * c
 
 
-def _truncation_radius(g: RealFunction, tol, weight_power):
-    """R such that C * int_R^inf r^weight_power * envelope dr <= tol.
+def _truncation_radius(g: RealFunction, tol, weight_power, c):
+    """R such that c * int_R^inf r^weight_power * envelope dr <= tol.
 
-    Only used for gaussian/exponential decay; algebraic tails are folded
+    c is _amplitude(g). Only used for gaussian/exponential decay; algebraic tails are folded
     instead. Finite declared support wins outright.
     """
     if math.isfinite(g.support[1]):
         return g.support[1], 0.0
-    c = _amplitude(g)
     d = g.decay
     if d.kind == "gaussian":
         s2 = d.scale * d.scale
@@ -133,8 +137,9 @@ def _truncation_radius(g: RealFunction, tol, weight_power):
     raise AssertionError("algebraic tails are folded, not truncated")
 
 
-def _folded_tail(g: RealFunction, r0, weight_power, tol, cfg):
-    """int_{r0}^inf r^w g(r) dr for an algebraic tail, via r = v^(-k).
+def _folded_tail(g: RealFunction, r0, weight_power, tol, max_panels):
+    """int_{r0}^inf r^w g(r) dr for an algebraic tail, via r = v^(-k),
+    to each tolerance of the array tol: (values, error_bounds).
 
     k is picked so the folded integrand vanishes at v = 0.
     """
@@ -148,121 +153,135 @@ def _folded_tail(g: RealFunction, r0, weight_power, tol, cfg):
         r = v ** (-float(k))
         return k * g.eval_array(r) * r ** (weight_power + 1) / v
 
-    val, err, _ = integrate(folded, 0.0, r0 ** (-1.0 / k), tol,
-                            max_panels=cfg.max_panels, raise_on_failure=False)
+    val, err, _ = _integrate_rows(_one_row(folded), np.zeros(tol.size),
+                                  np.full(tol.size, r0 ** (-1.0 / k)), tol,
+                                  1e-12, max_panels)
     return val, err
 
 
-def _panel_tol(cfg):
-    # keep per-lobe refinement above both the tail target and any noise
-    # floor implied by the overall tolerance
-    return max(cfg.truncation_tail_tol * 0.05, cfg.abs_tol * 0.02, 1e-16)
+# the two transforms: name, weight power w, kernel zeros z(m) for m >= 1
+# at t = 1, and the integrand x^w g(x) K(x t); lobe m of the integral
+# lies between zeros z(m) / t and z(m + 1) / t, lobe 0 starting at 0
+_HANKEL = ("hankel0", 1, _j0_zeros,
+           lambda g, r, t: r * g.eval_array(r) * j0_array(r * t))
+_COSINE = ("fourier1", 0, lambda m: (m - 0.5) * math.pi,
+           lambda g, x, t: g.eval_array(x) * np.cos(t * x))
 
 
-def _lobe_sum(f, edges, cfg):
-    """Euler-accelerated sum of the integrals of f over the lobes
-    edges(m) = (lo, hi) of a lobe-index array m: (value, error_bound)."""
-    v, e, _ = _lobe_sums(_one_row(f), lambda p, m: edges(m), 1,
-                         _panel_tol(cfg), cfg.truncation_tail_tol, 1e-11,
-                         cfg.max_panels)
-    return float(v[0]), float(e[0])
-
-
-def _check_hankel_integrable(g: RealFunction):
-    if g.decay.kind == "algebraic" and g.decay.scale <= 2.0:
-        raise ValueError(
-            f"algebraic decay p={g.decay.scale} makes r*g(r) non-integrable; "
-            "the order-0 Hankel transform requires p > 2")
-
-
-def _transform(g, t, cfg, f, edges, weight_power, first_zero):
-    """(value, error_bound) of int_0^inf f, where f = r^weight_power g(r)
-    times an oscillating kernel whose first zero is at first_zero and
-    whose lobes are edges(m).
+def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
+    """(values, error_bounds) of the transform `kind`, less the Fourier
+    prefactor, of g at each t >= 0 of an array, to per-t tolerances
+    abs_tol and tail_tol (of the truncated or Euler-summed tail).
 
     The lobe sum runs once the kernel oscillates inside the effective
     support; otherwise one adaptive integral covers the support, plus
     the bound of the truncated tail or, for an algebraic tail, the tail
     folded with the kernel taken as 1 (only for t <= 1e-14, where the
-    neglected kernel curvature contributes O(t), below tolerance).
+    neglected kernel curvature contributes O(t), below tolerance). Each
+    branch takes one batched call per 2048 t, and every element has the
+    bits of a one-element call.
     """
+    name, weight_power, zeros, integrand = kind
+    if g.decay.kind == "algebraic" and g.decay.scale <= weight_power + 1:
+        raise ValueError(
+            f"algebraic decay p={g.decay.scale} makes x^{weight_power} g(x) "
+            f"non-integrable; {name} requires p > {weight_power + 1}")
+
+    def f(x, p):
+        return integrand(g, x, t[p][:, None])
+
+    def edges(p, m):
+        lo = np.where(m == 0, 0.0, zeros(np.maximum(m, 1)) / t[p])
+        return lo, zeros(m + 1) / t[p]
+
     algebraic = g.decay.kind == "algebraic"
     if algebraic:
-        cut = 8.0 * (1.0 + g.decay.scale) if t <= 1e-14 else None
+        near0 = t <= 1e-14
+        cut = np.full(t.shape, 8.0 * (1.0 + g.decay.scale))
+        tail = np.zeros(t.shape)
+        lobe = ~near0
     else:
-        cut, tail = _truncation_radius(g, cfg.truncation_tail_tol,
-                                       weight_power)
-        if first_zero < cut:
-            cut = None
-    if cut is None:
-        return _lobe_sum(f, edges, cfg)
-    val, err, _ = integrate(f, 0.0, cut, cfg.abs_tol * 0.5,
-                            rel_tol=cfg.rel_tol, max_panels=cfg.max_panels,
-                            raise_on_failure=False)
-    if not algebraic:
-        return val, err + tail
-    tv, te = _folded_tail(g, cut, weight_power, cfg.abs_tol * 0.25, cfg)
-    return val + tv, err + te + 2.0 * t * _amplitude(g)
+        c = _amplitude(g)
+        cut, tail = np.array([_truncation_radius(g, tol, weight_power, c)
+                              for tol in tail_tol.tolist()]).reshape(-1, 2).T
+        # lobes once the first kernel zero lies inside the cut
+        lobe = np.divide(zeros(1), t, out=np.full(t.shape, math.inf),
+                         where=t > 0) < cut
+    # keep per-lobe refinement above both the tail target and any noise
+    # floor implied by the overall tolerance
+    panel_tol = np.maximum(np.maximum(tail_tol * 0.05, abs_tol * 0.02), 1e-16)
+    val, err = np.zeros(t.shape), np.zeros(t.shape)
+    for i in range(0, t.size, _T_BLOCK):
+        part = np.arange(i, min(i + _T_BLOCK, t.size))
+        j = part[lobe[part]]
+        if j.size:
+            val[j], err[j], _ = _lobe_sums(
+                lambda x, q: f(x, j[q]), lambda q, m: edges(j[q], m), j.size,
+                panel_tol[j], tail_tol[j], 1e-11, max_panels)
+        j = part[~lobe[part]]
+        if j.size:
+            v, e, _ = _integrate_rows(lambda x, q: f(x, j[q]), np.zeros(j.size),
+                                      cut[j], abs_tol[j] * 0.5, rel_tol,
+                                      max_panels)
+            val[j], err[j] = v, e + tail[j]
+    if algebraic and near0.any():
+        tv, te = _folded_tail(g, cut[0], weight_power, abs_tol[near0] * 0.25,
+                              max_panels)
+        val[near0] += tv
+        err[near0] = err[near0] + te + 2.0 * t[near0] * _amplitude(g)
+    return val, err
 
 
-def _checked(name, t, val, err, cfg, full_output):
-    if err > cfg.abs_tol and err > cfg.rel_tol * abs(val):
+def _checked(name, t, val, err, abs_tol, rel_tol):
+    """Raise ConvergenceError, with the best estimate attached, at the
+    first t whose error bound exceeds both abs_tol and rel_tol |value|."""
+    bad = (err > abs_tol) & (err > rel_tol * np.abs(val))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ConvergenceError(
-            f"{name} error bound {err:.2e} exceeds tolerance at t={t}",
-            best=val, error_bound=err)
+            f"{name} error bound {err[i]:.2e} exceeds tolerance at t={t[i]}",
+            best=float(val[i]), error_bound=float(err[i]))
+
+
+def _transform(kind, g, t, cfg, full_output, scale=1.0):
+    # hankel0 and fourier1: _transform_rows at cfg's tolerances, times scale
+    tt = np.asarray(t, dtype=np.float64)
+    ta = np.abs(tt).ravel()
+    if not np.all(np.isfinite(ta)):
+        raise ValueError("t must be finite")
+    val, err = _transform_rows(kind, g, ta, np.full(ta.shape, cfg.abs_tol),
+                               np.full(ta.shape, cfg.truncation_tail_tol),
+                               cfg.rel_tol, cfg.max_panels)
+    val, err = val * scale, err * scale
+    _checked(kind[0], ta, val, err, cfg.abs_tol, cfg.rel_tol)
+    if tt.ndim == 0:
+        val, err = float(val[0]), float(err[0])
+    else:
+        val, err = val.reshape(tt.shape), err.reshape(tt.shape)
     return (val, err) if full_output else val
 
 
-def hankel0(g: RealFunction, t: float, cfg: QuadConfig = QuadConfig(),
+def hankel0(g: RealFunction, t, cfg: QuadConfig = QuadConfig(),
             full_output: bool = False):
     """Order-0 Hankel transform int_0^inf g(r) J0(rt) r dr.
 
-    Even in t. Raises ConvergenceError (with the best estimate attached)
-    if the error bound cannot be brought under cfg.abs_tol.
+    Even in t. t is a scalar or an array; an array gives an array of its
+    shape, every element with the bits of a scalar call at that t.
+    Raises ConvergenceError (with the best estimate attached), naming the
+    first t whose error bound cannot be brought under cfg.abs_tol.
     """
-    _check_hankel_integrable(g)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    t = abs(t)
-
-    def f(r):
-        return r * g.eval_array(r) * j0_array(r * t)
-
-    def edges(m):
-        # lobe m lies between the m-th and (m+1)-th zeros of J0(rt)
-        lo = np.where(m == 0, 0.0, _j0_zeros(np.maximum(m, 1)) / t)
-        return lo, _j0_zeros(m + 1) / t
-
-    first_zero = j0_zero(1) / t if t > 0 else math.inf
-    val, err = _transform(g, t, cfg, f, edges, 1, first_zero)
-    return _checked("hankel0", t, val, err, cfg, full_output)
+    return _transform(_HANKEL, g, t, cfg, full_output)
 
 
-def fourier1(g: RealFunction, t: float, cfg: QuadConfig = QuadConfig(),
+def fourier1(g: RealFunction, t, cfg: QuadConfig = QuadConfig(),
              full_output: bool = False):
     """sqrt(2/pi) * int_0^inf g(x) cos(tx) dx for even integrable g.
 
-    This is the 1-D unitary Fourier transform of the even extension of g.
+    This is the 1-D unitary Fourier transform of the even extension of g;
+    t is a scalar or an array, as in hankel0.
     """
-    if g.decay.kind == "algebraic" and g.decay.scale <= 1.0:
-        raise ValueError(
-            f"algebraic decay p={g.decay.scale} is not integrable; "
-            "the Fourier transform requires p > 1")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    t = abs(t)
-
-    def f(x):
-        return g.eval_array(x) * np.cos(t * x)
-
-    def edges(m):
-        return (np.where(m == 0, 0.0, (m - 0.5) * math.pi / t),
-                (m + 0.5) * math.pi / t)
-
-    first_zero = (0.5 * math.pi / t) if t > 0 else math.inf
-    val, err = _transform(g, t, cfg, f, edges, 0, first_zero)
-    pref = math.sqrt(2.0 / math.pi)
-    return _checked("fourier1", t, val * pref, err * pref, cfg, full_output)
+    return _transform(_COSINE, g, t, cfg, full_output,
+                      math.sqrt(2.0 / math.pi))
 
 
 def fourier2_radial_crosscheck(G: RealFunction, t: float,
@@ -278,7 +297,8 @@ def fourier2_radial_crosscheck(G: RealFunction, t: float,
     if G.decay.kind == "algebraic":
         radius = 8.0 * (1.0 + G.decay.scale)
     else:
-        radius, _ = _truncation_radius(G, min(cfg.truncation_tail_tol, 1e-12), 1)
+        radius, _ = _truncation_radius(G, min(cfg.truncation_tail_tol, 1e-12), 1,
+                                       _amplitude(G))
     n_theta = max(64, 4 * (int(t * radius) // 4 + 12))
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     cos_theta = np.cos(theta)

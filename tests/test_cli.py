@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sinelaw.cli import main
+from sinelaw.quadrature import QuadConfig
+from sinelaw.transforms import Decay, RealFunction
 
 A = math.sqrt(math.pi / 2.0)
 
@@ -227,3 +230,28 @@ def test_charfn_evaluates_all_t_in_one_call(monkeypatch, capsys):
     got = [float(v) for v in capsys.readouterr().out.split()]
     assert got == pytest.approx([math.exp(-0.5 * t * t)
                                  for t in (0.5, 1.0, 2.0)], abs=1e-6)
+
+
+def test_transform_evaluates_all_t_in_one_call(monkeypatch, capsys, tmp_path):
+    import sinelaw.cli as cli
+    calls = []
+    real = cli.hankel0
+
+    def counted(g, t, cfg):
+        calls.append(t)
+        return real(g, t, cfg)
+
+    monkeypatch.setattr(cli, "hankel0", counted)
+    out = str(tmp_path / "h.csv")
+    ts = (0.0, 0.3, 1.0, 4.0)
+    rc = run("--quiet", "transform", "--kind", "hankel0", "--g", "exp:1.5",
+             "--t", ",".join(map(str, ts)), "--out", out)
+    assert rc == 0
+    assert len(calls) == 1 and list(calls[0]) == list(ts)
+    g = RealFunction(eval=lambda r: np.exp(-1.5 * r),
+                     decay=Decay("exponential", 1.5))
+    single = [real(g, t, QuadConfig(abs_tol=1e-9, rel_tol=1e-9)) for t in ts]
+    assert capsys.readouterr().out == "".join(f"{v:.9g}\n" for v in single)
+    with open(out) as fh:
+        assert fh.read() == "t,value\n" + "".join(
+            f"{t:.17g},{v:.17g}\n" for t, v in zip(ts, single))

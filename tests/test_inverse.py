@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from sinelaw import inverse
-from sinelaw.errors import BracketError, ModelViolationError
+from sinelaw.errors import (BracketError, ConvergenceError,
+                             ModelViolationError)
 from sinelaw.inverse import (CharFn, TabulatedMonotone, check_L, invert_k,
                              k_psi, solve_inverse)
 from sinelaw.limitlaw import limit_char_fn
 from sinelaw.quadrature import QuadConfig
-from sinelaw.transforms import Decay
+from sinelaw.transforms import Decay, hankel0
 
 A = math.sqrt(math.pi / 2.0)
 
@@ -130,6 +131,101 @@ def test_k_continuous_and_non_increasing_across_leaf_edges(make_psi):
     at = np.array([kp.k(float(e)) for e in edges])
     assert np.all(left >= at)
     assert np.max(left - at) <= 1e-15
+
+
+def _depth_first_table(psi, cfg, t0):
+    """Reference KPsi table over [0, t0]: the 48 initial spans grown
+    depth-first, one scalar hankel0 call per new u. Returns the leaf
+    edges, the cumulative integrals at them and the m values."""
+    k_tol = max(cfg.abs_tol, 1e-11)
+    g = psi.as_real_function()
+    mv = {0.0: 0.0}
+
+    def m(u):
+        if u not in mv:
+            target = k_tol * 0.02 / (1.0 + u) ** 2
+            hcfg = QuadConfig(abs_tol=target, rel_tol=1e-9,
+                              truncation_tail_tol=max(target * 0.05, 1e-300),
+                              max_panels=cfg.max_panels)
+            try:
+                h = hankel0(g, u, hcfg)
+            except ConvergenceError as exc:
+                assert exc.error_bound <= 5 * target
+                h = exc.best
+            mv[u] = u * h
+        return mv[u]
+
+    edges, cum = [0.0], [0.0]
+
+    def grow(a, b, depth):
+        mid = 0.5 * (a + b)
+        q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
+        fa, fm, fb, f1, f2 = m(a), m(mid), m(b), m(q1), m(q2)
+        simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        s2 = (mid - a) / 6.0 * (fa + 4.0 * f1 + fm) + \
+            (b - mid) / 6.0 * (fm + 4.0 * f2 + fb)
+        if abs(simp - s2) / 15.0 <= 0.04 * k_tol * (b - a) / (1.0 + a) \
+                or depth >= 24:
+            for lo, q, hi in ((a, q1, mid), (mid, q2, b)):
+                edges.append(hi)
+                cum.append(cum[-1] + (hi - lo) / 6.0 * (mv[lo] + 4.0 * mv[q]
+                                                        + mv[hi]))
+        else:
+            grow(a, mid, depth + 1)
+            grow(mid, b, depth + 1)
+
+    for i in range(48):
+        grow(i * t0 / 48.0, (i + 1) * t0 / 48.0, 0)
+    return edges, cum, mv
+
+
+@pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
+def test_kpsi_table_equals_depth_first_reference_bitwise(make_psi):
+    cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+    kp = inverse.KPsi(make_psi(), cfg)
+    d = kp.psi.decay
+    t0 = 6.0 * d.scale if d.kind == "gaussian" else 8.0 / d.scale
+    edges, cum, mv = _depth_first_table(make_psi(), cfg, t0)
+    assert kp._edges == edges
+    assert kp._cum == cum
+    assert kp._mvals == mv
+    assert kp._h0_calls == len(mv) - 1
+
+
+def test_kpsi_h0_calls_pinned():
+    # the inverse workload's table: the initial range, then one ladder step
+    kp = inverse.KPsi(psi_gauss(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
+    kp.ensure(8.0)
+    assert kp._h0_calls == 584
+
+
+def test_kpsi_one_ensure_equals_stepwise_growth():
+    cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+    once = inverse.KPsi(psi_gauss(), cfg)
+    once.ensure(60.0)
+    steps = inverse.KPsi(psi_gauss(), cfg)
+    for t in (7.0, 9.5, 15.0, 22.0, 40.0, 60.0):
+        steps.k(t)
+    assert (once._edges, once._cum, once._mvals) == \
+        (steps._edges, steps._cum, steps._mvals)
+    assert once._h0_calls == steps._h0_calls
+
+
+def test_kpsi_model_violation_appends_no_leaves():
+    # H0 turns negative past u = 5 pi / 2, beyond the initial range [0, 6]
+    late = CharFn(eval=lambda t: np.exp(-0.5 * np.square(t)),
+                  decay=Decay("gaussian", 1.0),
+                  closed_form_hankel=lambda u: math.cos(u / 5.0),
+                  name="late")
+    kp = inverse.KPsi(late, use_closed_form=True)
+    table = (list(kp._edges), list(kp._mids), list(kp._panel_int),
+             list(kp._cum))
+    k5 = kp.k(5.0)
+    for _ in range(2):
+        with pytest.raises(ModelViolationError):
+            kp.k(9.0)
+        assert (kp._edges, kp._mids, kp._panel_int, kp._cum) == table
+    assert kp.k(5.0) == k5
 
 
 def test_k_closed_form_vs_numeric_hankel():

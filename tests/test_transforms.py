@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from sinelaw.errors import ConvergenceError
 from sinelaw.quadrature import QuadConfig
-from sinelaw.transforms import (Decay, RealFunction, fourier1,
+from sinelaw.transforms import (Decay, RealFunction, _COSINE,
+                                _HANKEL, _transform_rows, fourier1,
                                 fourier2_radial_crosscheck, hankel0)
 
 A = math.sqrt(math.pi / 2.0)
@@ -178,3 +180,57 @@ def test_finite_support_hint():
                      decay=Decay("gaussian", 1.0), support=(0.0, 1.0))
     # H0(1_{r<1})(0) = 1/2
     assert hankel0(g, 0.0) == pytest.approx(0.5, abs=1e-9)
+
+
+# t = 0 and 1e-15 take the folded tail of an algebraic g; 0.05 and 0.3
+# the truncated integral of the others; the rest the lobe sum
+BATCH_T = np.array([0.0, 1e-15, 0.05, 0.3, 1.0, 2.0, 4.0, 7.0, 12.0, 30.0])
+
+
+@pytest.mark.parametrize("op, make_g", [
+    (hankel0, gauss_fn), (hankel0, exp_fn), (hankel0, h0_of_exp_fn),
+    (fourier1, gauss_fn), (fourier1, exp_fn), (fourier1, lorentz_fn)])
+def test_array_transform_equals_scalar_calls_bitwise(op, make_g):
+    g = make_g()
+    v, e = op(g, BATCH_T, full_output=True)
+    single = [op(g, float(t), full_output=True) for t in BATCH_T]
+    assert all(isinstance(x, float) for pair in single for x in pair)
+    assert np.array_equal(v, [s[0] for s in single])
+    assert np.array_equal(e, [s[1] for s in single])
+    grid = op(g, -BATCH_T[::-1].reshape(2, 5))
+    assert grid.shape == (2, 5)
+    assert np.array_equal(grid.ravel(), v[::-1])
+
+
+@pytest.mark.parametrize("kernel, op, make_g", [
+    (_HANKEL, hankel0, gauss_fn), (_HANKEL, hankel0, exp_fn),
+    (_HANKEL, hankel0, h0_of_exp_fn),
+    (_COSINE, fourier1, lorentz_fn)])
+def test_transform_rows_mixed_tolerances_equal_scalar_calls(kernel, op,
+                                                            make_g):
+    g = make_g()
+    rng = np.random.default_rng(7)
+    abs_tol = 10.0 ** rng.uniform(-11.0, -7.0, BATCH_T.size)
+    tail_tol = abs_tol * 10.0 ** rng.uniform(-4.0, -2.0, BATCH_T.size)
+    v, e = _transform_rows(kernel, g, BATCH_T, abs_tol, tail_tol, 1e-9,
+                           10_000)
+    scale = 1.0 if op is hankel0 else math.sqrt(2.0 / math.pi)
+    for i, t in enumerate(BATCH_T):
+        cfg = QuadConfig(abs_tol=abs_tol[i], rel_tol=1e-9,
+                         truncation_tail_tol=tail_tol[i])
+        assert op(g, float(t), cfg, full_output=True) == (v[i] * scale,
+                                                          e[i] * scale)
+
+
+def test_array_transform_error_names_first_failing_t():
+    # four panels leave errors of 2.8e-11 (t=0), 2.9e-11 (0.1), 3.4e-11
+    # (0.2) and 4.3e-11 (0.3) on the truncated integral
+    cfg = QuadConfig(abs_tol=3.1e-11, rel_tol=1e-14, max_panels=4)
+    with pytest.raises(ConvergenceError, match=r"at t=0\.3$") as batch:
+        hankel0(gauss_fn(), np.array([0.0, 0.1, 0.3, 0.2]), cfg)
+    with pytest.raises(ConvergenceError) as single:
+        hankel0(gauss_fn(), 0.3, cfg)
+    assert (batch.value.best, batch.value.error_bound) == \
+        (single.value.best, single.value.error_bound)
+    assert hankel0(gauss_fn(), 0.1, cfg) == hankel0(gauss_fn(), np.array(
+        [0.0, 0.1]), cfg)[1]
