@@ -267,12 +267,11 @@ def _cmd_invert(args):
     report = check_L(psi)
     if not args.quiet:
         print(report.summary(), file=sys.stderr)
-    f = solve_inverse(psi, grid_size=args.grid_size,
-                      override_checks=args.override_checks)
+    f = solve_inverse(psi, override_checks=args.override_checks)
     us = np.linspace(1e-4, 1.0 - 1e-4, args.table_points)
     _write_csv(args.out, "u,f_of_u", us, f.eval(us))
     config = {"command": "invert", "psi": args.psi,
-              "grid_size": args.grid_size, "table_points": args.table_points}
+              "table_points": args.table_points}
     _write_meta(args.out + ".meta.json", "invert", config)
     _say(args, f"wrote {args.out}")
     return 0
@@ -316,7 +315,7 @@ def _cmd_pipeline(args):
         raise ValueError("pipeline needs a builtin psi (gaussian or cauchy); "
                          "run invert/sample/verify separately for tables")
     _say(args, f"solving the inverse problem for psi={psi.name}")
-    f = solve_inverse(psi, grid_size=args.grid_size)
+    f = solve_inverse(psi)
 
     os.makedirs(args.out_dir, exist_ok=True)
     f_path = os.path.join(args.out_dir, "f_table.csv")
@@ -329,7 +328,6 @@ def _cmd_pipeline(args):
     _write_csv(s_path, "v", batch.values)
     config = {"command": "pipeline", "psi": args.psi, "n": args.n,
               "count": args.count, "seed": args.seed,
-              "grid_size": args.grid_size,
               "ks_threshold": args.ks_threshold}
     _write_meta(s_path + ".meta.json", "pipeline", config, extra={
         "f_id": batch.f_id, "n": batch.n, "count": batch.count,
@@ -464,7 +462,6 @@ def _build_parser():
     s.add_argument("--psi-decay",
                    help="decay class for table targets: gaussian[:scale] | "
                         "exponential:<rate> | algebraic:<p>")
-    s.add_argument("--grid-size", type=int, default=129)
     s.add_argument("--table-points", type=int, default=2001)
     s.add_argument("--override-checks", action="store_true",
                    help="proceed even if the admissibility checks fail")
@@ -486,7 +483,6 @@ def _build_parser():
     s.add_argument("--n", type=int, default=1000)
     s.add_argument("--count", type=int, default=10000)
     s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--grid-size", type=int, default=129)
     s.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
     s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=_cmd_pipeline)

@@ -16,7 +16,6 @@ grid with exact cumulative integrals of the local quadratic interpolant;
 inversions then cost microseconds.
 """
 
-import bisect
 import math
 import threading
 import warnings
@@ -217,6 +216,7 @@ class KPsi:
         self._mvals = {0.0: 0.0}  # m(0) = 0 exactly
         self._panel_int = []     # quadratic integral per leaf
         self._cum = [0.0]        # cumulative integral at edges
+        self._arrays = None      # the leaf arrays, rebuilt after growth
         self._gf = psi.as_real_function()
         self._h0_calls = 0
         d = psi.decay
@@ -298,6 +298,7 @@ class KPsi:
             self._mids.append(q)
             self._panel_int.append(half)
             self._cum.append(self._cum[-1] + half)
+        self._arrays = None
 
     def ensure(self, t):
         if t <= self._edges[-1]:
@@ -311,50 +312,39 @@ class KPsi:
 
     # -- evaluation ----------------------------------------------------
 
-    def _partial(self, i, t):
-        # integral of the panel-i quadratic interpolant over [a_i, t]
-        a, b = self._edges[i], self._edges[i + 1]
-        mid = self._mids[i]
-        fa, fm, fb = self._mvals[a], self._mvals[mid], self._mvals[b]
-        h = b - a
-        s = (t - a) / h
-        # Lagrange quadratic through (0, fa), (1/2, fm), (1, fb) in s,
-        # integrated from 0 to s, times h
-        c0 = fa
-        c1 = -3.0 * fa + 4.0 * fm - fb
-        c2 = 2.0 * fa - 4.0 * fm + 2.0 * fb
-        return h * (c0 * s + 0.5 * c1 * s * s + c2 * s ** 3 / 3.0)
-
     def _leaf_arrays(self):
-        """Left edges, widths, k at every edge, and the coefficients of
-        each leaf's quadratic m = c0 + c1 s + c2 s^2 in s = (t - a) / h."""
+        """Left edges, widths, the cumulative integral at every edge, the
+        integral of each leaf, and the coefficients of each leaf's
+        Lagrange quadratic m = c0 + c1 s + c2 s^2 through its three
+        values, in s = (t - a) / h. Built once per growth of the table."""
         with self._lock:
-            edges = np.array(self._edges)
-            fa = np.array([self._mvals[a] for a in self._edges[:-1]])
-            fm = np.array([self._mvals[m] for m in self._mids])
-            fb = np.array([self._mvals[b] for b in self._edges[1:]])
-            k_edge = 1.0 - np.array(self._cum)
-        return (edges[:-1], np.diff(edges), k_edge, fa,
-                -3.0 * fa + 4.0 * fm - fb, 2.0 * fa - 4.0 * fm + 2.0 * fb)
+            if self._arrays is None:
+                edges = np.array(self._edges)
+                fa = np.array([self._mvals[a] for a in self._edges[:-1]])
+                fm = np.array([self._mvals[m] for m in self._mids])
+                fb = np.array([self._mvals[b] for b in self._edges[1:]])
+                self._arrays = (edges[:-1], np.diff(edges),
+                                np.array(self._cum), np.array(self._panel_int),
+                                fa, -3.0 * fa + 4.0 * fm - fb,
+                                2.0 * fa - 4.0 * fm + 2.0 * fb)
+            return self._arrays
 
     def k(self, t):
-        """k_psi(t); t >= 0."""
-        if t < 0:
+        """k_psi(t) for t >= 0, a scalar or an array of t; beyond the
+        1e8 cap, the value at the table's end."""
+        tt = np.asarray(t, dtype=np.float64)
+        if np.any(tt < 0.0):
             raise ValueError("k_psi is defined for t >= 0")
-        if t == 0.0:
-            return 1.0
-        self.ensure(t)
-        with self._lock:
-            if t > self._edges[-1]:
-                # beyond the cap: return the smallest tabulated value
-                return 1.0 - self._cum[-1]
-            i = min(bisect.bisect_right(self._edges, t) - 1,
-                    len(self._panel_int) - 1)
-            # capped at the leaf's stored integral, so rounding cannot
-            # lift k above its value at the leaf's right edge
-            part = min(self._partial(i, t), self._panel_int[i])
-            val = 1.0 - (self._cum[i] + part)
-        return min(val, 1.0)
+        if tt.size:
+            self.ensure(float(tt.max()))
+        a, h, cum, whole, c0, c1, c2 = self._leaf_arrays()
+        i = np.minimum(np.searchsorted(a, tt, side="right") - 1, len(h) - 1)
+        s = np.minimum((tt - a[i]) / h[i], 1.0)  # 1 past the table's end
+        # capped at the leaf's stored integral, so rounding cannot lift k
+        # above its value at the leaf's right edge
+        part = np.minimum(_leaf_area(h[i], c0[i], c1[i], c2[i], s), whole[i])
+        val = np.minimum(1.0 - (cum[i] + part), 1.0)
+        return float(val) if tt.ndim == 0 else val
 
     def invert(self, u):
         """t with k(t) = u for each u in (0, 1); inf where u lies below
@@ -378,7 +368,8 @@ class KPsi:
                 hi *= 2.0
             ok &= uu >= self.k(hi)
         if ok.any():
-            a, h, k_edge, c0, c1, c2 = self._leaf_arrays()
+            a, h, cum, _, c0, c1, c2 = self._leaf_arrays()
+            k_edge = 1.0 - cum
             v = uu[ok]
             # leaf i holds the root when k_edge[i] >= v > k_edge[i + 1]
             i = np.minimum(np.searchsorted(-k_edge, -v, side="right") - 1,
@@ -387,8 +378,7 @@ class KPsi:
             r = k_edge[i] - v  # the integral of m from the leaf's edge to t
 
             def residual(j, s):
-                # integral of the leaf's quadratic over [0, s], minus r
-                area = h[j] * s * (c0[j] + s * (0.5 * c1[j] + s * c2[j] / 3.0))
+                area = _leaf_area(h[j], c0[j], c1[j], c2[j], s)
                 return area - r[j], h[j] * (c0[j] + s * (c1[j] + s * c2[j]))
 
             whole = h * (c0 + 0.5 * c1 + c2 / 3.0)
@@ -398,6 +388,11 @@ class KPsi:
                                   np.ones_like(r))
             t[ok] = a[i] + s * h
         return float(t[0]) if scalar else t
+
+
+def _leaf_area(h, c0, c1, c2, s):
+    # integral over [0, s] of the leaf quadratic c0 + c1 s + c2 s^2, times h
+    return h * s * (c0 + s * (0.5 * c1 + s * c2 / 3.0))
 
 
 def _newton_bracketed(fn, x, lo, hi):
@@ -470,7 +465,7 @@ def invert_k(psi: CharFn, u, cfg: QuadConfig = QuadConfig(),
 
 
 # ---------------------------------------------------------------------------
-# monotone tabulation of k and the solved parameter function
+# monotone cubic interpolation of a decreasing table
 
 class TabulatedMonotone:
     """Strictly decreasing tabulated function with monotone piecewise
@@ -584,27 +579,20 @@ class TabulatedMonotone:
         return _newton_bracketed(residual, start, lo, hi).reshape(shape)
 
 
-def solve_inverse(psi: CharFn, grid_size: int = 129,
-                  cfg: QuadConfig = QuadConfig(),
+# ---------------------------------------------------------------------------
+# the solved parameter function
+
+def solve_inverse(psi: CharFn, cfg: QuadConfig = QuadConfig(),
                   override_checks: bool = False,
-                  use_closed_form: bool = False,
-                  u_min: float = 1e-4):
+                  use_closed_form: bool = False):
     """Construct f = k_psi^{-1} as a ParamFunction.
 
-    The k table is inverted on a u-grid packed geometrically toward both
-    endpoints of (0, 1) (f blows up near 0 and flattens near 1) and
-    wrapped in monotone cubic interpolation. Up to 14 rounds of
-    self-refinement then compare the interpolant with invert_k at the
-    value midpoint of every cell and add up to 48 of the worst midpoints
-    as nodes, stopping early once all agree to 2e-7 relative. The rounds
-    usually run out first: for the gaussian target the interpolant stays
-    off invert_k by about 1e-5 relative near u = 0.003. Outside
-    [u_min, 1-u_min] evaluation inverts the k table directly, as
-    invert_k does, and gives inf below its attainable floor: the
-    divergence near u = 0 defeats any polynomial extrapolation.
+    f is the k table's own inverse: f.eval is KPsi.invert and f.inverse
+    is KPsi.k, on the table that k_psi and invert_k share, so f.eval(u)
+    equals invert_k(psi, u) to the bit. Where u lies below the smallest k
+    attainable at working precision, f.eval gives inf, which the sampler
+    resamples.
     """
-    if grid_size < 16:
-        raise ValueError("grid_size must be >= 16")
     report = check_L(psi)
     for w in report.warnings:
         warnings.warn(w)
@@ -613,73 +601,16 @@ def solve_inverse(psi: CharFn, grid_size: int = 129,
             "psi fails the admissibility conditions:\n" + report.summary())
 
     kp = _get_kpsi(psi, cfg, use_closed_form)
-    u_max = 1.0 - u_min
-    # geometric packing toward both endpoints plus plain interior cover
-    half = grid_size // 2
-    lower = np.geomspace(u_min, 0.5, half, endpoint=False)
-    upper = 1.0 - np.geomspace(u_min, 0.5, grid_size - half)[::-1]
-    interior = np.linspace(0.02, 0.98, grid_size // 2)
-    us = np.unique(np.concatenate([lower, upper, interior]))
-    ts = invert_k(psi, us, cfg, use_closed_form)
-
-    # table runs in t (ascending) anchored at (0, 1)
-    order = np.argsort(ts)
-    t_nodes = np.concatenate([[0.0], ts[order]])
-    k_nodes = np.concatenate([[1.0], us[order]])
-    tab = TabulatedMonotone(t_nodes, k_nodes)
-
-    # self-refinement: check interpolated inversion against invert_k at
-    # value midpoints of every cell, insert the offending nodes, repeat
-    target = 2e-7
-    for _ in range(14):
-        kv = tab.values
-        mids = np.sqrt(kv[1:] * kv[:-1])  # geometric value midpoints
-        t_tab = tab.invert_array(mids)
-        t_true = invert_k(psi, mids, cfg, use_closed_form)
-        rel = np.abs(t_tab - t_true) / (1.0 + np.abs(t_true))
-        if float(np.max(rel)) <= target:
-            break
-        take = np.where(rel > target)[0]
-        if take.size > 48:
-            take = take[np.argsort(rel[take])[::-1][:48]]
-        t_all = np.concatenate([tab.grid, t_true[take]])
-        k_all = np.concatenate([tab.values, mids[take]])
-        t_all, keep = np.unique(t_all, return_index=True)
-        tab = TabulatedMonotone(t_all, k_all[keep])
-
-    k_floor = float(tab.values[-1])
-    t_hi = float(tab.grid[-1])  # t at the floor value
-
     # local-integrability heuristic for the solved f: its values must stay
     # finite on shrinking neighbourhoods of the endpoints (the hypothesis
     # itself is a caller assertion, this only catches blatant violations)
-    probe = np.concatenate([np.geomspace(u_min, 0.1, 40),
-                            1.0 - np.geomspace(u_min, 0.1, 40)])
-    probe_vals = tab.invert_array(np.clip(np.sort(probe), k_floor, u_max))
-    if not np.all(np.isfinite(probe_vals)):
+    probe = np.concatenate([np.geomspace(1e-4, 0.1, 40),
+                            1.0 - np.geomspace(1e-4, 0.1, 40)])
+    if not np.all(np.isfinite(kp.invert(probe))):
         warnings.warn("solved f evaluates non-finite near the endpoints; "
                       "local integrability on (0,1) is in doubt")
 
-    def f_eval(u):
-        uu = np.asarray(u, dtype=np.float64)
-        scalar = uu.ndim == 0
-        uu = np.atleast_1d(uu).copy()
-        out = np.empty_like(uu)
-        inside = (uu >= k_floor) & (uu <= u_max)
-        if inside.any():
-            out[inside] = tab.invert_array(uu[inside])
-        if not inside.all():
-            # inf below the attainable floor: the sampler resamples it
-            out[~inside] = kp.invert(uu[~inside])
-        return float(out[0]) if scalar else out
-
-    def f_inverse(t):
-        t = float(t)
-        if t <= t_hi:
-            return tab.eval(max(t, 0.0))
-        return kp.k(t)
-
     return ParamFunction(
-        eval=f_eval, epsilon_f=-1, inverse=f_inverse,
+        eval=kp.invert, epsilon_f=-1, inverse=kp.k,
         range_=(0.0, math.inf), integrability="L1_loc",
         f_id=f"kpsi_inverse:{psi.name}", char_decay=psi.decay)

@@ -158,8 +158,10 @@ def test_criterion_8_pipeline_determinism(tmp_path):
              "--seed", "42", "--out-dir", d],
             capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        outs.append(open(os.path.join(d, "samples.csv"), "rb").read())
-        report = json.load(open(os.path.join(d, "report.json")))
+        with open(os.path.join(d, "samples.csv"), "rb") as fh:
+            outs.append(fh.read())
+        with open(os.path.join(d, "report.json")) as fh:
+            report = json.load(fh)
         assert report["pass"] is True
     identical = outs[0] == outs[1]
     print(f"[criterion 8] {'PASS' if identical else 'FAIL'}  two pipeline "

@@ -20,18 +20,33 @@ def run(*argv):
     return main(list(argv))
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def test_sample_writes_csv_and_sidecar(tmp_path):
     out = str(tmp_path / "s.csv")
     rc = run("--quiet", "sample", "--f", "gaussian", "--n", "50",
              "--count", "200", "--seed", "9", "--out", out)
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = read_lines(out)
     assert lines[0] == "v"
     assert len(lines) == 201
     # 17-significant-digit round-trippable floats
     v = float(lines[1])
     assert f"{v:.17g}" == lines[1]
-    meta = json.load(open(out + ".meta.json"))
+    meta = read_json(out + ".meta.json")
     for key in ("f_id", "n", "count", "seed", "resamples"):
         assert key in meta
     assert meta["f_id"] == "gaussian" and meta["n"] == 50
@@ -59,10 +74,10 @@ def test_density_values(capsys):
 
 def test_invert_table_format(tmp_path):
     out = str(tmp_path / "f_table.csv")
-    rc = run("--quiet", "invert", "--psi", "gaussian", "--grid-size", "33",
-             "--table-points", "101", "--out", out)
+    rc = run("--quiet", "invert", "--psi", "gaussian", "--table-points",
+             "101", "--out", out)
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = read_lines(out)
     assert lines[0] == "u,f_of_u"
     assert len(lines) == 102
     u, fu = map(float, lines[50].split(","))
@@ -77,7 +92,7 @@ def test_verify_report_schema_and_exit(tmp_path):
     rc = run("--quiet", "verify", "--samples", s, "--target", "cauchy",
              "--report", rep)
     assert rc == 0
-    r = json.load(open(rep))
+    r = read_json(rep)
     for key in ("ks", "ks_threshold", "pass", "ecf", "n", "count", "seed"):
         assert key in r
     assert r["pass"] is True and r["ks"] <= r["ks_threshold"]
@@ -94,7 +109,7 @@ def test_verify_failure_exit_code(tmp_path):
     rc = run("--quiet", "verify", "--samples", s, "--target", "cauchy",
              "--report", rep)
     assert rc == 1
-    assert json.load(open(rep))["pass"] is False
+    assert read_json(rep)["pass"] is False
 
 
 def test_pipeline_gaussian_and_byte_determinism(tmp_path):
@@ -104,15 +119,15 @@ def test_pipeline_gaussian_and_byte_determinism(tmp_path):
     rc2 = run("--quiet", "pipeline", "--psi", "gaussian", "--n", "1000",
               "--count", "10000", "--seed", "42", "--out-dir", d2)
     assert rc1 == 0 and rc2 == 0
-    b1 = open(os.path.join(d1, "samples.csv"), "rb").read()
-    b2 = open(os.path.join(d2, "samples.csv"), "rb").read()
+    b1 = read_bytes(os.path.join(d1, "samples.csv"))
+    b2 = read_bytes(os.path.join(d2, "samples.csv"))
     assert b1 == b2
-    m1 = json.load(open(os.path.join(d1, "samples.csv.meta.json")))
-    m2 = json.load(open(os.path.join(d2, "samples.csv.meta.json")))
+    m1 = read_json(os.path.join(d1, "samples.csv.meta.json"))
+    m2 = read_json(os.path.join(d2, "samples.csv.meta.json"))
     assert m1["config_hash"] == m2["config_hash"]
-    report = json.load(open(os.path.join(d1, "report.json")))
+    report = read_json(os.path.join(d1, "report.json"))
     assert report["pass"] is True
-    f_lines = open(os.path.join(d1, "f_table.csv")).read().splitlines()
+    f_lines = read_lines(os.path.join(d1, "f_table.csv"))
     assert f_lines[0] == "u,f_of_u"
 
 
@@ -168,7 +183,7 @@ def test_pipeline_cauchy_example(tmp_path):
     rc = run("--quiet", "pipeline", "--psi", "cauchy", "--n", "1000",
              "--count", "10000", "--seed", "42", "--out-dir", d)
     assert rc == 0
-    report = json.load(open(os.path.join(d, "report.json")))
+    report = read_json(os.path.join(d, "report.json"))
     assert report["pass"] is True
 
 

@@ -4,7 +4,6 @@ Gaussian target: k(t) = e^{-t^2/2},            f(u) = sqrt(-2 ln u)
 Cauchy target:   k(t) = sqrt(pi)/sqrt(2t^2+pi), f(u) = sqrt(pi/2) sqrt(1-u^2)/u
 """
 
-import inspect
 import math
 import sys
 import threading
@@ -131,6 +130,29 @@ def test_k_continuous_and_non_increasing_across_leaf_edges(make_psi):
     at = np.array([kp.k(float(e)) for e in edges])
     assert np.all(left >= at)
     assert np.max(left - at) <= 1e-15
+
+
+def test_k_array_matches_scalar_calls_bitwise():
+    kp = inverse.KPsi(psi_cauchy(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
+    edges = np.array(kp._edges)
+    ts = np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                         np.linspace(0.0, 30.0, 301)])
+    batch = kp.k(ts)
+    single = [kp.k(float(t)) for t in ts]
+    assert all(isinstance(k, float) for k in single)
+    assert np.array_equal(batch, np.array(single))
+    assert np.array_equal(kp.k(ts.reshape(3, -1)), batch.reshape(3, -1))
+    assert kp.k(0.0) == 1.0
+    with pytest.raises(ValueError):
+        kp.k(np.array([1.0, -1.0]))
+
+
+def test_k_beyond_the_cap_is_the_value_at_the_table_end():
+    kp = inverse.KPsi(psi_gauss(), use_closed_form=True)
+    end = kp.k(2e8)
+    assert kp._edges[-1] < 2e8
+    assert end == kp.k(kp._edges[-1])
+    assert np.array_equal(kp.k(np.array([1e12, math.inf])), [end, end])
 
 
 def _depth_first_table(psi, cfg, t0):
@@ -400,16 +422,20 @@ def _bisect_70_sweeps(tab, y):
 
 @pytest.mark.parametrize("solved", ["solved_gauss", "solved_cauchy"])
 def test_invert_array_matches_bisection_inside_cells(solved, request):
+    # a table of k through invert_k nodes (f.eval is invert_k), packed
+    # geometrically toward both ends of [1e-4, 1 - 1e-4]; nearer 1 the
+    # slope of k vanishes and no inversion in double precision is
+    # defined to 1e-14
     f = request.getfixturevalue(solved)
-    tab = inspect.getclosurevars(f.inverse).nonlocals["tab"]
-    # the values f.eval reads from the table: [table floor, 1 - u_min]
-    # (nearer 1 the slope of k vanishes and no inversion in double
-    # precision is defined to 1e-14)
-    top = 1.0 - 1e-4
-    nodes = tab.values[(tab.values >= tab.values[-1]) & (tab.values <= top)]
-    ys = np.concatenate([np.linspace(tab.values[-1], top, 2000),
-                         np.geomspace(tab.values[-1], 0.01, 200),
-                         1.0 - np.geomspace(1e-4, 0.01, 200), nodes])
+    us = np.unique(np.concatenate([
+        np.geomspace(1e-4, 0.5, 64, endpoint=False),
+        1.0 - np.geomspace(1e-4, 0.5, 65), np.linspace(0.02, 0.98, 64)]))
+    tab = TabulatedMonotone(np.concatenate([[0.0], f.eval(us)[::-1]]),
+                            np.concatenate([[1.0], us[::-1]]))
+    bottom, top = us[0], us[-1]
+    ys = np.concatenate([np.linspace(bottom, top, 2000),
+                         np.geomspace(bottom, 0.01, 200),
+                         1.0 - np.geomspace(1e-4, 0.01, 200), us])
     got = tab.invert_array(ys)
     want, idx = _bisect_70_sweeps(tab, ys)
     assert np.max(np.abs(got - want) / (1.0 + want)) <= 1e-14
@@ -448,25 +474,28 @@ def solved_cauchy():
         return solve_inverse(psi_cauchy())
 
 
+def _max_rel_error(f, exact):
+    # the u grid of the CLI's f_table.csv
+    us = np.linspace(1e-4, 1.0 - 1e-4, 2001)
+    want = np.array([exact(u) for u in us])
+    return np.max(np.abs(f.eval(us) - want) / (1.0 + want))
+
+
 def test_solved_gaussian_matches_closed_form(solved_gauss):
-    for u in (0.05, 0.1, 0.5, 0.9, 0.95):
-        assert solved_gauss.eval(u) == pytest.approx(f_gauss_exact(u), abs=1e-5)
+    assert _max_rel_error(solved_gauss, f_gauss_exact) <= 1e-6
 
 
 def test_solved_cauchy_matches_closed_form(solved_cauchy):
-    for u in (0.05, 0.1, 0.5, 0.9, 0.95):
-        want = f_cauchy_exact(u)
-        assert solved_cauchy.eval(u) == pytest.approx(
-            want, abs=1e-5 * (1.0 + want))
+    assert _max_rel_error(solved_cauchy, f_cauchy_exact) <= 1e-6
 
 
 def test_solved_off_node_fidelity(solved_gauss):
     rng = np.random.default_rng(3)
     psi = psi_gauss()
-    for u in rng.uniform(2e-4, 1 - 2e-4, 40):
-        direct = invert_k(psi, float(u))
-        tab = solved_gauss.eval(float(u))
-        assert abs(tab - direct) <= 1e-5 * (1.0 + abs(direct))
+    us = rng.uniform(2e-4, 1 - 2e-4, 40)
+    assert np.array_equal(solved_gauss.eval(us), invert_k(psi, us))
+    for u in us:
+        assert solved_gauss.eval(float(u)) == invert_k(psi, float(u))
 
 
 def test_solved_is_strictly_decreasing(solved_cauchy):
@@ -476,7 +505,7 @@ def test_solved_is_strictly_decreasing(solved_cauchy):
 
 
 def test_solved_tail_fallback_is_direct(solved_cauchy):
-    # below the tabulated floor the evaluation defers to invert_k
+    # deep in the tail, where f diverges like 1/u
     u = 2e-5
     want = f_cauchy_exact(u)
     got = solved_cauchy.eval(u)
@@ -485,7 +514,7 @@ def test_solved_tail_fallback_is_direct(solved_cauchy):
 
 def test_solved_eval_inf_only_below_attainable_floor(solved_gauss):
     # gaussian k is representable down to 100 ulp of 1 (2.2e-14); below
-    # that the fallback gives inf, which the sampler resamples
+    # that f gives inf, which the sampler resamples
     us = np.array([0.5, 1e-320, 3e-5, 1e-15, 1e-10, 1.0 - 1e-6, 1e-4])
     got = solved_gauss.eval(us)
     assert np.array_equal(np.isinf(got), us < 2.2e-14)
@@ -507,11 +536,6 @@ def test_solved_epsilon_and_metadata(solved_gauss):
     assert solved_gauss.epsilon_f == -1
     assert solved_gauss.f_id.startswith("kpsi_inverse:")
     assert solved_gauss.char_decay is not None
-
-
-def test_grid_size_validation():
-    with pytest.raises(ValueError):
-        solve_inverse(psi_gauss(), grid_size=8)
 
 
 # ---------------------------------------------------------------------------
