@@ -1,8 +1,9 @@
 """Bessel functions of the first kind (integer order) and two identities.
 
-Everything is self-contained: Taylor series with compensated summation
-for small arguments, the amplitude/phase asymptotic form for large ones,
-and stabilized recurrences for higher orders. No external
+Everything is self-contained: piecewise Chebyshev expansions (J0) and
+Taylor series with compensated summation (J1, Jn) for small arguments,
+the amplitude/phase asymptotic form for large ones, and stabilized
+recurrences for higher orders (see kernels). No external
 special-function library is used anywhere in the package.
 """
 
@@ -12,7 +13,6 @@ import threading
 import numpy as np
 
 from . import kernels
-from .kernels.coeffs import SERIES_CUTOFF
 
 __all__ = ["j0", "j1", "jn", "j0_array", "jacobi_anger_partial",
            "parseval_partial", "j0_zero", "jn_upper_bound"]
@@ -24,7 +24,9 @@ def _check_finite(x, name="x"):
 
 
 def j0(x):
-    """Bessel J0(x). Even in x, |J0| <= 1, abs error <= 1e-10 on |x| <= 100."""
+    """Bessel J0(x). Even in x, |J0| <= 1. Abs error below 2.3e-16 on
+    |x| <= 12 (Chebyshev pieces; 1.1e-16 measured, one rounding) and
+    below 6e-13 beyond (asymptotic form; 5.7e-13 measured, on [12, 14])."""
     _check_finite(x)
     return kernels.j0(x)
 
@@ -41,27 +43,6 @@ def j0_array(x):
     if not np.all(np.isfinite(x)):
         raise ValueError("array passed to j0_array contains non-finite values")
     return kernels.j0_array(x)
-
-
-def _jn_series(n, x):
-    # sum_k (-1)^k (x/2)^(2k+n) / (k! (k+n)!), compensated
-    half = 0.5 * x
-    term = 1.0
-    for i in range(1, n + 1):
-        term *= half / i
-    q = half * half
-    s = term
-    c = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * (k + n))
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        if k > 3 and abs(term) <= 1e-18 * (1.0 + abs(s)):
-            return s
 
 
 def _jn_forward(n, x):
@@ -120,8 +101,8 @@ def jn(n, x):
         return 0.0
     if n == 1:
         return sign * kernels.j1(x)
-    if x <= SERIES_CUTOFF:
-        return sign * _jn_series(n, x)
+    if x <= kernels.CUTOFF:
+        return sign * kernels.jn_series(n, x)
     if n < x:
         return sign * _jn_forward(n, x)
     return sign * _jn_miller(n, x)

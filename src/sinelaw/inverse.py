@@ -330,8 +330,10 @@ class KPsi:
             return self._arrays
 
     def k(self, t):
-        """k_psi(t) for t >= 0, a scalar or an array of t; beyond the
-        1e8 cap, the value at the table's end."""
+        """k_psi(t) in [0, 1] for t >= 0, a scalar or an array of t;
+        beyond the 1e8 cap, the value at the table's end. The table is
+        accurate to an absolute tolerance, so deep in the tail 1 - cum
+        can dip below 0 by about that much; k is clamped there."""
         tt = np.asarray(t, dtype=np.float64)
         if np.any(tt < 0.0):
             raise ValueError("k_psi is defined for t >= 0")
@@ -343,7 +345,7 @@ class KPsi:
         # capped at the leaf's stored integral, so rounding cannot lift k
         # above its value at the leaf's right edge
         part = np.minimum(_leaf_area(h[i], c0[i], c1[i], c2[i], s), whole[i])
-        val = np.minimum(1.0 - (cum[i] + part), 1.0)
+        val = np.clip(1.0 - (cum[i] + part), 0.0, 1.0)
         return float(val) if tt.ndim == 0 else val
 
     def invert(self, u):
@@ -442,7 +444,7 @@ def _get_kpsi(psi, cfg, use_closed_form=False):
 
 def k_psi(psi: CharFn, t: float, cfg: QuadConfig = QuadConfig(),
           use_closed_form: bool = False):
-    """k_psi(t) = 1 - int_0^t u H0(psi)(u) du, in (0, 1], decreasing."""
+    """k_psi(t) = 1 - int_0^t u H0(psi)(u) du, in [0, 1], non-increasing."""
     if not math.isfinite(t) or t < 0:
         raise ValueError("t must be finite and >= 0")
     return _get_kpsi(psi, cfg, use_closed_form).k(t)

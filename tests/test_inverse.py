@@ -155,6 +155,18 @@ def test_k_beyond_the_cap_is_the_value_at_the_table_end():
     assert np.array_equal(kp.k(np.array([1e12, math.inf])), [end, end])
 
 
+def test_k_is_clamped_at_zero_in_the_tail():
+    # 1 - cum dips to about -1e-12 here, within the table's absolute
+    # tolerance, on both paths
+    for kp, t in [(inverse.KPsi(psi_gauss(), use_closed_form=True), 40.0),
+                  (inverse.KPsi(psi_gauss()), 12.0)]:
+        ts = np.linspace(0.0, t, 401)
+        ks = kp.k(ts)
+        assert ks.min() == 0.0 and kp.k(t) == 0.0
+        assert np.all(np.diff(ks) <= 0.0)
+    assert k_psi(psi_gauss(), 40.0, use_closed_form=True) == 0.0
+
+
 def _depth_first_table(psi, cfg, t0):
     """Reference KPsi table over [0, t0]: the 48 initial spans grown
     depth-first, one scalar hankel0 call per new u. Returns the leaf
