@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bessel import jacobi_anger_partial, parseval_partial
 from .errors import BracketError, ConvergenceError, ModelViolationError
-from .inverse import CharFn, check_L, solve_inverse
+from .inverse import CharFn, solve_inverse
 from .limitlaw import ParamFunction, density_profile, limit_char_fn
 from .quadrature import QuadConfig
 from .sampler import SampleBatch, builtin_f, sample_vn
@@ -264,10 +264,9 @@ def _cmd_density(args):
 
 def _cmd_invert(args):
     psi = _load_psi(args.psi, args.psi_decay)
-    report = check_L(psi)
-    if not args.quiet:
-        print(report.summary(), file=sys.stderr)
-    f = solve_inverse(psi, override_checks=args.override_checks)
+    f = solve_inverse(psi, override_checks=args.override_checks,
+                      on_report=None if args.quiet else
+                      lambda r: print(r.summary(), file=sys.stderr))
     us = np.linspace(1e-4, 1.0 - 1e-4, args.table_points)
     _write_csv(args.out, "u,f_of_u", us, f.eval(us))
     config = {"command": "invert", "psi": args.psi,

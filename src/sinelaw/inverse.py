@@ -586,16 +586,19 @@ class TabulatedMonotone:
 
 def solve_inverse(psi: CharFn, cfg: QuadConfig = QuadConfig(),
                   override_checks: bool = False,
-                  use_closed_form: bool = False):
+                  use_closed_form: bool = False, on_report=None):
     """Construct f = k_psi^{-1} as a ParamFunction.
 
     f is the k table's own inverse: f.eval is KPsi.invert and f.inverse
     is KPsi.k, on the table that k_psi and invert_k share, so f.eval(u)
     equals invert_k(psi, u) to the bit. Where u lies below the smallest k
     attainable at working precision, f.eval gives inf, which the sampler
-    resamples.
+    resamples. on_report, if given, is called with the check_L report
+    before its warnings and verdict are acted on.
     """
     report = check_L(psi)
+    if on_report is not None:
+        on_report(report)
     for w in report.warnings:
         warnings.warn(w)
     if not report.passed and not override_checks:

@@ -186,7 +186,8 @@ def _clenshaw(t, coeffs):
 
 
 def _asymptotic(x, p, q, phase):
-    y = 1.0 / (x * x)
+    with np.errstate(over="ignore"):  # x * x is inf past 1.3e154, y is 0
+        y = 1.0 / (x * x)
     chi = x - phase
     return np.sqrt(2.0 / (math.pi * x)) * (
         _horner(y, p) * np.cos(chi) - _horner(y, q) / x * np.sin(chi))

@@ -185,45 +185,97 @@ def integrate(f, a, b, abs_tol, rel_tol=1e-12, max_panels=10_000,
     return total_v, total_e, n
 
 
+def _tol(abs_tol, rel_tol, x):
+    # max(abs_tol, rel_tol * |x|) elementwise, as Python's max takes it:
+    # a NaN x leaves abs_tol
+    r = rel_tol * np.abs(x)
+    return np.where(r > abs_tol, r, abs_tol)
+
+
+class _Euler:
+    """Euler-transform states of n alternating sums, advanced together.
+
+    Each sum keeps its partial sum, a table of the iterated means of its
+    partial sums (at most 61 rows: row 0 is the accelerated value, the
+    newest partial sum enters at the bottom), its previous top and the
+    size of its previous term. push() takes the next term of every sum
+    at once; the table recurrence runs row by row, elementwise across
+    the sums, so each sum gets the same bits in any batch.
+    """
+
+    def __init__(self, abs_tol, rel_tol, min_terms=7):
+        n = abs_tol.size
+        self.abs_tol, self.rel_tol, self.min_terms = abs_tol, rel_tol, min_terms
+        self.total, self.prev = np.zeros(n), np.zeros(n)
+        self.prev_term = np.full(n, math.inf)
+        self.table = np.zeros((61, n))
+        self.rows = list(self.table)
+        self.terms = 0
+
+    def push(self, t):
+        """Add the next term of every sum: (done, value, increment).
+
+        A sum is done once the accelerated increment is below tolerance,
+        or when two raw terms in a row are below a quarter of it (then
+        the plain partial sum is returned: the averaged table's memory of
+        early partial sums decays only like 2^-m).
+        """
+        m = self.terms
+        self.terms += 1
+        ripe = self.terms >= self.min_terms
+        self.total = total = self.total + t
+        size = np.abs(t)
+        quarter = 0.25 * _tol(self.abs_tol, self.rel_tol, total)
+        raw = ripe & (size <= quarter) & (self.prev_term <= quarter)
+        raw_inc = 4.0 * (size + self.prev_term)
+        self.prev_term = size
+        rows = self.rows
+        # the newest partial sum takes the bottom row; past 61 rows it
+        # overwrites the last one, as older rows no longer move the top
+        depth = min(m, 60)
+        rows[depth][:] = total
+        for i in range(depth - 1, -1, -1):
+            rows[i] += rows[i + 1]
+            rows[i] *= 0.5
+        best = rows[0].copy()
+        inc = np.abs(best - self.prev)
+        done = ripe & (m > 0) & (inc <= _tol(self.abs_tol, self.rel_tol, best))
+        self.prev = best
+        return (raw | done, np.where(raw, total, best),
+                np.where(raw, raw_inc, inc))
+
+    def keep(self, mask):
+        """Drop the sums where mask is false."""
+        self.abs_tol, self.total, self.prev, self.prev_term = (
+            a[mask] for a in (self.abs_tol, self.total, self.prev,
+                              self.prev_term))
+        self.table = self.table[:, mask]
+        self.rows = list(self.table)
+
+    def failure(self):
+        # the sum in the first column did not settle in self.terms terms
+        best = float(self.table[0, 0]) if self.terms else None
+        return ConvergenceError(
+            f"alternating series did not settle in {self.terms} terms",
+            best=best, error_bound=abs(best - float(self.prev[0]))
+            if self.terms else None)
+
+
 def euler_alternating(term, abs_tol, rel_tol=0.0, max_terms=10_000,
                       min_terms=7):
     """Sum sum_m term(m) for an eventually-alternating sequence.
 
-    Maintains the iterated-mean (Euler transform) table of the partial
-    sums; the top entry converges geometrically for smooth alternating
+    The one-sum case of _Euler: the top of the iterated-mean table of
+    the partial sums converges geometrically for smooth alternating
     tails. Stops when the accelerated increment is below tolerance.
     Returns (value, increment, terms_used).
     """
-    row = []
-    total = 0.0
-    prev = None
-    prev_term = math.inf
+    state = _Euler(np.array([float(abs_tol)]), rel_tol, min_terms)
     for m in range(max_terms):
-        t = term(m)
-        total += t
-        tol_now = max(abs_tol, rel_tol * abs(total))
-        if (m + 1 >= min_terms and abs(t) <= 0.25 * tol_now
-                and prev_term <= 0.25 * tol_now):
-            # raw terms already negligible: the plain sum beats the
-            # averaged table (whose memory of early partial sums decays
-            # only like 2^-m)
-            return total, 4.0 * (abs(t) + prev_term), m + 1
-        prev_term = abs(t)
-        row.append(total)
-        for i in range(len(row) - 2, -1, -1):
-            row[i] = 0.5 * (row[i] + row[i + 1])
-        best = row[0]
-        if prev is not None:
-            inc = abs(best - prev)
-            if m + 1 >= min_terms and inc <= max(abs_tol, rel_tol * abs(best)):
-                return best, inc, m + 1
-        prev = best
-        if len(row) > 60:
-            # cap table depth; older rows no longer influence the top
-            row.pop()
-    raise ConvergenceError(
-        f"alternating series did not settle in {max_terms} terms",
-        best=row[0], error_bound=abs(row[0] - prev) if prev is not None else None)
+        done, value, inc = state.push(np.array([float(term(m))]))
+        if done[0]:
+            return float(value[0]), float(inc[0]), m + 1
+    raise state.failure()
 
 
 # lobes integrated per open problem and round of _lobe_sums; 8 covers the
@@ -240,26 +292,27 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
     m0 .. m0 + _LOBE_BLOCK - 1 of every open problem in one
     _integrate_rows call, lobe 0 on up to 1024 panels and the others on
     256, at tolerance max(panel_tol, 1e-13 * the largest lobe of earlier
-    rounds); then euler_alternating(tail_tol, rel_tol, max_terms) runs
-    over each open problem's lobes, and the problem closes once its sum
-    settles within them. panel_tol and tail_tol are per problem or one
-    scalar for all. A problem's lobes and sum never depend on the other
-    problems.
+    rounds); then the Euler states of all open problems (one _Euler, at
+    tolerances tail_tol and rel_tol) take those lobes one at a time, so
+    each lobe enters its sum once, and a problem closes once its sum
+    settles. panel_tol and tail_tol are per problem or one scalar for
+    all. A problem's lobes and sum never depend on the other problems.
+    A sum still open after max_terms lobes raises ConvergenceError.
 
     Returns (values, error_bounds, lobes_used): each bound is 10 times
     the last Euler increment plus the quadrature errors of the lobes the
     sum used.
     """
     panel_tol = np.broadcast_to(panel_tol, (n,))
-    tail_tol = np.broadcast_to(tail_tol, (n,))
-    lobes = [[] for _ in range(n)]
-    errs = [[] for _ in range(n)]
+    state = _Euler(np.array(np.broadcast_to(tail_tol, (n,)), dtype=np.float64),
+                   rel_tol)
     scale = np.zeros(n)
-    out = np.zeros((3, n))
-    todo = np.arange(n)
-    m0 = 0
+    out = np.zeros((3, n))  # values, summed lobe errors then bounds, lobes
+    todo = np.arange(n)  # the open problems, in the state's order
     while todo.size:
-        m = np.arange(m0, min(m0 + _LOBE_BLOCK, max_terms))
+        if state.terms >= max_terms:
+            raise state.failure()
+        m = np.arange(state.terms, min(state.terms + _LOBE_BLOCK, max_terms))
         p = np.repeat(todo, m.size)
         mp = np.tile(m, todo.size)
         lo, hi = edges(p, mp)
@@ -273,19 +326,13 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
                 np.where(mp[live] == 0, 1024, 256))
         v, e = v.reshape(todo.size, m.size), e.reshape(todo.size, m.size)
         scale[todo] = np.maximum(scale[todo], np.abs(v).max(axis=1))
-        still = []
-        for q, vq, eq in zip(todo, v.tolist(), e.tolist()):
-            lobes[q] += vq
-            errs[q] += eq
-            try:
-                # an IndexError asks for lobes past those integrated
-                val, inc, k = euler_alternating(
-                    lobes[q].__getitem__, tail_tol[q], rel_tol=rel_tol,
-                    max_terms=max_terms)
-            except IndexError:
-                still.append(q)
-                continue
-            out[:, q] = val, 10.0 * inc + sum(errs[q][:k]), k
-        todo = np.array(still, dtype=np.intp)
-        m0 += _LOBE_BLOCK
+        for j in range(m.size):
+            out[1, todo] += e[:, j]
+            done, val, inc = state.push(v[:, j])
+            if done.any():
+                q = todo[done]
+                out[0, q], out[2, q] = val[done], state.terms
+                out[1, q] = 10.0 * inc[done] + out[1, q]
+                todo, v, e = todo[~done], v[~done], e[~done]
+                state.keep(~done)
     return out[0], out[1], out[2].astype(np.intp)

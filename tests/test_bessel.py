@@ -9,6 +9,7 @@ Oracles:
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -82,6 +83,17 @@ def test_j0_scalar_array_consistency():
     arr = bessel.j0_array(xs)
     sc = np.array([bessel.j0(float(x)) for x in xs])
     assert np.array_equal(arr, sc)
+
+
+def test_j0_array_huge_x_warns_nothing():
+    # x * x overflows past 1.3e154; the asymptotic form's y = 1/x^2 is
+    # then 0, silently, and the array agrees with the scalar J0
+    xs = np.array([1e300, -1e200, 1e154, 2e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arr = bessel.j0_array(xs)
+    assert np.array_equal(arr, [bessel.j0(float(x)) for x in xs])
+    assert np.all(np.abs(arr) < 1e-76)
 
 
 @given(st.floats(-100.0, 100.0))

@@ -1,13 +1,17 @@
 """Checks of the Gauss-Kronrod constants and the adaptive/Euler drivers."""
 
+import copy
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sinelaw.errors import ConvergenceError
-from sinelaw.quadrature import (QuadConfig, _integrate_rows, _lobe_sums,
-                                euler_alternating, gk15, integrate)
+from sinelaw.quadrature import (QuadConfig, _Euler, _integrate_rows,
+                                _lobe_sums, euler_alternating, gk15,
+                                integrate)
 
 
 def test_gk15_exact_for_monomials():
@@ -129,6 +133,108 @@ def test_euler_alternating_failure():
     with pytest.raises(ConvergenceError):
         euler_alternating(lambda m: (-1.0) ** m / (m + 1.0), 1e-30,
                           max_terms=12)
+
+
+def _euler_reference(terms, abs_tol, rel_tol, min_terms=7):
+    # the iterated-mean recurrence in plain Python floats, term by term:
+    # (value, increment, terms) or ("raise", best, error_bound)
+    row, total, prev, prev_term = [], 0.0, None, math.inf
+    for m, t in enumerate(terms):
+        total += t
+        tol_now = max(abs_tol, rel_tol * abs(total))
+        if (m + 1 >= min_terms and abs(t) <= 0.25 * tol_now
+                and prev_term <= 0.25 * tol_now):
+            return total, 4.0 * (abs(t) + prev_term), m + 1
+        prev_term = abs(t)
+        row.append(total)
+        for i in range(len(row) - 2, -1, -1):
+            row[i] = 0.5 * (row[i] + row[i + 1])
+        if prev is not None:
+            inc = abs(row[0] - prev)
+            if m + 1 >= min_terms and inc <= max(abs_tol,
+                                                 rel_tol * abs(row[0])):
+                return row[0], inc, m + 1
+        prev = row[0]
+        if len(row) > 60:
+            row.pop()
+    return "raise", row[0], abs(row[0] - prev)
+
+
+def _bits(x):
+    # a float's bits, so that NaN compares equal to itself
+    return x if isinstance(x, (str, int)) else struct.pack("<d", x)
+
+
+def _euler_batch(seqs, abs_tol, rel_tol):
+    # the sequences through one _Euler, closing each where it settles, as
+    # _lobe_sums does with its lobes
+    state = _Euler(np.array(abs_tol), rel_tol)
+    out = [None] * len(seqs)
+    todo = np.arange(len(seqs))
+    for m in range(len(seqs[0])):
+        if not todo.size:
+            break
+        done, val, inc = state.push(np.array([seqs[q][m] for q in todo]))
+        for i in np.flatnonzero(done):
+            out[todo[i]] = float(val[i]), float(inc[i]), m + 1
+        todo = todo[~done]
+        state.keep(~done)
+    for i, q in enumerate(todo):
+        one = copy.copy(state)
+        one.keep(np.arange(todo.size) == i)
+        exc = one.failure()
+        out[q] = "raise", exc.best, exc.error_bound
+    return out
+
+
+_TERMS = st.floats(-1.0, 1.0, allow_nan=False)
+_IRREGULAR = [math.sin(k * k) for k in range(70)]
+
+
+@given(st.lists(st.tuples(st.lists(_TERMS, max_size=70),
+                          st.floats(-0.95, -0.05), st.floats(1e-8, 1.0)),
+                min_size=1, max_size=4),
+       st.lists(st.sampled_from([1e-6, 1e-9, 1e-12, 1e-300]), min_size=4,
+                max_size=4),
+       st.sampled_from([0.0, 1e-11]))
+@settings(max_examples=150, deadline=None)
+# past the 61-row cap: an irregular head of 70 terms, then a stop at
+# term 78 and, at an unreachable tolerance, ConvergenceError at max_terms
+@example([(_IRREGULAR, -0.5, 1e-8)] * 2, [1e-9, 1e-300] * 2, 1e-11)
+# the raw-terms exit
+@example([([], -0.25, 1.0)], [1e-13] * 4, 0.0)
+# a NaN lobe: the total is NaN, Python's max keeps abs_tol, and the raw
+# exit returns the NaN sum
+@example([([0.5, math.nan], -0.25, 1e-3)], [1e-6] * 4, 1e-11)
+def test_euler_batch_equals_scalar_bitwise(specs, tols, rel_tol):
+    # a random head of terms, then a geometric alternating tail; every
+    # sum gets the same bits alone, in a batch, and in plain Python
+    n_terms = 120
+    seqs = [head + [amp * ratio ** k for k in range(n_terms - len(head))]
+            for head, ratio, amp in specs]
+    tols = tols[:len(seqs)]
+    batch = _euler_batch(seqs, tols, rel_tol)
+    for seq, tol, got in zip(seqs, tols, batch):
+        try:
+            one = euler_alternating(seq.__getitem__, tol, rel_tol=rel_tol,
+                                    max_terms=n_terms)
+        except ConvergenceError as exc:
+            one = "raise", exc.best, exc.error_bound
+        want = _euler_reference(seq, tol, rel_tol)
+        assert [_bits(x) for x in one] == [_bits(x) for x in want]
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+def test_lobe_sums_raise_at_max_terms():
+    # an unreachable tail tolerance: the sum gives up after max_terms
+    # lobes with the Euler top attached
+    def f(x, p):
+        return np.sin(x) / (x + 1.0)
+
+    with pytest.raises(ConvergenceError, match="in 20 terms") as ei:
+        _lobe_sums(f, lambda p, m: (m * np.pi, (m + 1) * np.pi), 2, 1e-14,
+                   1e-300, 0.0, 20)
+    assert ei.value.best == pytest.approx(0.6214496242358134, abs=1e-3)
 
 
 def test_quadconfig_validation():
