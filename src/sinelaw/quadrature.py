@@ -207,7 +207,7 @@ class _Euler:
         n = abs_tol.size
         self.abs_tol, self.rel_tol, self.min_terms = abs_tol, rel_tol, min_terms
         self.total, self.prev = np.zeros(n), np.zeros(n)
-        self.prev_term = np.full(n, math.inf)
+        self.prev_term, self.inc = np.full(n, math.inf), np.full(n, math.inf)
         self.table = np.zeros((61, n))
         self.rows = list(self.table)
         self.terms = 0
@@ -238,27 +238,29 @@ class _Euler:
             rows[i] += rows[i + 1]
             rows[i] *= 0.5
         best = rows[0].copy()
-        inc = np.abs(best - self.prev)
-        done = ripe & (m > 0) & (inc <= _tol(self.abs_tol, self.rel_tol, best))
-        self.prev = best
+        inc = np.abs(best - self.prev) if m else self.inc
+        # one small increment can be a chance settling of the top, so it
+        # takes two in a row
+        done = ripe & (inc <= _tol(self.abs_tol, self.rel_tol, best)) & (
+            self.inc <= _tol(self.abs_tol, self.rel_tol, self.prev))
+        self.prev, self.inc = best, inc
         return (raw | done, np.where(raw, total, best),
                 np.where(raw, raw_inc, inc))
 
     def keep(self, mask):
         """Drop the sums where mask is false."""
-        self.abs_tol, self.total, self.prev, self.prev_term = (
+        self.abs_tol, self.total, self.prev, self.prev_term, self.inc = (
             a[mask] for a in (self.abs_tol, self.total, self.prev,
-                              self.prev_term))
+                              self.prev_term, self.inc))
         self.table = self.table[:, mask]
         self.rows = list(self.table)
 
     def failure(self):
         # the sum in the first column did not settle in self.terms terms
-        best = float(self.table[0, 0]) if self.terms else None
         return ConvergenceError(
             f"alternating series did not settle in {self.terms} terms",
-            best=best, error_bound=abs(best - float(self.prev[0]))
-            if self.terms else None)
+            best=float(self.prev[0]) if self.terms else None,
+            error_bound=float(self.inc[0]) if self.terms else None)
 
 
 def euler_alternating(term, abs_tol, rel_tol=0.0, max_terms=10_000,

@@ -139,6 +139,20 @@ def test_charfn_error_bounds_cover_closed_forms(make, exact):
         assert np.all(np.abs(val - want) <= err), path.__name__
 
 
+@pytest.mark.parametrize("target", ["gaussian", "cauchy"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9])
+def test_charfn_sweep_within_tolerance(target, tol):
+    # 500 t across both paths: phi never misses its closed form by more
+    # than abs_tol (a lone small Euler increment used to stop lobe sums
+    # early, by up to 2e-6)
+    from sinelaw.sampler import builtin_f
+    ts = np.linspace(0.05, 25.0, 500)
+    want = np.exp(-0.5 * ts * ts) if target == "gaussian" else np.exp(-A * ts)
+    got = limit_char_fn(builtin_f(target), ts,
+                        QuadConfig(abs_tol=tol, rel_tol=tol))
+    assert np.max(np.abs(got - want)) <= tol
+
+
 def test_charfn_array_failure_names_the_failing_t():
     from sinelaw.errors import ConvergenceError
     f = f_gauss()

@@ -138,7 +138,7 @@ def test_euler_alternating_failure():
 def _euler_reference(terms, abs_tol, rel_tol, min_terms=7):
     # the iterated-mean recurrence in plain Python floats, term by term:
     # (value, increment, terms) or ("raise", best, error_bound)
-    row, total, prev, prev_term = [], 0.0, None, math.inf
+    row, total, prev, prev_term, prev_inc = [], 0.0, None, math.inf, math.inf
     for m, t in enumerate(terms):
         total += t
         tol_now = max(abs_tol, rel_tol * abs(total))
@@ -150,14 +150,17 @@ def _euler_reference(terms, abs_tol, rel_tol, min_terms=7):
         for i in range(len(row) - 2, -1, -1):
             row[i] = 0.5 * (row[i] + row[i + 1])
         if prev is not None:
+            # two increments in a row within tolerance
             inc = abs(row[0] - prev)
-            if m + 1 >= min_terms and inc <= max(abs_tol,
-                                                 rel_tol * abs(row[0])):
+            if (m + 1 >= min_terms
+                    and inc <= max(abs_tol, rel_tol * abs(row[0]))
+                    and prev_inc <= max(abs_tol, rel_tol * abs(prev))):
                 return row[0], inc, m + 1
+            prev_inc = inc
         prev = row[0]
         if len(row) > 60:
             row.pop()
-    return "raise", row[0], abs(row[0] - prev)
+    return "raise", row[0], prev_inc
 
 
 def _bits(x):
