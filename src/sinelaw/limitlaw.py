@@ -126,9 +126,11 @@ def _amplitude_truncation(f, t, lo, hi, budget):
         u[j] = nxt[go]
 
 
-def _oscillation_estimate(f, t):
-    # total phase swept by t*f over (0,1), probed near the wilder endpoint
-    probe = 1e-3 if f.epsilon_f in (None, -1) else 1.0 - 1e-3
+def _oscillation_estimate(f, t, cfg):
+    # total phase swept by t*f over (0,1), probed at the clip delta near
+    # the wilder endpoint, where both phi paths start
+    delta = min(cfg.abs_tol / 4.0, 1e-3)
+    probe = delta if f.epsilon_f in (None, -1) else 1.0 - delta
     try:
         fu = abs(float(f.eval(probe)))
     except Exception:
@@ -239,7 +241,7 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     failed = np.zeros(ta.shape, dtype=bool)
     split = np.zeros(ta.shape, dtype=bool)
     if f.epsilon_f is not None and f.inverse is not None:
-        split = (ta != 0.0) & (_oscillation_estimate(f, ta) > 8.0)
+        split = (ta != 0.0) & (_oscillation_estimate(f, ta, cfg) > 8.0)
     clip = (ta != 0.0) & ~split
     for i in range(0, ta.size, _T_BLOCK):
         part = slice(i, i + _T_BLOCK)

@@ -153,16 +153,29 @@ def test_charfn_sweep_within_tolerance(target, tol):
     assert np.max(np.abs(got - want)) <= tol
 
 
+def test_oscillation_probed_at_the_clip():
+    # the cauchy f diverges like 1/u, so below t = 0.02 the phase swept
+    # down to the clip delta = abs_tol / 4 still sends phi to the zero
+    # split, which needs far fewer panels than the clipped interval
+    from sinelaw.limitlaw import _oscillation_estimate
+    f, cfg = f_cauchy(), QuadConfig(abs_tol=1e-9, rel_tol=1e-9)
+    ts = np.array([1e-4, 0.0151])
+    assert np.all(_oscillation_estimate(f, ts, cfg) > 8.0)
+    assert np.allclose(limit_char_fn(f, ts, cfg), np.exp(-A * ts),
+                       rtol=0.0, atol=1e-9)
+
+
 def test_charfn_array_failure_names_the_failing_t():
     from sinelaw.errors import ConvergenceError
     f = f_gauss()
-    # on 16 panels t = 3 converges and t = 6.5 does not
+    # on 16 panels t = 3 converges and t = 4 does not (both take the
+    # clipped path; from t = 4.26 on, the zero split takes over)
     cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=16)
     assert limit_char_fn(f, 3.0, cfg) == pytest.approx(math.exp(-4.5),
                                                        abs=1e-7)
     with pytest.raises(ConvergenceError) as ei:
-        limit_char_fn(f, np.array([0.0, 3.0, 6.5, 3.0]), cfg)
-    assert "at t=6.5" in str(ei.value)
+        limit_char_fn(f, np.array([0.0, 3.0, 4.0, 3.0]), cfg)
+    assert "at t=4.0" in str(ei.value)
     assert ei.value.best is not None and ei.value.error_bound > 1e-7
 
 
