@@ -87,28 +87,21 @@ def _parse_floats(arg):
 # ---------------------------------------------------------------------------
 # table loading
 
-def _monotone_linear(xs, ys):
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-
-    def ev(x):
-        return np.interp(np.asarray(x, dtype=np.float64), xs, ys)
-
-    return ev, xs, ys
-
-
 def _load_f_table(path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError(f"{path}: expected CSV with columns u,f_of_u")
-    ev, us, fs = _monotone_linear(data[:, 0], data[:, 1])
+    us, fs = data[np.argsort(data[:, 0])].T[:2]
+
+    def ev(x):
+        return np.interp(np.asarray(x, dtype=np.float64), us, fs)
+
     diffs = np.diff(fs)
     eps = -1 if np.all(diffs < 0) else (1 if np.all(diffs > 0) else None)
     inverse = None
     if eps is not None:
-        lo, hi = (fs[-1], fs[0]) if eps == -1 else (fs[0], fs[-1])
 
-        def inverse(t, us=us, fs=fs, eps=eps):
+        def inverse(t):
             order = np.argsort(fs)
             return float(np.interp(t, fs[order], us[order]))
 

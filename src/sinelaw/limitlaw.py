@@ -313,15 +313,11 @@ def _invert_monotone(f, y, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
-def _phi_function(f, cfg):
-    """phi as a RealFunction on (0, inf); a node array is one
-    limit_char_fn call."""
+def _density_preconditions(f):
+    if f.inverse is None or f.epsilon_f is None:
+        raise ValueError("density requires an invertible, monotone f")
     if f.char_decay is None:
-        raise ValueError(
-            "f.char_decay must declare the decay class of the limiting "
-            "characteristic function for the density path")
-    return RealFunction(eval=lambda t: limit_char_fn(f, t, cfg),
-                        decay=f.char_decay)
+        raise ValueError("f.char_decay required")
 
 
 def limit_density(f: ParamFunction, x: float, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)):
@@ -331,14 +327,12 @@ def limit_density(f: ParamFunction, x: float, cfg: QuadConfig = QuadConfig(abs_t
     (the hypotheses under which the density exists) and a declared
     char_decay. Computed as fourier1 of limit_char_fn.
     """
-    if f.inverse is None:
-        raise ValueError("limit_density requires f.inverse (density "
-                         "hypotheses include an invertible f)")
-    if f.epsilon_f is None:
-        raise ValueError("limit_density requires declared monotonicity")
+    _density_preconditions(f)
     inner = QuadConfig(abs_tol=max(cfg.abs_tol * 1e-3, 1e-12),
                        rel_tol=1e-10, max_panels=cfg.max_panels)
-    phi = _phi_function(f, inner)
+    # phi on (0, inf); a node array is one limit_char_fn call
+    phi = RealFunction(eval=lambda t: limit_char_fn(f, t, inner),
+                       decay=f.char_decay)
     scale = math.sqrt(2.0 * math.pi)
     outer = QuadConfig(abs_tol=cfg.abs_tol * scale * 0.9,
                        rel_tol=cfg.rel_tol,
@@ -369,18 +363,12 @@ class _DensityTable:
         n_panels = int(math.ceil(t_max / width))
         inner = QuadConfig(abs_tol=max(cfg.abs_tol * 1e-2, 1e-12),
                            rel_tol=1e-10, max_panels=cfg.max_panels)
-        nodes = []
-        weights = []
-        for i in range(n_panels):
-            a = i * t_max / n_panels
-            b = (i + 1) * t_max / n_panels
-            c, h = 0.5 * (a + b), 0.5 * (b - a)
-            nodes.append(c + h * _XK)
-            weights.append(h * _WK)
+        ends = np.arange(n_panels + 1) * t_max / n_panels
+        c, h = 0.5 * (ends[:-1] + ends[1:]), 0.5 * (ends[1:] - ends[:-1])
         self.x_max = x_max
-        self.nodes = np.concatenate(nodes)
-        self.wphi = np.concatenate(weights) * limit_char_fn(f, self.nodes,
-                                                            inner)
+        self.nodes = (c[:, None] + h[:, None] * _XK).ravel()
+        self.wphi = (h[:, None] * _WK).ravel() * limit_char_fn(f, self.nodes,
+                                                               inner)
 
     def _sum(self, kernel, xs, w):
         # (1/pi) sum_j w_j kernel(x t_j) for every x, in blocks of rows so
@@ -400,13 +388,6 @@ class _DensityTable:
     def cdf(self, xs):
         """F(x) = 1/2 + (1/pi) int_0^inf phi(t) sin(xt)/t dt at each x."""
         return 0.5 + self._sum(np.sin, xs, self.wphi / self.nodes)
-
-
-def _density_preconditions(f):
-    if f.inverse is None or f.epsilon_f is None:
-        raise ValueError("density requires an invertible, monotone f")
-    if f.char_decay is None:
-        raise ValueError("f.char_decay required")
 
 
 def density_profile(f: ParamFunction, xs, cfg: QuadConfig = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)):

@@ -1,16 +1,15 @@
 """Adaptive Gauss-Kronrod panels and Euler-accelerated alternating sums.
 
-The work is batched: one adaptive routine integrates many independent
-intervals at once, with one integrand call per refinement round, and the
-lobe sums of many oscillatory integrals integrate their lobes in blocks
-through it. Numpy's cost is per call, not per point, so large batches
-are what make the pure-numpy kernels fast. The public scalar functions
-are the one-interval case.
+The work is batched, as numpy's cost is per call, not per point: one
+adaptive routine integrates many intervals with one integrand call per
+refinement round, and the lobe sums of many oscillatory integrals
+integrate their lobes in blocks through it and advance the Euler tables
+of all open sums together. The public scalar functions are the
+one-interval and one-sum cases.
 
 The 7/15 nodes and weights were generated from the Stieltjes polynomial
-orthogonality conditions in exact rational arithmetic and are full
-float64 precision; test_quadrature checks them by integrating monomials
-up to the rule's exactness degree.
+orthogonality conditions in exact rational arithmetic; test_quadrature
+checks them by integrating monomials up to the rule's exactness degree.
 """
 
 import math
@@ -163,13 +162,8 @@ def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels):
 
 def integrate(f, a, b, abs_tol, rel_tol=1e-12, max_panels=10_000,
               raise_on_failure=True):
-    """Adaptive GK15 quadrature of f over [a, b].
-
-    The one-interval case of the batched routine _integrate_rows: each
-    round bisects every panel whose error is above its share (the
-    tolerance max(abs_tol, rel_tol * |value|) over the panel count), in
-    one call of f on the nodes of all the halves. `f` maps a node array
-    to a value array of its shape.
+    """Adaptive GK15 quadrature of f over [a, b]: the one-interval case
+    of _integrate_rows, f mapping a node array to values of its shape.
 
     Returns (value, error_bound, panels_used). If the tolerance cannot be
     met within the panel budget, raises ConvergenceError carrying the best
@@ -186,8 +180,7 @@ def integrate(f, a, b, abs_tol, rel_tol=1e-12, max_panels=10_000,
 
 
 def _tol(abs_tol, rel_tol, x):
-    # max(abs_tol, rel_tol * |x|) elementwise, as Python's max takes it:
-    # a NaN x leaves abs_tol
+    # max(abs_tol, rel_tol * |x|) as Python's max takes it: NaN gives abs_tol
     r = rel_tol * np.abs(x)
     return np.where(r > abs_tol, r, abs_tol)
 
@@ -195,12 +188,10 @@ def _tol(abs_tol, rel_tol, x):
 class _Euler:
     """Euler-transform states of n alternating sums, advanced together.
 
-    Each sum keeps its partial sum, a table of the iterated means of its
-    partial sums (at most 61 rows: row 0 is the accelerated value, the
-    newest partial sum enters at the bottom), its previous top and the
-    size of its previous term. push() takes the next term of every sum
-    at once; the table recurrence runs row by row, elementwise across
-    the sums, so each sum gets the same bits in any batch.
+    Each sum keeps its partial sum, the iterated means of its partial
+    sums (61 rows, row 0 the accelerated top), its last top, increment
+    and term size. push() runs the recurrence row by row, elementwise
+    across the sums, so a sum has the same bits in any batch.
     """
 
     def __init__(self, abs_tol, rel_tol, min_terms=7):
@@ -209,19 +200,15 @@ class _Euler:
         self.total, self.prev = np.zeros(n), np.zeros(n)
         self.prev_term, self.inc = np.full(n, math.inf), np.full(n, math.inf)
         self.table = np.zeros((61, n))
-        self.rows = list(self.table)
-        self.terms = 0
+        self.rows, self.terms = list(self.table), 0
 
     def push(self, t):
-        """Add the next term of every sum: (done, value, increment).
-
-        A sum is done once the accelerated increment is below tolerance,
-        or when two raw terms in a row are below a quarter of it (then
-        the plain partial sum is returned: the averaged table's memory of
-        early partial sums decays only like 2^-m).
-        """
-        m = self.terms
-        self.terms += 1
+        """Add the next term of every sum: (done, value, increment). A
+        sum is done after two increments of its top in a row within
+        tolerance (one can be a chance settling), or after two raw terms
+        within a quarter of it, when the plain sum is the value (the table
+        forgets early partial sums only like 2^-m)."""
+        m, self.terms = self.terms, self.terms + 1
         ripe = self.terms >= self.min_terms
         self.total = total = self.total + t
         size = np.abs(t)
@@ -229,18 +216,15 @@ class _Euler:
         raw = ripe & (size <= quarter) & (self.prev_term <= quarter)
         raw_inc = 4.0 * (size + self.prev_term)
         self.prev_term = size
-        rows = self.rows
         # the newest partial sum takes the bottom row; past 61 rows it
         # overwrites the last one, as older rows no longer move the top
-        depth = min(m, 60)
+        rows, depth = self.rows, min(m, 60)
         rows[depth][:] = total
         for i in range(depth - 1, -1, -1):
             rows[i] += rows[i + 1]
             rows[i] *= 0.5
         best = rows[0].copy()
         inc = np.abs(best - self.prev) if m else self.inc
-        # one small increment can be a chance settling of the top, so it
-        # takes two in a row
         done = ripe & (inc <= _tol(self.abs_tol, self.rel_tol, best)) & (
             self.inc <= _tol(self.abs_tol, self.rel_tol, self.prev))
         self.prev, self.inc = best, inc
@@ -256,22 +240,16 @@ class _Euler:
         self.rows = list(self.table)
 
     def failure(self):
-        # the sum in the first column did not settle in self.terms terms
+        # the first sum did not settle in self.terms terms
         return ConvergenceError(
             f"alternating series did not settle in {self.terms} terms",
-            best=float(self.prev[0]) if self.terms else None,
-            error_bound=float(self.inc[0]) if self.terms else None)
+            best=float(self.prev[0]), error_bound=float(self.inc[0]))
 
 
 def euler_alternating(term, abs_tol, rel_tol=0.0, max_terms=10_000,
                       min_terms=7):
-    """Sum sum_m term(m) for an eventually-alternating sequence.
-
-    The one-sum case of _Euler: the top of the iterated-mean table of
-    the partial sums converges geometrically for smooth alternating
-    tails. Stops when the accelerated increment is below tolerance.
-    Returns (value, increment, terms_used).
-    """
+    """Sum sum_m term(m) for an eventually-alternating sequence: the
+    one-sum case of _Euler. Returns (value, increment, terms_used)."""
     state = _Euler(np.array([float(abs_tol)]), rel_tol, min_terms)
     for m in range(max_terms):
         done, value, inc = state.push(np.array([float(term(m))]))
@@ -290,24 +268,22 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
 
     Lobe m of problem p spans edges(p, m), for index arrays p and m; an
     empty lobe (hi <= lo) contributes 0. f(x, p) is the integrand of
-    problem p at nodes x, as in _gk_panels. Each round integrates lobes
-    m0 .. m0 + _LOBE_BLOCK - 1 of every open problem in one
-    _integrate_rows call, lobe 0 on up to 1024 panels and the others on
-    256, at tolerance max(panel_tol, 1e-13 * the largest lobe of earlier
-    rounds); then the Euler states of all open problems (one _Euler, at
-    tolerances tail_tol and rel_tol) take those lobes one at a time, so
-    each lobe enters its sum once, and a problem closes once its sum
-    settles. panel_tol and tail_tol are per problem or one scalar for
-    all. A problem's lobes and sum never depend on the other problems.
-    A sum still open after max_terms lobes raises ConvergenceError.
+    problem p at nodes x, as in _gk_panels. Each round integrates the
+    next _LOBE_BLOCK lobes of every open problem in one _integrate_rows
+    call, lobe 0 on up to 1024 panels and the others on 256, at
+    tolerance max(panel_tol, 1e-13 * the largest lobe of earlier
+    rounds). One _Euler (tolerances tail_tol, rel_tol) then takes them
+    lobe by lobe, so each lobe enters its sum once, and a problem closes
+    when its sum settles; after max_terms lobes, ConvergenceError.
+    panel_tol and tail_tol are per problem or one scalar for all. A
+    problem's lobes and sum never depend on the other problems.
 
     Returns (values, error_bounds, lobes_used): each bound is 10 times
     the last Euler increment plus the quadrature errors of the lobes the
     sum used.
     """
     panel_tol = np.broadcast_to(panel_tol, (n,))
-    state = _Euler(np.array(np.broadcast_to(tail_tol, (n,)), dtype=np.float64),
-                   rel_tol)
+    state = _Euler(np.full(n, tail_tol, dtype=np.float64), rel_tol)
     scale = np.zeros(n)
     out = np.zeros((3, n))  # values, summed lobe errors then bounds, lobes
     todo = np.arange(n)  # the open problems, in the state's order
@@ -318,15 +294,14 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
         p = np.repeat(todo, m.size)
         mp = np.tile(m, todo.size)
         lo, hi = edges(p, mp)
-        v, e = np.zeros(p.size), np.zeros(p.size)
+        v, e = np.zeros((2, todo.size, m.size))
         live = hi > lo
         if live.any():
             pl = p[live]
-            v[live], e[live], _ = _integrate_rows(
+            v.ravel()[live], e.ravel()[live], _ = _integrate_rows(
                 lambda x, rows: f(x, pl[rows]), lo[live], hi[live],
                 np.maximum(panel_tol[pl], 1e-13 * scale[pl]), 1e-13,
                 np.where(mp[live] == 0, 1024, 256))
-        v, e = v.reshape(todo.size, m.size), e.reshape(todo.size, m.size)
         scale[todo] = np.maximum(scale[todo], np.abs(v).max(axis=1))
         for j in range(m.size):
             out[1, todo] += e[:, j]

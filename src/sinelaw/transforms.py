@@ -94,11 +94,10 @@ def _amplitude(g: RealFunction):
     # crude probe of the constant C in |g| <= C * envelope, with one
     # eval_array call on the probes inside the support
     s = g.decay.scale if g.decay.kind != "exponential" else 1.0 / g.decay.scale
-    if g.decay.kind == "algebraic":
-        probes = [s * f for f in (2.0, 4.0, 8.0, 16.0)]
-    else:
-        probes = [s * f for f in (0.5, 1.0, 2.0, 4.0)]
-    env = {r: g.decay.envelope(r) for r in probes if not r >= g.support[1]}
+    grid = (2.0, 4.0, 8.0, 16.0) if g.decay.kind == "algebraic" else (
+        0.5, 1.0, 2.0, 4.0)
+    env = {s * k: g.decay.envelope(s * k) for k in grid
+           if not s * k >= g.support[1]}
     r = [r for r, e in env.items() if e > 0]
     c = 1e-12
     for x, v in zip(r, g.eval_array(r).tolist() if r else []):
