@@ -229,6 +229,28 @@ def test_sample_rejects_bad_size_before_progress(tmp_path, capsys, flag):
     assert not os.path.exists(out)
 
 
+def test_invert_runs_the_admissibility_checks_once(monkeypatch, capsys,
+                                                   tmp_path):
+    # the report printed is the one solve_inverse computes and enforces
+    import sinelaw.cli as cli
+    import sinelaw.inverse as inverse
+    reports = []
+    real = inverse.check_L
+
+    def counted(psi, grid=None):
+        reports.append(real(psi, grid))
+        return reports[-1]
+
+    monkeypatch.setattr(inverse, "check_L", counted)
+    monkeypatch.setattr(cli, "check_L", counted, raising=False)
+    out = str(tmp_path / "f.csv")
+    assert run("invert", "--psi", "gaussian", "--table-points", "11",
+               "--out", out) == 0
+    assert len(reports) == 1
+    assert capsys.readouterr().err == (reports[0].summary()
+                                       + f"\nwrote {out}\n")
+
+
 def test_charfn_evaluates_all_t_in_one_call(monkeypatch, capsys):
     import sinelaw.cli as cli
     calls = []
