@@ -50,10 +50,6 @@ def _atomic_write(path, text):
         raise
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _config_hash(cfg: dict):
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -161,12 +157,12 @@ def _load_psi(arg, decay_flag):
 
         def ev(t):
             t = np.abs(np.asarray(t, dtype=np.float64))
-            out = np.interp(t, ts, vs)
+            out = np.asarray(np.interp(t, ts, vs))
             far = t > t_last
             if np.any(far):
                 # extend by the declared decay envelope fitted at the tail
-                tail = np.array([decay.envelope(float(x)) for x in np.atleast_1d(t)[far]])
-                out = np.where(far, v_last * tail / max(env_last, 1e-300), out)
+                tail = np.array([decay.envelope(x) for x in t[far].tolist()])
+                out[far] = v_last * tail / max(env_last, 1e-300)
             return out
 
         return CharFn(eval=ev, decay=decay,
@@ -201,7 +197,10 @@ def _cmd_sample(args):
 
 
 def _write_csv(path, header, *columns):
-    rows = map(",".join, zip(*(map(_fmt, c) for c in columns)))
+    # 17 significant digits, so every float reads back exactly
+    fmt = "{:.17g}".format
+    cols = (map(fmt, np.asarray(c, dtype=float).tolist()) for c in columns)
+    rows = map(",".join, zip(*cols))
     _atomic_write(path, "\n".join([header, *rows]) + "\n")
 
 

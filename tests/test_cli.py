@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sinelaw.cli import main
+from sinelaw.cli import _load_psi, _write_csv, main
 from sinelaw.quadrature import QuadConfig
 from sinelaw.transforms import Decay, RealFunction
 
@@ -292,3 +292,60 @@ def test_transform_evaluates_all_t_in_one_call(monkeypatch, capsys, tmp_path):
     with open(out) as fh:
         assert fh.read() == "t,value\n" + "".join(
             f"{t:.17g},{v:.17g}\n" for t, v in zip(ts, single))
+
+
+def test_write_csv_formats_every_value_as_a_17_digit_float(tmp_path):
+    vals = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 3, -7,
+            2**60, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0]
+    ints = np.arange(len(vals))
+    out = tmp_path / "v.csv"
+    _write_csv(str(out), "a,b", vals, ints)
+    want = "a,b\n" + "".join(f"{float(a):.17g},{float(b):.17g}\n"
+                             for a, b in zip(vals, ints))
+    assert read_bytes(out) == want.encode()
+
+
+def _gaussian_psi_table(path):
+    # 401 rows of exp(-t^2/2) on [0, 8]
+    t = np.linspace(0.0, 8.0, 401)
+    path.write_text("t,psi\n" + "".join(
+        f"{a!r},{math.exp(-0.5 * a * a)!r}\n" for a in t.tolist()))
+    return t
+
+
+def test_table_psi_extends_past_its_end_in_any_shape(tmp_path):
+    table = tmp_path / "psi.csv"
+    t = _gaussian_psi_table(table)
+    psi = _load_psi(f"table:{table}", "gaussian")
+    got = psi.eval(np.array([[1.0, 9.0], [10.0, -2.0]]))
+    assert got.shape == (2, 2)
+    assert got[0, 0] == np.interp(1.0, t, np.exp(-0.5 * t * t))
+    assert got[1, 1] == np.interp(2.0, t, np.exp(-0.5 * t * t))
+    # the last row times the declared envelope's ratio
+    assert got[1, 0] == pytest.approx(math.exp(-50.0), rel=1e-12)
+    assert float(psi.eval(9.0)) == got[0, 1]
+
+
+def test_invert_gaussian_psi_table_has_no_traceback(tmp_path):
+    table = tmp_path / "psi.csv"
+    _gaussian_psi_table(table)
+    out = _cli("--quiet", "invert", "--psi", f"table:{table}",
+               "--psi-decay", "gaussian", "--out", str(tmp_path / "f.csv"))
+    assert "Traceback" not in out.stderr
+    # a numeric failure: linear interpolation leaves a kink at each of
+    # the 401 rows, and H0 of that psi falls short of its 2e-12 target
+    assert out.returncode == 3
+    assert "numeric failure: hankel0" in out.stderr
+
+
+def test_invert_failing_psi_table_with_override_has_no_traceback(tmp_path):
+    table = tmp_path / "psi.csv"
+    t = np.linspace(0.0, 8.0, 401)
+    v = np.cos(3.0 * t) * np.exp(-0.25 * t)
+    table.write_text("t,psi\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
+    out = _cli("--quiet", "invert", "--psi", f"table:{table}", "--psi-decay",
+               "exponential:0.25", "--override-checks",
+               "--out", str(tmp_path / "f.csv"))
+    assert out.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in out.stderr
