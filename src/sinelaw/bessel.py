@@ -161,38 +161,40 @@ def jn_upper_bound(n, x):
 
 _MCMAHON = (0.125, -31.0 / 384.0, 3779.0 / 15360.0)
 _zeros_lock = threading.Lock()
-_zeros: list = []
+_zeros = np.empty(0)  # the first zeros, in order; replaced whole, never changed
 
 
 def j0_zero(m):
     """m-th positive zero of J0 (m >= 1), refined to ~1e-14.
 
     Zeros are computed from the McMahon expansion polished with Newton
-    steps (J0' = -J1) and cached; the cache only grows, so concurrent
-    readers are safe and extensions are serialized.
+    steps (J0' = -J1) and cached in one array snapshot: a growth
+    computes the missing zeros under a lock and swaps in the extended
+    array, so a reader indexes whichever snapshot it took.
     """
-    if m < 1:
-        raise ValueError("zero index starts at 1")
-    if m <= len(_zeros):
-        return _zeros[m - 1]
-    with _zeros_lock:
-        while len(_zeros) < m:
-            k = len(_zeros) + 1
-            beta = (k - 0.25) * math.pi
-            bi = 1.0 / beta
-            x = beta + bi * (_MCMAHON[0] + bi * bi * (
-                _MCMAHON[1] + bi * bi * _MCMAHON[2]))
-            for _ in range(3):
-                fx = kernels.j0(x)
-                dfx = -kernels.j1(x)
-                if dfx != 0.0:
-                    x -= fx / dfx
-            _zeros.append(x)
-    return _zeros[m - 1]
+    return float(_j0_zeros(m))
 
 
 def _j0_zeros(m):
     """j0_zero over an integer array of indices m >= 1."""
+    global _zeros
     m = np.asarray(m)
-    uniq, pos = np.unique(m, return_inverse=True)
-    return np.array([j0_zero(int(k)) for k in uniq])[pos].reshape(m.shape)
+    if m.size and m.min() < 1:
+        raise ValueError("zero index starts at 1")
+    zeros = _zeros
+    if m.size and m.max() > zeros.size:
+        with _zeros_lock:
+            new = []
+            for k in range(_zeros.size + 1, int(m.max()) + 1):
+                beta = (k - 0.25) * math.pi
+                bi = 1.0 / beta
+                x = beta + bi * (_MCMAHON[0] + bi * bi * (
+                    _MCMAHON[1] + bi * bi * _MCMAHON[2]))
+                for _ in range(3):
+                    fx = kernels.j0(x)
+                    dfx = -kernels.j1(x)
+                    if dfx != 0.0:
+                        x -= fx / dfx
+                new.append(x)
+            _zeros = zeros = np.concatenate([_zeros, new])
+    return zeros[m - 1]

@@ -98,8 +98,8 @@ def _load_f_table(path):
     if eps is not None:
 
         def inverse(t):
-            order = np.argsort(fs)
-            return float(np.interp(t, fs[order], us[order]))
+            # f strictly monotone: reversed by eps, its values ascend
+            return np.interp(t, fs[::eps], us[::eps])
 
     return ParamFunction(eval=ev, epsilon_f=eps, inverse=inverse,
                          range_=(float(np.min(fs)), float(np.max(fs))),

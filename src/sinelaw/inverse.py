@@ -12,7 +12,8 @@ distribution with density F1(psi)/sqrt(2pi).
 
 k_psi is expensive (every integrand value is itself a Hankel quadrature),
 so m(u) = u H0(psi)(u) is tabulated once on an adaptively refined panel
-grid with exact cumulative integrals of the local quadratic interpolant;
+grid with exact cumulative integrals of the local quadratic interpolant,
+kept as one tuple of arrays that each growth replaces whole (KPsi);
 inversions then cost microseconds.
 """
 
@@ -191,14 +192,23 @@ def check_L(psi: CharFn, grid=None):
 class KPsi:
     """Tabulated k_psi(t) = 1 - int_0^t m, with m(u) = u * H0(psi)(u).
 
-    Panels store (a, mid, b) values of m; within-panel integrals use the
-    interpolating quadratic in closed form. Spans are refined by adaptive
-    Simpson with a position-weighted tolerance, level by level, with one
-    batched H0 call per level, and the table extends itself along a fixed
-    geometric landmark ladder. So the table content is a function of the
-    covered range only, never of the order in which callers requested
-    it, and concurrent builds (which serialize on a lock) reproduce the
-    sequential table bit for bit.
+    Each leaf holds m at its two edges and its midpoint; within a leaf,
+    k integrates the interpolating quadratic in closed form. Spans are
+    refined by adaptive Simpson with a position-weighted tolerance, level
+    by level, with one batched H0 call per level, and the table extends
+    itself along a fixed geometric landmark ladder. So the table content
+    is a function of the covered range only, never of the order in which
+    callers requested it.
+
+    The table is one tuple of arrays, `_table`: the leaf edges, the leaf
+    widths, the cumulative integral at every edge, the integral of each
+    leaf, and the coefficients of each leaf's quadratic m = c0 + c1 s +
+    c2 s^2 in s = (t - a) / h. The edges, the cumulative integrals and
+    c0 (m at the left edge) run one entry past the last leaf, to the
+    table's end. A growth builds a new tuple and swaps it in with one
+    assignment under the lock, so readers use whichever snapshot they
+    took, a failed growth changes nothing, and concurrent builds
+    reproduce the sequential table bit for bit.
     """
 
     _GROWTH = 1.7
@@ -210,13 +220,11 @@ class KPsi:
         self.cfg = cfg
         self.use_closed_form = use_closed_form and psi.closed_form_hankel is not None
         self.k_tol = max(cfg.abs_tol, 1e-11)
-        self._lock = threading.RLock()
-        self._edges = [0.0]      # leaf boundaries, ascending
-        self._mids = []          # midpoint per leaf
-        self._mvals = {0.0: 0.0}  # m(0) = 0 exactly
-        self._panel_int = []     # quadratic integral per leaf
-        self._cum = [0.0]        # cumulative integral at edges
-        self._arrays = None      # the leaf arrays, rebuilt after growth
+        self._lock = threading.Lock()
+        # no leaves yet: the table is the edge 0, where m(0) = 0 exactly
+        empty = np.empty(0)
+        self._table = (np.zeros(1), empty, np.zeros(1), empty, np.zeros(1),
+                       empty, empty)
         self._gf = psi.as_real_function()
         self._h0_calls = 0
         d = psi.decay
@@ -226,47 +234,46 @@ class KPsi:
             t0 = 8.0 / d.scale
         else:
             t0 = 8.0 * (1.0 + d.scale)
-        with self._lock:
-            edges = np.arange(49) * t0 / 48.0
-            self._grow(edges[:-1], edges[1:])
+        edges = np.arange(49) * t0 / 48.0
+        self._grow(edges[:-1], edges[1:])
 
     # -- m evaluation -------------------------------------------------
 
-    def _fill(self, us):
-        """m at each u of the array us not yet known, in one batch. H0 is
-        held to k_tol * 0.02 / (1 + u)^2, and a bound within 5 times that
-        is accepted; ConvergenceError names the first u beyond it."""
-        u = np.array([x for x in dict.fromkeys(us.tolist())
-                      if x not in self._mvals])
-        if not u.size:
-            return
+    def _m(self, u):
+        """m at each u of the array u, in one batch. H0 is held to
+        k_tol * 0.02 / (1 + u)^2, and a bound within 5 times that is
+        accepted; ConvergenceError names the first u beyond it."""
         if self.use_closed_form:
-            vals = u * _eval_array(self.psi.closed_form_hankel, u)
-        else:
-            target = np.array([self.k_tol * 0.02 / (1.0 + x) ** 2
-                               for x in u.tolist()])
-            self._h0_calls += u.size
-            h, err = _transform_rows(_HANKEL, self._gf, u, target,
-                                     np.maximum(target * 0.05, 1e-300), 1e-9,
-                                     self.cfg.max_panels)
-            _checked("hankel0", u, h, err, 5.0 * target, 1e-9)
-            vals = u * h
-        self._mvals.update(zip(u.tolist(), vals.tolist()))
+            return u * _eval_array(self.psi.closed_form_hankel, u)
+        target = np.array([self.k_tol * 0.02 / (1.0 + x) ** 2
+                           for x in u.tolist()])
+        self._h0_calls += u.size
+        h, err = _transform_rows(_HANKEL, self._gf, u, target,
+                                 np.maximum(target * 0.05, 1e-300), 1e-9,
+                                 self.cfg.max_panels)
+        _checked("hankel0", u, h, err, 5.0 * target, 1e-9)
+        return u * h
 
     # -- table construction -------------------------------------------
 
     def _grow(self, a, b):
-        """Append leaves covering the adjacent spans [a[i], b[i]], split
-        breadth-first until the Simpson two-level disagreement of each
-        meets the position-weighted tolerance. The leaves are appended in
-        order once all are done, so a failure appends none."""
+        """Extend the table by leaves covering the adjacent spans [a[i],
+        b[i]], with a[0] the table's end, split breadth-first until the
+        Simpson two-level disagreement of each meets the
+        position-weighted tolerance. Each span hands m at its edges and
+        midpoint down to its two halves, so a level evaluates only its
+        new quarter points; level 0 also its new edges and midpoints."""
+        edges, _, _, whole, c0, c1, c2 = self._table
         leaves = []
         for depth in range(self._MAX_DEPTH + 1):
             mid = 0.5 * (a + b)
             q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
-            self._fill(np.concatenate([a, mid, b, q1, q2]))
-            fa, fm, fb, f1, f2 = (np.array([self._mvals[u] for u in x.tolist()])
-                                  for x in (a, mid, b, q1, q2))
+            if depth:
+                f1, f2 = np.split(self._m(np.concatenate([q1, q2])), 2)
+            else:
+                fb, fm, f1, f2 = np.split(
+                    self._m(np.concatenate([b, mid, q1, q2])), 4)
+                fa = np.concatenate([c0[-1:], fb[:-1]])
             # permits the numeric noise of the inner transform, nothing more
             low = np.minimum(np.minimum(fa, fm), fb)
             bad = low < -(40.0 * (1.0 + b) * self.k_tol * 0.02 / (1.0 + a)
@@ -285,61 +292,47 @@ class KPsi:
             # built from: each half's quadratic through (edge, quarter
             # point, edge) integrates to its Simpson term, so k(t) inside
             # a leaf meets the cumulative sum at its edges
-            leaves += zip(a[done].tolist(), q1[done].tolist(), mid[done].tolist())
-            leaves += zip(mid[done].tolist(), q2[done].tolist(), b[done].tolist())
-            a, b = (np.concatenate([a[~done], mid[~done]]),
-                    np.concatenate([mid[~done], b[~done]]))
+            halves = ((a, mid, fa, f1, fm), (mid, b, fm, f2, fb))
+            leaves += [np.array(half)[:, done] for half in halves]
+            go = ~done
+            a, b, fa, fm, fb = (np.concatenate([x[go], y[go]]) for x, y in
+                                zip(*halves))
             if not a.size:
                 break
-        m = self._mvals
-        for lo, q, hi in sorted(leaves):
-            half = (hi - lo) / 6.0 * (m[lo] + 4.0 * m[q] + m[hi])
-            self._edges.append(hi)
-            self._mids.append(q)
-            self._panel_int.append(half)
-            self._cum.append(self._cum[-1] + half)
-        self._arrays = None
+        leaf = np.concatenate(leaves, axis=1)
+        lo, hi, fl, fq, fh = leaf[:, np.argsort(leaf[0])]
+        edges = np.concatenate([edges, hi])
+        whole = np.concatenate([whole, (hi - lo) / 6.0 * (fl + 4.0 * fq + fh)])
+        self._table = (edges, np.diff(edges),
+                       np.concatenate([[0.0], np.cumsum(whole)]), whole,
+                       np.concatenate([c0, fh]),
+                       np.concatenate([c1, -3.0 * fl + 4.0 * fq - fh]),
+                       np.concatenate([c2, 2.0 * fl - 4.0 * fq + 2.0 * fh]))
 
     def ensure(self, t):
-        if t <= self._edges[-1]:
+        if t <= self._table[0][-1]:
             return
         with self._lock:
-            while self._edges[-1] < min(t, _T_CAP):
+            while self._table[0][-1] < min(t, _T_CAP):
                 # fixed ladder: t0 * growth^i, independent of the request
-                lo = self._edges[-1]
+                lo = self._table[0][-1]
                 edges = np.geomspace(lo, min(lo * self._GROWTH, _T_CAP), 11)
                 self._grow(edges[:-1], edges[1:])
 
     # -- evaluation ----------------------------------------------------
 
-    def _leaf_arrays(self):
-        """Left edges, widths, the cumulative integral at every edge, the
-        integral of each leaf, and the coefficients of each leaf's
-        Lagrange quadratic m = c0 + c1 s + c2 s^2 through its three
-        values, in s = (t - a) / h. Built once per growth of the table."""
-        with self._lock:
-            if self._arrays is None:
-                edges = np.array(self._edges)
-                fa = np.array([self._mvals[a] for a in self._edges[:-1]])
-                fm = np.array([self._mvals[m] for m in self._mids])
-                fb = np.array([self._mvals[b] for b in self._edges[1:]])
-                self._arrays = (edges[:-1], np.diff(edges),
-                                np.array(self._cum), np.array(self._panel_int),
-                                fa, -3.0 * fa + 4.0 * fm - fb,
-                                2.0 * fa - 4.0 * fm + 2.0 * fb)
-            return self._arrays
-
     def k(self, t):
-        """k_psi(t) in [0, 1] for t >= 0, a scalar or an array of t;
-        beyond the 1e8 cap, the value at the table's end. The table is
-        accurate to an absolute tolerance, so deep in the tail 1 - cum
-        can dip below 0 by about that much; k is clamped there."""
+        """k_psi(t) in [0, 1] for t >= 0 (inf included), a scalar or an
+        array of t; beyond the 1e8 cap, the value at the table's end.
+        NaN or negative t raises ValueError. The table is accurate to an
+        absolute tolerance, so deep in the tail 1 - cum can dip below 0
+        by about that much; k is clamped there."""
         tt = np.asarray(t, dtype=np.float64)
-        if np.any(tt < 0.0):
-            raise ValueError("k_psi is defined for t >= 0")
+        if not np.all(tt >= 0.0):
+            raise ValueError("k_psi is defined for t >= 0 (not NaN)")
         if tt.size:
             self.ensure(float(tt.max()))
-        a, h, cum, whole, c0, c1, c2 = self._leaf_arrays()
+        a, h, cum, whole, c0, c1, c2 = self._table
         i = np.minimum(np.searchsorted(a, tt, side="right") - 1, len(h) - 1)
         s = np.minimum((tt - a[i]) / h[i], 1.0)  # 1 past the table's end
         # capped at the leaf's stored integral, so rounding cannot lift k
@@ -370,7 +363,7 @@ class KPsi:
                 hi *= 2.0
             ok &= uu >= self.k(hi)
         if ok.any():
-            a, h, cum, _, c0, c1, c2 = self._leaf_arrays()
+            a, h, cum, _, c0, c1, c2 = self._table
             k_edge = 1.0 - cum
             v = uu[ok]
             # leaf i holds the root when k_edge[i] >= v > k_edge[i + 1]

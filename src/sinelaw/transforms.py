@@ -44,8 +44,8 @@ class Decay:
     def __post_init__(self):
         if self.kind not in ("gaussian", "exponential", "algebraic"):
             raise ValueError(f"unknown decay kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("decay parameter must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("decay parameter must be finite and positive")
 
     def envelope(self, r):
         if self.kind == "gaussian":

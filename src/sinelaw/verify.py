@@ -84,8 +84,8 @@ def target_library(name: str) -> TargetDistribution:
                 gamma = float(name.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad gamma in {name!r}")
-            if gamma <= 0:
-                raise ValueError("gamma must be positive")
+            if not (math.isfinite(gamma) and gamma > 0):
+                raise ValueError("gamma must be finite and positive")
         return TargetDistribution(
             name=f"cauchy_gamma:{gamma:.17g}",
             cdf=lambda x, g=gamma: 0.5 + np.arctan(np.asarray(x) / g) / math.pi,

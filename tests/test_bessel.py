@@ -238,10 +238,16 @@ def test_j0_zeros_are_roots_and_spaced():
 def test_j0_zero_index_validation():
     with pytest.raises(ValueError):
         bessel.j0_zero(0)
+    # index 0 would read the last zero of the cache through m - 1 = -1
+    bessel.j0_zero(5)
+    for m in ([3, 0], [-2]):
+        with pytest.raises(ValueError):
+            bessel._j0_zeros(np.array(m))
 
 
 def test_j0_zero_cache_concurrent_growth():
-    # the cache only grows; hammering it from threads must stay consistent
+    # growths swap in a whole array; hammering it from threads must stay
+    # consistent
     from concurrent.futures import ThreadPoolExecutor
     ms = list(range(1, 300)) * 4
     with ThreadPoolExecutor(max_workers=8) as ex:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sinelaw.cli import _load_psi, _write_csv, main
+from sinelaw.cli import _load_f_table, _load_psi, _write_csv, main
 from sinelaw.quadrature import QuadConfig
 from sinelaw.transforms import Decay, RealFunction
 
@@ -206,6 +206,31 @@ def test_nonfinite_constant_f_is_a_usage_error(tmp_path, const):
     assert out.returncode == 2
     assert "must be finite" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_nonfinite_cauchy_gamma_is_a_usage_error(tmp_path, gamma):
+    samples = tmp_path / "s.csv"
+    samples.write_text("v\n-0.5\n0.25\n1.0\n")
+    report = tmp_path / "r.json"
+    out = _cli("--quiet", "verify", "--samples", str(samples), "--target",
+               f"cauchy_gamma:{gamma}", "--report", str(report))
+    assert out.returncode == 2
+    assert "gamma must be finite" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("fs", [[3.0, 2.0, 0.5, 0.25], [0.1, 0.4, 2.0, 7.0]])
+def test_table_f_inverse_takes_arrays(tmp_path, fs):
+    # one array call has the bits of one call per element
+    table = tmp_path / "f.csv"
+    table.write_text("u,f_of_u\n" + "".join(
+        f"{u!r},{v!r}\n" for u, v in zip([0.1, 0.3, 0.6, 0.9], fs)))
+    f = _load_f_table(str(table))
+    t = np.linspace(min(fs), max(fs), 37)
+    assert np.array_equal(f.inverse(t),
+                          np.array([f.inverse(float(x)) for x in t]))
 
 
 def test_f_never_finite_is_a_numeric_failure(tmp_path):

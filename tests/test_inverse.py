@@ -125,7 +125,7 @@ def test_k_continuous_and_non_increasing_across_leaf_edges(make_psi):
     # inside a leaf k integrates the leaf's quadratic; at its right edge
     # it switches to the stored cumulative sum, and the two must agree
     kp = inverse.KPsi(make_psi(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
-    edges = np.array(kp._edges[1:-1])
+    edges = kp._table[0][1:-1]
     left = np.array([kp.k(float(np.nextafter(e, 0.0))) for e in edges])
     at = np.array([kp.k(float(e)) for e in edges])
     assert np.all(left >= at)
@@ -134,7 +134,7 @@ def test_k_continuous_and_non_increasing_across_leaf_edges(make_psi):
 
 def test_k_array_matches_scalar_calls_bitwise():
     kp = inverse.KPsi(psi_cauchy(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
-    edges = np.array(kp._edges)
+    edges = kp._table[0]
     ts = np.concatenate([edges, np.nextafter(edges[1:], 0.0),
                          np.linspace(0.0, 30.0, 301)])
     batch = kp.k(ts)
@@ -150,8 +150,8 @@ def test_k_array_matches_scalar_calls_bitwise():
 def test_k_beyond_the_cap_is_the_value_at_the_table_end():
     kp = inverse.KPsi(psi_gauss(), use_closed_form=True)
     end = kp.k(2e8)
-    assert kp._edges[-1] < 2e8
-    assert end == kp.k(kp._edges[-1])
+    assert kp._table[0][-1] < 2e8
+    assert end == kp.k(kp._table[0][-1])
     assert np.array_equal(kp.k(np.array([1e12, math.inf])), [end, end])
 
 
@@ -167,10 +167,16 @@ def test_k_is_clamped_at_zero_in_the_tail():
     assert k_psi(psi_gauss(), 40.0, use_closed_form=True) == 0.0
 
 
+def _same_table(x, y):
+    return len(x) == len(y) and all(np.array_equal(p, q)
+                                    for p, q in zip(x, y))
+
+
 def _depth_first_table(psi, cfg, t0):
     """Reference KPsi table over [0, t0]: the 48 initial spans grown
     depth-first, one scalar hankel0 call per new u. Returns the leaf
-    edges, the cumulative integrals at them and the m values."""
+    edges, the leaf midpoints, the leaf integrals, the cumulative
+    integrals at the edges and the m values."""
     k_tol = max(cfg.abs_tol, 1e-11)
     g = psi.as_real_function()
     mv = {0.0: 0.0}
@@ -189,7 +195,7 @@ def _depth_first_table(psi, cfg, t0):
             mv[u] = u * h
         return mv[u]
 
-    edges, cum = [0.0], [0.0]
+    edges, mids, whole, cum = [0.0], [], [], [0.0]
 
     def grow(a, b, depth):
         mid = 0.5 * (a + b)
@@ -202,15 +208,16 @@ def _depth_first_table(psi, cfg, t0):
                 or depth >= 24:
             for lo, q, hi in ((a, q1, mid), (mid, q2, b)):
                 edges.append(hi)
-                cum.append(cum[-1] + (hi - lo) / 6.0 * (mv[lo] + 4.0 * mv[q]
-                                                        + mv[hi]))
+                mids.append(q)
+                whole.append((hi - lo) / 6.0 * (mv[lo] + 4.0 * mv[q] + mv[hi]))
+                cum.append(cum[-1] + whole[-1])
         else:
             grow(a, mid, depth + 1)
             grow(mid, b, depth + 1)
 
     for i in range(48):
         grow(i * t0 / 48.0, (i + 1) * t0 / 48.0, 0)
-    return edges, cum, mv
+    return edges, mids, whole, cum, mv
 
 
 @pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
@@ -219,10 +226,14 @@ def test_kpsi_table_equals_depth_first_reference_bitwise(make_psi):
     kp = inverse.KPsi(make_psi(), cfg)
     d = kp.psi.decay
     t0 = 6.0 * d.scale if d.kind == "gaussian" else 8.0 / d.scale
-    edges, cum, mv = _depth_first_table(make_psi(), cfg, t0)
-    assert kp._edges == edges
-    assert kp._cum == cum
-    assert kp._mvals == mv
+    edges, mids, whole, cum, mv = _depth_first_table(make_psi(), cfg, t0)
+    # every m value computed is one at a leaf edge or a leaf midpoint
+    fe = np.array([mv[u] for u in edges])
+    fq = np.array([mv[u] for u in mids])
+    fa, fb = fe[:-1], fe[1:]
+    assert _same_table(kp._table, (
+        edges, np.diff(edges), cum, whole, fe,
+        -3.0 * fa + 4.0 * fq - fb, 2.0 * fa - 4.0 * fq + 2.0 * fb))
     assert kp._h0_calls == len(mv) - 1
 
 
@@ -240,8 +251,7 @@ def test_kpsi_one_ensure_equals_stepwise_growth():
     steps = inverse.KPsi(psi_gauss(), cfg)
     for t in (7.0, 9.5, 15.0, 22.0, 40.0, 60.0):
         steps.k(t)
-    assert (once._edges, once._cum, once._mvals) == \
-        (steps._edges, steps._cum, steps._mvals)
+    assert _same_table(once._table, steps._table)
     assert once._h0_calls == steps._h0_calls
 
 
@@ -252,13 +262,13 @@ def test_kpsi_model_violation_appends_no_leaves():
                   closed_form_hankel=lambda u: math.cos(u / 5.0),
                   name="late")
     kp = inverse.KPsi(late, use_closed_form=True)
-    table = (list(kp._edges), list(kp._mids), list(kp._panel_int),
-             list(kp._cum))
+    table = kp._table
+    saved = [x.copy() for x in table]
     k5 = kp.k(5.0)
     for _ in range(2):
         with pytest.raises(ModelViolationError):
             kp.k(9.0)
-        assert (kp._edges, kp._mids, kp._panel_int, kp._cum) == table
+        assert kp._table is table and _same_table(table, saved)
     assert kp.k(5.0) == k5
 
 
@@ -287,6 +297,16 @@ def test_k_domain_errors():
         k_psi(psi_gauss(), -1.0)
     with pytest.raises(ValueError):
         k_psi(psi_gauss(), math.inf)
+
+
+def test_kpsi_k_rejects_nan_and_takes_inf(solved_gauss):
+    kp = inverse.KPsi(psi_gauss(), use_closed_form=True)
+    for t in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            kp.k(t)
+    with pytest.raises(ValueError):
+        solved_gauss.inverse(math.nan)
+    assert kp.k(math.inf) == kp.k(2e8)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +430,51 @@ def test_kpsi_built_once_under_concurrent_first_use(monkeypatch):
     assert all(r == results[0] for r in results)
     assert results[0] == pytest.approx([k_gauss_exact(t) for t in ts],
                                        abs=1e-8)
+
+
+def test_kpsi_grown_from_eight_threads_equals_a_sequential_build():
+    # eight threads grow one fresh table at once, each through its own
+    # increasing t; growths serialize on the lock and each swaps in a
+    # whole table, so table and results match one thread's build bitwise
+    cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+
+    def calls(kp, n):
+        out = []
+        for j in range(3):
+            out.append(kp.k(np.linspace(0.0, 5.0 + 2.0 * n + 12.0 * j, 7)))
+            out.append(kp.invert(np.array([10.0 ** -(2 + n + 3 * j)])))
+        return out
+
+    kp = inverse.KPsi(psi_gauss(), cfg)
+    start = threading.Barrier(8)
+    results, errors = [None] * 8, []
+
+    def worker(n):
+        try:
+            start.wait(timeout=30)
+            results[n] = calls(kp, n)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    seq = inverse.KPsi(psi_gauss(), cfg)
+    want = [calls(seq, n) for n in range(8)]
+    assert _same_table(kp._table, seq._table)
+    assert kp._h0_calls == seq._h0_calls
+    for got, ref in zip(results, want):
+        assert all(np.array_equal(x, y) for x, y in zip(got, ref))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,13 @@ def test_hankel_rejects_nonintegrable_decay():
         fourier1(worse, 1.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_decay_parameter_must_be_finite_and_positive(scale):
+    for kind in ("gaussian", "exponential", "algebraic"):
+        with pytest.raises(ValueError):
+            Decay(kind, scale)
+
+
 def test_hankel_error_bound_honest_on_goldens():
     for g, exact in [(gauss_fn(), lambda t: math.exp(-0.5 * t * t)),
                      (exp_fn(), lambda t: A / (t * t + math.pi / 2) ** 1.5)]:

@@ -84,8 +84,9 @@ def test_target_cdf_limits_and_monotone():
 def test_target_usage_errors():
     with pytest.raises(ValueError):
         target_library("weibull")
-    with pytest.raises(ValueError):
-        target_library("cauchy_gamma:-1")
+    for gamma in ("-1", "nan", "inf"):
+        with pytest.raises(ValueError):
+            target_library(f"cauchy_gamma:{gamma}")
 
 
 # ---------------------------------------------------------------------------
