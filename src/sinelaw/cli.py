@@ -83,11 +83,18 @@ def _parse_floats(arg):
 # ---------------------------------------------------------------------------
 # table loading
 
+def _load_table(path):
+    """The first two columns of a CSV with a header line and at least 2
+    rows and 2 columns, sorted by the first."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ValueError(f"{path}: need a header line and at least 2 rows "
+                         "of 2 columns")
+    return data[np.argsort(data[:, 0])].T[:2]
+
+
 def _load_f_table(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError(f"{path}: expected CSV with columns u,f_of_u")
-    us, fs = data[np.argsort(data[:, 0])].T[:2]
+    us, fs = _load_table(path)
 
     def ev(x):
         return np.interp(np.asarray(x, dtype=np.float64), us, fs)
@@ -148,10 +155,7 @@ def _load_psi(arg, decay_flag):
         if decay_flag is None:
             raise ValueError("--psi-decay is required for table targets")
         decay = _decay_from_flag(decay_flag)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        ts, vs = data[:, 0], data[:, 1]
-        order = np.argsort(ts)
-        ts, vs = ts[order], vs[order]
+        ts, vs = _load_table(path)
         t_last, v_last = float(ts[-1]), float(vs[-1])
         env_last = decay.envelope(t_last)
 
@@ -301,10 +305,7 @@ def _cmd_verify(args):
 
 
 def _cmd_pipeline(args):
-    psi = _load_psi(args.psi, args.psi_decay)
-    if _builtin_psi(args.psi) is None:
-        raise ValueError("pipeline needs a builtin psi (gaussian or cauchy); "
-                         "run invert/sample/verify separately for tables")
+    psi = _builtin_psi(args.psi)
     _say(args, f"solving the inverse problem for psi={psi.name}")
     f = solve_inverse(psi)
 
@@ -469,8 +470,7 @@ def _build_parser():
 
     s = add_parser("pipeline",
                        help="invert psi, sample V_n, verify the law")
-    s.add_argument("--psi", required=True, help="gaussian | cauchy")
-    s.add_argument("--psi-decay")
+    s.add_argument("--psi", required=True, choices=("gaussian", "cauchy"))
     s.add_argument("--n", type=int, default=1000)
     s.add_argument("--count", type=int, default=10000)
     s.add_argument("--seed", type=int, default=42)

@@ -3,14 +3,14 @@
   J0, |x| < 128:   a table of 256 polynomials of degree 10, one on each
                    [k/2, (k + 1)/2), evaluated by Horner in monomial form;
                    no trig and no branch on the piece
-  J1, |x| <= 12    the Taylor series with compensated summation (as is
-  (CUTOFF):        J_n in bessel.jn)
+  J1, |x| < 20     Miller's downward recurrence (miller), as J_n in
+  (_MILLER_END):   bessel.jn
   beyond:          amplitude/phase asymptotic form, 11 terms by Horner
 
 The J0 pieces are Chebyshev interpolants at 11 points. Below 12.5 they
 come from mpmath at 30 digits and are committed (J0_PIECES); the others
-are built on first use, from Miller's recurrence up to 20, where the
-asymptotic form is still at its 1e-13 truncation floor, and from the
+are built on first use, from Miller's recurrence up to 20 (_MILLER_END),
+where the asymptotic form is still 1e-12 off at 12, and from the
 asymptotic form beyond.
 
 Largest absolute error against mpmath at 30 digits, measured on dense
@@ -19,8 +19,8 @@ grids and at every piece edge:
             [0, 12.5)  [12.5, 20)  [20, 128)  [128, 200]
     J0      1.1e-16    5.6e-16     1.2e-15    1.9e-16
 
-            [0, 12]    [12, 14]    [14, 20]   [20, 100]
-    J1      6.3e-13    1.1e-12     9.5e-15    6e-16
+            [0, 20)    [20, 100]
+    J1      3.2e-16    6e-16
 
 Past 20 the built pieces carry the rounding of their float64 nodes and
 phases, about 1e-15, where the asymptotic form itself is at 4e-16.
@@ -61,10 +61,6 @@ def _pq(four_nu_sq, n_terms):
 
 P0, Q0 = _pq(0, 11)
 P1, Q1 = _pq(4, 11)
-
-# J1 and J_n take the Taylor series for |x| <= CUTOFF, J1 the asymptotic
-# form beyond
-CUTOFF = 12.0
 
 # J0 on piece k, [k/2, (k + 1)/2), is sum_p c[k][p] s^p with
 # s = 2 (2x - k) - 1. J0_PIECES holds pieces 0-24, computed with mpmath
@@ -178,32 +174,6 @@ J0_PIECES = (
 _j0_tables = None
 
 
-def jn_series(n, x):
-    """J_n(x) for n >= 0, 0 <= x <= CUTOFF: the Taylor series
-
-        sum_k (-1)^k (x/2)^(2k+n) / (k! (k+n)!)
-
-    with compensated summation, stopped once a term falls below 1e-18
-    relative to the sum."""
-    half = 0.5 * x
-    term = 1.0
-    for i in range(1, n + 1):
-        term *= half / i
-    q = half * half
-    s = term
-    c = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * (k + n))
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        if k > 3 and abs(term) <= 1e-18 * (1.0 + abs(s)):
-            return s
-
-
 # The routines below take a float or an array. The trig runs through
 # numpy in both cases, so a scalar gets the bits of an array element.
 
@@ -222,16 +192,40 @@ def _asymptotic(x, p, q, phase):
         _horner(y, p) * np.cos(chi) - _horner(y, q) / x * np.sin(chi))
 
 
-def _j0_miller(x):
-    # J0 by Miller's downward recurrence from order 60, normalized by
-    # J0 + 2 (J2 + J4 + ...) = 1: within 3e-16 for 12 <= x <= _MILLER_END,
-    # where the asymptotic form is still 1e-13 off
-    jp, jc, even = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
-    for k in range(60, 0, -1):
+_TINY = 2.0 ** -26  # below, (x/2)^n / n! is J_n(x) to half an ulp
+_BIG = 2.0 ** 500  # the ldexp in miller shifts by its exponent
+
+
+def miller(x, n):
+    """[J_0(x), ..., J_(top-1)(x)] for a float x >= 0 or an array of
+    x >= _TINY: Miller's recurrence down from J_top = 1, J_(top+1) = 0,
+    normalized by J0 + 2 (J2 + J4 + ...) = 1. With m the larger of n and
+    the largest x, top = m + sqrt(40 m) + 14 puts J_(top-1) below 3e-19,
+    so orders up to n carry rounding error only. Values past _BIG are
+    divided by it, and those stored before are scaled to match once, at
+    the end; a power of two, this costs no bits. A float below _TINY,
+    where 2k / x could overflow, takes the series' leading terms."""
+    many = isinstance(x, np.ndarray)
+    m = max(n, int(x.max() if many else x), 1)
+    top = m + int(math.sqrt(40.0 * m)) + 14
+    if not many and x < _TINY:
+        out = [1.0]
+        for k in range(1, top):
+            out.append(out[-1] * (0.5 * x) / k)
+        return out
+    jp, jc, even, s = 0.0 * x, 1.0 + 0.0 * x, 0.0 * x, 0
+    out, shifts = [], []  # J_k, and the divisions by _BIG before it
+    for k in range(top, 0, -1):
         jp, jc = jc, (2.0 * k / x) * jc - jp  # jc is J_{k-1}
         if k % 2 and k > 1:
             even += jc
-    return jc / (jc + 2.0 * even)
+        out.append(jc)
+        shifts.append(s)
+        if (abs(jc).max() if many else abs(jc)) > _BIG:
+            jp, jc, even, s = jp / _BIG, jc / _BIG, even / _BIG, s + 1
+    norm = jc + 2.0 * even
+    return [v / norm if t == s else np.ldexp(v / norm, 500 * (t - s))
+            for v, t in zip(reversed(out), reversed(shifts))]
 
 
 def _j0_table():
@@ -239,7 +233,7 @@ def _j0_table():
     coefficient p of every piece, rows[k] is piece k as a list of floats.
 
     Built on the first call: the pieces past J0_PIECES interpolate
-    _j0_miller up to _MILLER_END and _asymptotic beyond at the 11
+    miller up to _MILLER_END and _asymptotic beyond at the 11
     Chebyshev points of each piece. The finished tables are assigned in
     one statement, so concurrent first calls at worst build the same bits
     twice."""
@@ -249,7 +243,7 @@ def _j0_table():
         k = np.arange(len(J0_PIECES), 2.0 * J0_TABLE_END)
         x = 0.5 * (k[:, None] + 0.5 * (1.0 + s))
         m = int(2.0 * _MILLER_END) - len(J0_PIECES)
-        vals = np.vstack([_j0_miller(x[:m]),
+        vals = np.vstack([miller(x[:m], 0)[0],
                           _asymptotic(x[m:], P0, Q0, 0.25 * math.pi)])
         built = np.linalg.solve(np.vander(s, increasing=True), vals.T)
         cols = np.hstack([np.array(J0_PIECES).T, built])
@@ -270,10 +264,8 @@ def j0(x):
 def j1(x):
     """J1 at a scalar; odd in x."""
     ax = abs(x)
-    if ax <= CUTOFF:
-        v = jn_series(1, ax)
-    else:
-        v = float(_asymptotic(ax, P1, Q1, 0.75 * math.pi))
+    v = (miller(ax, 1)[1] if ax < _MILLER_END
+         else float(_asymptotic(ax, P1, Q1, 0.75 * math.pi)))
     return -v if x < 0 else v
 
 

@@ -64,14 +64,15 @@ def test_j0_matches_integral_representation(x):
 
 
 def test_j0_accuracy_sweep_against_highprec_series():
-    # bessel.j0's bounds, 2.3e-16 up to 12 and 6e-13 beyond; the tighter
-    # bound of each range is in tests/test_kernels.py
+    # bessel.j0's bounds: 2.3e-16 below 12.5, 1e-15 on [12.5, 20) and
+    # 2e-15 on [20, 100]
     xs = np.concatenate([np.linspace(0.0, 100.0, 457),
-                         np.arange(1.0, 13.0) - 1e-12, np.arange(1.0, 13.0)])
+                         np.arange(1.0, 21.0) - 1e-12, np.arange(1.0, 21.0),
+                         [12.5, 20.0]])
     vals = bessel.j0_array(xs)
     for x, v in zip(xs, vals):
         ref = float(mp.besselj(0, mp.mpf(float(x))))
-        bound = 2.3e-16 if x <= 12.0 else 6e-13
+        bound = 2.3e-16 if x < 12.5 else (1e-15 if x < 20.0 else 2e-15)
         assert abs(v - ref) <= bound, f"x={x}"
 
 
@@ -144,10 +145,30 @@ def test_jn_against_highprec(n, x):
 @given(st.integers(0, 60), st.floats(0.0, 80.0))
 @settings(max_examples=300, deadline=None)
 def test_jn_against_mpmath_property(n, x):
-    # all branches: J0 and J1, the series up to 12, the forward recurrence
-    # from J0 and J1 for n < x and Miller's downward recurrence beyond
+    # all branches: J0 and J1, Miller's downward recurrence below 20 and
+    # for n >= x, the forward recurrence from J0 and J1 for n < x from 20
     ref = float(mp.besselj(n, mp.mpf(x)))
-    assert abs(bessel.jn(n, x) - ref) <= 2e-12
+    assert abs(bessel.jn(n, x) - ref) <= (1e-15 if x < 20.0 else 2e-12)
+
+
+def test_jn_below_20_against_mpmath():
+    xs = np.concatenate([np.arange(200) * 0.1, [1e-300, 5e-324, 2.0 ** -26,
+                         np.nextafter(2.0 ** -26, 0.0), 1e-6, 19.999]])
+    for n in range(61):
+        for x in xs.tolist():
+            ref = float(mp.besselj(n, mp.mpf(x)))
+            assert abs(bessel.jn(n, x) - ref) <= 1e-15, (n, x)
+
+
+@given(st.integers(-60, 60), st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_j1_and_jn_warn_nothing_at_any_finite_x(n, x):
+    # the rescaled recurrence neither overflows nor divides by a
+    # subnormal x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = [bessel.j1(x), bessel.jn(n, x)]
+    assert all(abs(v) <= 1.0 for v in vals)
 
 
 def test_jn_bound_example_order5():
@@ -219,6 +240,20 @@ def test_parseval_partial_monotone_bounded():
         assert cur >= prev - 1e-15
         assert cur <= 0.5 * w * w + 1e-12
         prev = cur
+
+
+@pytest.mark.parametrize("w", [0.0, 1e-300, 3.0, -7.5, 30.0, -30.0])
+@pytest.mark.parametrize("K", [5, 60])
+def test_partial_sums_match_sums_of_jn(w, K):
+    # one pass for all orders, or the forward recurrence for K < |w| from
+    # 20 up, gives the terms of one jn call per order
+    x = 0.7
+    terms = [bessel.jn(k, w) for k in range(-K, K + 1)]
+    want = sum(j * complex(math.cos(k * x), math.sin(k * x))
+               for k, j in zip(range(-K, K + 1), terms))
+    assert abs(bessel.jacobi_anger_partial(w, x, K) - want) <= 1e-14
+    want = sum(k * k * j * j for k, j in zip(range(-K, K + 1), terms))
+    assert abs(bessel.parseval_partial(w, K) - want) <= 1e-13 * (1.0 + want)
 
 
 # ---------------------------------------------------------------------------

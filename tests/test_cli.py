@@ -363,6 +363,33 @@ def test_invert_gaussian_psi_table_has_no_traceback(tmp_path):
     assert "numeric failure: hankel0" in out.stderr
 
 
+@pytest.mark.parametrize("rows", ["0.0,1.0\n", "0.0\n1.0\n2.0\n"])
+def test_psi_and_f_tables_of_one_row_or_column_are_usage_errors(tmp_path,
+                                                                 rows):
+    table = tmp_path / "t.csv"
+    table.write_text("t,v\n" + rows)
+    for argv in (["invert", "--psi", f"table:{table}", "--psi-decay",
+                  "gaussian", "--out", str(tmp_path / "f.csv")],
+                 ["sample", "--f", f"table:{table}", "--n", "10",
+                  "--count", "50", "--out", str(tmp_path / "s.csv")]):
+        out = _cli("--quiet", *argv)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "at least 2 rows of 2" in out.stderr
+
+
+def test_pipeline_has_no_psi_decay_flag(tmp_path):
+    out = _cli("--quiet", "pipeline", "--psi", "gaussian", "--psi-decay",
+               "exponential:nonsense", "--out-dir", str(tmp_path))
+    assert out.returncode == 2
+    assert "unrecognized arguments: --psi-decay" in out.stderr
+    out = _cli("--quiet", "pipeline", "--psi", f"table:{tmp_path}/psi.csv",
+               "--out-dir", str(tmp_path))
+    assert out.returncode == 2
+    assert "invalid choice" in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_invert_failing_psi_table_with_override_has_no_traceback(tmp_path):
     table = tmp_path / "psi.csv"
     t = np.linspace(0.0, 8.0, 401)

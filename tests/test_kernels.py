@@ -186,13 +186,31 @@ def test_first_calls_from_eight_threads_build_the_same_bits(monkeypatch):
 
 
 def test_j1_against_mpmath():
-    xs = np.concatenate([np.linspace(0.0, 100.0, 1001), [12.0, 12.001]])
+    # Miller's recurrence below 20, the asymptotic form beyond and the
+    # leading term x / 2 at the two tiny x; a step of 1e-3 resolves error
+    # peaks that a step of 0.1 misses
+    xs = np.concatenate([np.arange(20001) * 1e-3,
+                         np.linspace(20.0, 100.0, 801), [1e-300, 5e-324]])
     with mp.workdps(30):
-        for x in xs:
+        for x in xs.tolist():
             want = float(mp.besselj(1, mp.mpf(x)))
-            bound = 7e-13 if x <= kernels.CUTOFF else 1.2e-12
-            assert abs(kernels.j1(x) - want) <= bound, x
+            assert abs(kernels.j1(x) - want) <= 1e-15, x
             assert kernels.j1(-x) == -kernels.j1(x)
+
+
+def test_miller_rescaling_and_batching_keep_the_bits(monkeypatch):
+    # for order 40 at x = 0.3 the recurrence grows past _BIG = 2^500 on
+    # its way down; dividing by a power of two is exact, so the results
+    # equal those of a run that never rescales. An array runs the same
+    # steps on each element, from the top of its largest x
+    want = kernels.miller(0.3, 40)
+    assert want[0] / want[-1] > 2.0 ** 500
+    xs = np.array([12.0, 12.3, 12.9])
+    batch = kernels.miller(xs, 0)
+    monkeypatch.setattr(kernels, "_BIG", 2.0 ** 1000)
+    assert kernels.miller(0.3, 40) == want
+    for i, x in enumerate(xs.tolist()):
+        assert [v[i] for v in batch] == kernels.miller(x, 0)
 
 
 @given(st.lists(st.floats(0.0, 12.0), min_size=15, max_size=15))
