@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -83,10 +84,17 @@ def _parse_floats(arg):
 # ---------------------------------------------------------------------------
 # table loading
 
+def _loadtxt(path, **kw):
+    # past the header line; the caller, not numpy, reports a file of no rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, skiprows=1, dtype=np.float64, **kw)
+
+
 def _load_table(path):
     """The first two columns of a CSV with a header line and at least 2
     rows and 2 columns, sorted by the first."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[0] < 2 or data.shape[1] < 2:
         raise ValueError(f"{path}: need a header line and at least 2 rows "
                          "of 2 columns")
@@ -209,7 +217,7 @@ def _write_csv(path, header, *columns):
 
 
 def _read_samples(path):
-    vals = np.loadtxt(path, skiprows=1, dtype=np.float64)
+    vals = _loadtxt(path)
     meta_path = path + ".meta.json"
     meta = {}
     if os.path.exists(meta_path):

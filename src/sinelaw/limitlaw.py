@@ -1,12 +1,15 @@
 """The direct problem: the limiting law of f(U) sin(nU) as n grows.
 
-The limit's characteristic function is the J0-average
+The limit is V = f(U) sin(Theta), Theta uniform and independent of U.
+Its characteristic function is phi(t) = int_0^1 J0(t f(u)) du, real and
+even with phi(0) = 1, as J0(z) = E cos(z sin Theta) (Bessel's integral).
+Given f(U) = r, r sin(Theta) is arcsine on (-r, r), so V has density and
+CDF
 
-    phi(t) = int_0^1 J0(t f(u)) du,
+    p(x) = (1/pi) int_{f(u) > |x|} du / sqrt(f(u)^2 - x^2),
+    F(x) = 1/2 + (1/pi) E[arcsin(clip(x / f(U), -1, 1))],
 
-real and even with phi(0) = 1. When f is a strictly monotone C^1
-bijection onto (a, b) in (0, inf) and phi is integrable, the limit has
-density F1(phi)(x) / sqrt(2pi).
+one smooth integral each when f is monotone with a known inverse.
 """
 
 import math
@@ -18,7 +21,7 @@ import numpy as np
 from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
 from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
-from .transforms import Decay, RealFunction, _T_BLOCK, _eval_array, fourier1
+from .transforms import Decay, _T_BLOCK, _eval_array
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
            "numeric_inverse_derivative", "density_profile", "build_limit_law"]
@@ -27,8 +30,6 @@ __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
 # empirically tight (max observed ratio 0.99999992 on (0, 2000]), the
 # margin covers the kernel's own 1e-12 evaluation error
 _AMP_SAFETY = 1.02
-# largest (x, t) matrix a density table forms at once, in elements
-_TABLE_BLOCK = 1 << 20
 
 
 @dataclass
@@ -42,8 +43,9 @@ class ParamFunction:
     range_: image interval (a, b), a >= 0.
     integrability: 'L1' or 'L1_loc'; both are admissible for the limit
         theorem on (0,1), the field records the caller's assertion.
-    char_decay: decay class of the limiting characteristic function,
-        needed only by the density routines.
+    char_decay: decay class of the limiting characteristic function.
+        The density routines require a gaussian or exponential one (phi
+        integrable), though the mixture integral does not read it.
     """
 
     eval: Callable[[float], float]
@@ -318,108 +320,96 @@ def _density_preconditions(f):
         raise ValueError("density requires an invertible, monotone f")
     if f.char_decay is None:
         raise ValueError("f.char_decay required")
+    if f.char_decay.kind not in ("gaussian", "exponential"):
+        raise ValueError("the density path needs gaussian or "
+                         "exponential char_decay (phi must be integrable)")
 
 
-def limit_density(f: ParamFunction, x: float, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)):
-    """Density of the limit law at x: F1(phi)(x) / sqrt(2pi).
+def _arcsine_mixture(f, xs, cfg, cdf=False):
+    """(values, error_bounds) of the density, or the CDF, at every x of
+    xs, one row per x of one batched quadrature per _T_BLOCK x.
 
-    Requires f to be a strictly monotone bijection with a known inverse
-    (the hypotheses under which the density exists) and a declared
-    char_decay. Computed as fourier1 of limit_char_fn.
-    """
-    _density_preconditions(f)
-    inner = QuadConfig(abs_tol=max(cfg.abs_tol * 1e-3, 1e-12),
-                       rel_tol=1e-10, max_panels=cfg.max_panels)
-    # phi on (0, inf); a node array is one limit_char_fn call
-    phi = RealFunction(eval=lambda t: limit_char_fn(f, t, inner),
-                       decay=f.char_decay)
-    scale = math.sqrt(2.0 * math.pi)
-    outer = QuadConfig(abs_tol=cfg.abs_tol * scale * 0.9,
-                       rel_tol=cfg.rel_tol,
-                       max_panels=cfg.max_panels,
-                       truncation_tail_tol=max(cfg.abs_tol * 0.05,
-                                               cfg.truncation_tail_tol))
-    return fourier1(phi, x, outer) / scale
-
-
-class _DensityTable:
-    """phi tabulated once on a composite Gauss grid, in one limit_char_fn
-    call; density and CDF values are then sums against the weighted
-    table. The grid is fine enough for the cos(x t) and sin(x t) phases
-    up to the x range it was built for."""
-
-    def __init__(self, f, cfg, x_max):
-        d = f.char_decay
-        tol = min(cfg.truncation_tail_tol, cfg.abs_tol * 1e-2)
-        if d.kind == "gaussian":
-            t_max = d.scale * math.sqrt(2.0 * math.log(max(4.0 / tol, 10.0)))
-        elif d.kind == "exponential":
-            t_max = math.log(max(2.0 / (tol * d.scale), 10.0)) / d.scale
-        else:
-            raise ValueError("the density path needs gaussian or "
-                             "exponential char_decay (phi must be integrable)")
-        from .quadrature import _XK, _WK
-        width = min(0.5, math.pi / (2.0 * (1.0 + x_max)))
-        n_panels = int(math.ceil(t_max / width))
-        inner = QuadConfig(abs_tol=max(cfg.abs_tol * 1e-2, 1e-12),
-                           rel_tol=1e-10, max_panels=cfg.max_panels)
-        ends = np.arange(n_panels + 1) * t_max / n_panels
-        c, h = 0.5 * (ends[:-1] + ends[1:]), 0.5 * (ends[1:] - ends[:-1])
-        self.x_max = x_max
-        self.nodes = (c[:, None] + h[:, None] * _XK).ravel()
-        self.wphi = (h[:, None] * _WK).ravel() * limit_char_fn(f, self.nodes,
-                                                               inner)
-
-    def _sum(self, kernel, xs, w):
-        # (1/pi) sum_j w_j kernel(x t_j) for every x, in blocks of rows so
-        # the (x, t) matrix stays under _TABLE_BLOCK elements
-        xs = np.asarray(xs, dtype=np.float64)
-        flat = xs.ravel()
-        out = np.empty(flat.shape)
-        rows = max(1, _TABLE_BLOCK // self.nodes.size)
-        for i in range(0, flat.size, rows):
-            out[i:i + rows] = kernel(np.outer(flat[i:i + rows], self.nodes)) @ w
-        return out.reshape(xs.shape) / math.pi
-
-    def values(self, xs):
-        """Density (1/pi) int_0^inf phi(t) cos(xt) dt at each x."""
-        return self._sum(np.cos, xs, self.wphi)
-
-    def cdf(self, xs):
-        """F(x) = 1/2 + (1/pi) int_0^inf phi(t) sin(xt)/t dt at each x."""
-        return 0.5 + self._sum(np.sin, xs, self.wphi / self.nodes)
-
-
-def density_profile(f: ParamFunction, xs, cfg: QuadConfig = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)):
-    """Vectorized density over an array of x, sharing one phi tabulation.
-
-    Cross-validated against limit_density in the test suite.
+    f > |x| on the stretch from u* = f^-1(|x|) to the end of (0, 1) where
+    f is largest; u = u* + epsilon_f span s^2 with s in (0, 1) maps it and
+    removes the 1/sqrt edge at u*. Raises ConvergenceError naming the
+    first x whose bound exceeds max(abs_tol, rel_tol |value|).
     """
     _density_preconditions(f)
     xs = np.asarray(xs, dtype=np.float64)
-    xmax = float(np.max(np.abs(xs))) if xs.size else 1.0
-    return _DensityTable(f, cfg, xmax).values(xs)
+    x = xs.ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    y, eps, (a, b) = np.abs(x), f.epsilon_f, f.range_
+    # f > |x| on all of (0, 1) when |x| <= a, nowhere when |x| >= b
+    ustar = np.where(y <= a, (1.0 - eps) / 2.0, (1.0 + eps) / 2.0)
+    mid = (y > a) & (y < b)
+    with np.errstate(all="ignore"):
+        ustar[mid] = np.clip(_eval_array(f.inverse, y[mid]), 0.0, 1.0)
+    span = ustar if eps == -1 else 1.0 - ustar
+    # a node whose u rounds onto or past u* has f(u) <= |x|: the density
+    # zeroes it, and the bound takes 2 (largest such s) (largest value)
+    reach, peak = np.zeros(x.shape), np.zeros(x.shape)
+
+    def integrand(s, p):
+        # p names the x of each panel
+        yp, jac = y[p, None], 2.0 * span[p, None] * s
+        with np.errstate(all="ignore"):
+            fu = f.eval_array(ustar[p, None] + eps * span[p, None] * s * s)
+            if cdf:
+                return jac * np.arcsin(np.clip(yp / fu, -1.0, 1.0))
+            v = jac / np.sqrt((fu - yp) * (fu + yp))
+        lost = ~np.isfinite(v)
+        v[lost] = 0.0
+        np.maximum.at(reach, p, np.where(lost, s, 0.0).max(axis=1))
+        np.maximum.at(peak, p, v.max(axis=1))
+        return v
+
+    val, err = np.zeros(x.shape), np.zeros(x.shape)
+    abs_tol, rel_tol = math.pi * cfg.abs_tol, 0.0 if cdf else cfg.rel_tol
+    rows = np.flatnonzero(span > 0.0)
+    for i in range(0, rows.size, _T_BLOCK):
+        part = rows[i:i + _T_BLOCK]
+        val[part], err[part], _ = _integrate_rows(
+            lambda s, p: integrand(s, part[p]), np.zeros(part.size),
+            np.ones(part.size), abs_tol, rel_tol, cfg.max_panels)
+    err += 2.0 * reach * peak
+    tol = np.maximum(abs_tol, rel_tol * np.abs(val))
+    failed = ~(err <= tol)
+    val, err, tol = val / math.pi, err / math.pi, tol / math.pi
+    if cdf:
+        # the stretch where f <= |x| adds arcsin(1) = pi/2 times its length
+        val = 0.5 + np.sign(x) * (val + 0.5 * (1.0 - span))
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise ConvergenceError(
+            f"{'cdf' if cdf else 'density'} error bound {err[i]:.2e} "
+            f"exceeds {tol[i]:.2e} at x={x[i]}",
+            best=float(val[i]), error_bound=float(err[i]))
+    return val.reshape(xs.shape), err.reshape(xs.shape)
+
+
+def limit_density(f: ParamFunction, x: float, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)):
+    """Density of the limit law at x: density_profile at one x."""
+    return float(density_profile(f, float(x), cfg))
+
+
+def density_profile(f: ParamFunction, xs, cfg: QuadConfig = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)):
+    """Density of the limit law at every x of xs, in the shape of xs.
+
+    Needs a strictly monotone f with a known inverse (the hypotheses
+    under which the density exists) and a gaussian or exponential
+    char_decay. Tests check it against the Fourier inversion of phi.
+    """
+    return _arcsine_mixture(f, xs, cfg)[0]
 
 
 def build_limit_law(f: ParamFunction, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6),
                     want_density: bool = True):
     """Assemble a LimitLaw for f; density/cdf only when the hypotheses hold."""
     char_fn = lambda t: limit_char_fn(f, t, cfg)
-    density = None
-    cdf = None
+    density = cdf = None
     if want_density and f.inverse is not None and f.epsilon_f is not None \
             and f.char_decay is not None:
         density = lambda x: limit_density(f, x, cfg)
-        tables = {}
-
-        def table_for(x):
-            x_max = 16.0
-            while x_max < abs(x):
-                x_max *= 2.0
-            if x_max not in tables:
-                tables[x_max] = _DensityTable(f, cfg, x_max)
-            return tables[x_max]
-
-        def cdf(x):
-            return float(table_for(x).cdf(x))
+        cdf = lambda x: float(_arcsine_mixture(f, float(x), cfg, cdf=True)[0])
     return LimitLaw(char_fn=char_fn, density=density, cdf=cdf)

@@ -401,3 +401,37 @@ def test_invert_failing_psi_table_with_override_has_no_traceback(tmp_path):
                "--out", str(tmp_path / "f.csv"))
     assert out.returncode in (0, 1, 2, 3)
     assert "Traceback" not in out.stderr
+
+
+def test_density_unreachable_tolerance_exits_3_without_traceback():
+    out = _cli("--quiet", "density", "--f", "gaussian", "--x", "0.5",
+               "--tol", "1e-300")
+    assert out.returncode == 3
+    assert "numeric failure: density error bound" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_density_out_reruns_byte_identical(tmp_path):
+    outs = []
+    for name in ("one.csv", "two.csv"):
+        path = str(tmp_path / name)
+        assert run("--quiet", "density", "--f", "cauchy", "--out", path) == 0
+        outs.append((read_bytes(path), read_bytes(path + ".meta.json")))
+    assert outs[0] == outs[1]
+    assert read_lines(str(tmp_path / "one.csv"))[0] == "x,density"
+
+
+@pytest.mark.parametrize("header", ["t,psi\n", "v\n"])
+def test_header_only_tables_print_only_the_error_line(tmp_path, header):
+    table = tmp_path / "empty.csv"
+    table.write_text(header)
+    if header == "v\n":
+        argv = ["verify", "--samples", str(table), "--target", "std_normal",
+                "--report", str(tmp_path / "r.json")]
+    else:
+        argv = ["invert", "--psi", f"table:{table}", "--psi-decay",
+                "gaussian", "--out", str(tmp_path / "f.csv")]
+    out = _cli("--quiet", *argv)
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr

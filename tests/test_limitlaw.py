@@ -9,14 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sinelaw import limitlaw
 from sinelaw.bessel import j0
+from sinelaw.errors import ConvergenceError
 from sinelaw.limitlaw import (ParamFunction, build_limit_law, density_profile,
                               limit_char_fn, limit_density,
                               numeric_inverse_derivative)
 from sinelaw.quadrature import QuadConfig, _XK, _WK
-from sinelaw.transforms import Decay, RealFunction, hankel0, \
+from sinelaw.transforms import Decay, RealFunction, fourier1, hankel0, \
     fourier2_radial_crosscheck
 
 A = math.sqrt(math.pi / 2.0)
@@ -287,14 +289,26 @@ def test_density_requires_inverse_and_monotonicity():
         limit_density(f2, 0.0)
 
 
+def fourier_oracle(f, xs, decay=None):
+    """F1(phi)(x) / sqrt(2 pi) with phi from limit_char_fn: the paper's
+    Levy inversion, which the package no longer runs, as an independent
+    check of the arcsine-mixture density."""
+    inner = QuadConfig(abs_tol=1e-9, rel_tol=1e-10, max_panels=200_000)
+    phi = RealFunction(eval=lambda t: limit_char_fn(f, t, inner),
+                       decay=decay or f.char_decay)
+    scale = math.sqrt(2.0 * math.pi)
+    outer = QuadConfig(abs_tol=1e-7 * scale, rel_tol=1e-7,
+                       max_panels=200_000, truncation_tail_tol=1e-9)
+    return fourier1(phi, np.asarray(xs, dtype=np.float64), outer) / scale
+
+
 def test_density_profile_matches_pointwise_and_normalizes():
-    f = f_gauss()
+    # pointwise against the Fourier inversion of phi, for both builtins
     xs = np.array([0.0, 0.8, 2.3])
-    prof = density_profile(f, xs)
-    for x, p in zip(xs, prof):
-        assert p == pytest.approx(limit_density(f, float(x)), abs=2e-6)
-    # normalization over [-8, 8] on a fixed composite Gauss grid of the
-    # shared profile (one tabulation, then a dot product)
+    for f in (f_gauss(), f_cauchy()):
+        prof = density_profile(f, xs)
+        assert np.max(np.abs(prof - fourier_oracle(f, xs))) <= 2e-6, f.f_id
+    # normalization over [-8, 8] on a fixed composite Gauss grid
     panels = np.linspace(-8.0, 8.0, 33)
     nodes, weights = [], []
     for a, b in zip(panels[:-1], panels[1:]):
@@ -302,8 +316,12 @@ def test_density_profile_matches_pointwise_and_normalizes():
         nodes.append(c + h * _XK)
         weights.append(h * _WK)
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
-    total = float(np.dot(weights, density_profile(f, nodes)))
+    total = float(np.dot(weights, density_profile(f_gauss(), nodes)))
     assert total == pytest.approx(1.0, abs=1e-6)
+    # the cauchy law leaves 2 P(V > 8) outside
+    total = float(np.dot(weights, density_profile(f_cauchy(), nodes)))
+    assert total == pytest.approx(2.0 * math.atan(8.0 / A) / math.pi,
+                                  abs=1e-6)
 
 
 def test_density_profile_nonnegative_both_examples():
@@ -333,3 +351,128 @@ def test_build_limit_law():
         ParamFunction(eval=lambda u: np.full_like(np.asarray(u, float), 1.0),
                       range_=(1.0, 1.0), f_id="const:1"))
     assert law2.density is None and law2.cdf is None
+
+
+def f_gauss_increasing():
+    # the u -> 1-u mirror of f_gauss: increasing, the same limit law
+    return ParamFunction(
+        eval=lambda u: np.sqrt(-2.0 * np.log1p(-u)), epsilon_f=1,
+        inverse=lambda t: -np.expm1(-0.5 * np.square(t)),
+        range_=(0.0, math.inf), f_id="gaussian_mirror",
+        char_decay=Decay("gaussian", 1.0))
+
+
+def f_shifted(a=0.5):
+    # f = a + (-3 ln u)^(1/3) on the range (a, inf): the 2-D law behind
+    # V vanishes inside the disc of radius a, quadratically at its edge,
+    # so phi decays like t^-3.5 only; the declared char_decay just opens
+    # the density path, which does not read it
+    return ParamFunction(
+        eval=lambda u: a + np.cbrt(-3.0 * np.log(u)), epsilon_f=-1,
+        inverse=lambda t: np.exp(-np.maximum(t - a, 0.0) ** 3 / 3.0),
+        range_=(a, math.inf), f_id="shifted",
+        char_decay=Decay("exponential", 1.0))
+
+
+def normal_cdf(x):
+    from sinelaw.verify import erf
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def test_increasing_f_density_and_cdf_are_standard_normal():
+    f = f_gauss_increasing()
+    xs = np.array([-5.0, -2.3, -0.8, 0.0, 0.4, 1.0, 3.0, 7.0])
+    want = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(density_profile(f, xs) - want)) <= 1e-7
+    law = build_limit_law(f)
+    assert law.density(1.0) == pytest.approx(want[5], abs=1e-6)
+    for x in xs:
+        assert law.cdf(x) == pytest.approx(normal_cdf(x), abs=1e-6), x
+
+
+def test_range_above_zero_matches_fourier_inversion():
+    # |x| < a takes the whole of (0, 1), |x| > a the stretch to u*
+    f = f_shifted()
+    xs = np.array([0.2, 0.45, 0.7, 1.5])
+    got = density_profile(f, xs)
+    want = fourier_oracle(f, xs, Decay("algebraic", 3.5))
+    assert np.max(np.abs(got - want)) <= 5e-7
+
+
+@pytest.mark.parametrize("make, x", [(f_gauss, 40.0), (f_gauss, 1e200),
+                                     (f_cauchy, 1e200),
+                                     (f_gauss_increasing, 40.0)])
+def test_density_and_cdf_where_the_stretch_underflows(make, x):
+    # f^-1(|x|) rounds to the end of (0, 1): nothing is left to integrate
+    f = make()
+    assert np.array_equal(density_profile(f, [x, -x]), [0.0, 0.0])
+    law = build_limit_law(f)
+    assert law.cdf(x) == 1.0 and law.cdf(-x) == 0.0
+
+
+_TIGHT = QuadConfig(abs_tol=1e-11, rel_tol=1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.floats(-6.0, 6.0), cauchy=st.booleans())
+def test_cdf_difference_quotient_is_the_density(x, cauchy):
+    f = f_cauchy() if cauchy else f_gauss()
+    law = build_limit_law(f, _TIGHT)
+    h = 1e-3
+    slope = (law.cdf(x + h) - law.cdf(x - h)) / (2.0 * h)
+    # central difference error h^2 |p'''| / 6 <= 1.01e-7 for both laws
+    assert slope == pytest.approx(law.density(x), abs=2e-7)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("target", ["gaussian", "cauchy"])
+def test_density_and_cdf_bounds_cover_closed_forms(target, tol):
+    # the CLI grid -8:8:161, x = 0 included
+    from sinelaw.sampler import builtin_f
+    f = builtin_f(target)
+    cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_panels=200_000)
+    xs = np.linspace(-8.0, 8.0, 161)
+    if target == "gaussian":
+        p = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
+        cdf = np.array([normal_cdf(x) for x in xs])
+    else:
+        p = 1.0 / (math.sqrt(2.0 * math.pi) * (xs * xs + math.pi / 2.0))
+        cdf = 0.5 + np.arctan(xs / A) / math.pi
+    val, err = limitlaw._arcsine_mixture(f, xs, cfg)
+    assert np.all(np.abs(val - p) <= err)
+    assert np.max(np.abs(val - p)) <= (1e-8 if tol == 1e-6 else tol)
+    val, err = limitlaw._arcsine_mixture(f, xs, cfg, cdf=True)
+    assert np.all(np.abs(val - cdf) <= err)
+
+
+def test_density_unreachable_tolerance_raises():
+    cfg = QuadConfig(abs_tol=1e-10, rel_tol=1e-10, max_panels=1)
+    with pytest.raises(ConvergenceError) as info:
+        density_profile(f_gauss(), [0.3, 0.5], cfg)
+    assert "x=0.3" in str(info.value)
+    assert info.value.best is not None and info.value.error_bound > 1e-10
+    with pytest.raises(ConvergenceError):
+        build_limit_law(f_gauss(), cfg).cdf(0.5)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5])
+def test_density_failure_bound_covers_the_best_estimate(x):
+    # refining toward u* until u rounds onto it: the nodes zeroed there
+    # stay inside the bound that the failure reports
+    cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-300, max_panels=200_000)
+    with pytest.raises(ConvergenceError) as info:
+        density_profile(f_gauss(), [x], cfg)
+    exact = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    assert abs(info.value.best - exact) <= info.value.error_bound
+
+
+def test_density_rejects_non_integrable_char_decay_and_nan():
+    f = f_gauss()
+    f.char_decay = Decay("algebraic", 2.0)
+    for call in (lambda: density_profile(f, [0.0]),
+                 lambda: limit_density(f, 0.0),
+                 lambda: build_limit_law(f).cdf(0.0)):
+        with pytest.raises(ValueError, match="gaussian or exponential"):
+            call()
+    with pytest.raises(ValueError, match="finite"):
+        density_profile(f_gauss(), [0.0, math.nan])
