@@ -16,8 +16,7 @@ from .errors import BracketError, ConvergenceError, ModelViolationError
 from .inverse import (CharFn, KPsi, TabulatedMonotone, check_L, invert_k,
                       k_psi, solve_inverse)
 from .limitlaw import (LimitLaw, ParamFunction, build_limit_law,
-                       density_profile, limit_char_fn, limit_density,
-                       numeric_inverse_derivative)
+                       density_profile, limit_char_fn, limit_density)
 from .quadrature import QuadConfig
 from .sampler import SampleBatch, builtin_f, sample_vn, uniform_stream
 from .transforms import (Decay, RealFunction, fourier1,
@@ -33,7 +32,7 @@ __all__ = [
     "CharFn", "KPsi", "TabulatedMonotone", "check_L", "invert_k", "k_psi",
     "solve_inverse",
     "LimitLaw", "ParamFunction", "build_limit_law", "density_profile",
-    "limit_char_fn", "limit_density", "numeric_inverse_derivative",
+    "limit_char_fn", "limit_density",
     "QuadConfig",
     "SampleBatch", "builtin_f", "sample_vn", "uniform_stream",
     "Decay", "RealFunction", "fourier1", "fourier2_radial_crosscheck",

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 
 __all__ = ["j0", "j1", "jn", "j0_array", "jacobi_anger_partial",
-           "parseval_partial", "j0_zero", "jn_upper_bound"]
+           "parseval_partial", "j0_zero"]
 
 
 def _check_finite(x, name="x"):
@@ -116,21 +116,6 @@ def parseval_partial(w, K):
     for k in range(1, K + 1):
         s += 2.0 * (k * js[k]) * (k * js[k])
     return s
-
-
-def jn_upper_bound(n, x):
-    """|x|^n / (2^n Gamma(n+1/2) Gamma(1/2)) with the gamma factor in the
-    closed form (2n)! sqrt(pi) / (4^n n!).
-
-    Valid as a bound on |J_n| for n >= 3; for n <= 2 it undershoots near
-    x = 0 (e.g. it gives 1/pi at n = 0 where J_0(0) = 1).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    g = math.sqrt(math.pi)  # Gamma(1/2)
-    for i in range(1, n + 1):  # Gamma(n+1/2) = prod (2i-1)/2 * sqrt(pi)
-        g *= (2 * i - 1) / 2.0
-    return abs(x) ** n / (2.0 ** n * g * math.sqrt(math.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BracketError, ModelViolationError
 from .limitlaw import ParamFunction
-from .quadrature import QuadConfig, integrate
+from .quadrature import QuadConfig, _integrate_rows
 from .transforms import (_HANKEL, Decay, RealFunction, _checked, _eval_array,
                          _transform_rows)
 
@@ -132,21 +132,24 @@ def check_L(psi: CharFn, grid=None):
     hard["nonnegative"] = min_val >= -1e-12
     details["nonnegative"] = f"min on grid = {min_val:.2e}"
 
-    # integrability of psi, sqrt(t) psi, t psi
+    # integrability of psi, sqrt(t) psi, t psi: the numeric heads in one
+    # batched integral, one row per power, plus a decay-class tail bound
     t_max = float(grid[-1])
     gf = psi.as_real_function()
     d = psi.decay
-    for label, power, p_needed in [("psi in L1", 0.0, 1.0),
-                                   ("sqrt(t) psi in L1", 0.5, 1.5),
-                                   ("t psi in L1", 1.0, 2.0)]:
+    moments = [("psi in L1", 0.0, 1.0), ("sqrt(t) psi in L1", 0.5, 1.5),
+               ("t psi in L1", 1.0, 2.0)]
+    powers = np.array([power for _, power, _ in moments])
+    heads, _, _ = _integrate_rows(
+        lambda x, rows: gf.eval_array(x) * np.power(
+            np.maximum(x, 1e-300), powers[rows][:, None]),
+        np.zeros(powers.size), np.full(powers.size, t_max), 1e-8, 1e-12, 4000)
+    for (label, power, p_needed), head in zip(moments, heads.tolist()):
         if d.kind == "algebraic" and d.scale <= p_needed:
             hard[label] = False
             details[label] = (f"algebraic decay p={d.scale} gives a "
                               f"divergent tail (needs p > {p_needed})")
             continue
-        head, _, _ = integrate(
-            lambda x, q=power: gf.eval_array(x) * np.power(np.maximum(x, 1e-300), q),
-            0.0, t_max, 1e-8, max_panels=4000, raise_on_failure=False)
         # decay-class tail bound
         env = d.envelope(t_max)
         amp = abs(float(psi.eval(t_max))) / env if env > 0 else 0.0
@@ -245,8 +248,7 @@ class KPsi:
         accepted; ConvergenceError names the first u beyond it."""
         if self.use_closed_form:
             return u * _eval_array(self.psi.closed_form_hankel, u)
-        target = np.array([self.k_tol * 0.02 / (1.0 + x) ** 2
-                           for x in u.tolist()])
+        target = self.k_tol * 0.02 / (1.0 + u) ** 2
         self._h0_calls += u.size
         h, err = _transform_rows(_HANKEL, self._gf, u, target,
                                  np.maximum(target * 0.05, 1e-300), 1e-9,

@@ -24,7 +24,7 @@ from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
 from .transforms import Decay, _T_BLOCK, _eval_array
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
-           "numeric_inverse_derivative", "density_profile", "build_limit_law"]
+           "density_profile", "build_limit_law"]
 
 # |J0(z)| <= AMP_SAFETY * sqrt(2/(pi z)) for z > 0; the constant 1 is
 # empirically tight (max observed ratio 0.99999992 on (0, 2000]), the
@@ -261,58 +261,6 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
             error_bound=float(err[i]))
     val = np.clip(val, -1.0, 1.0)
     return float(val[0]) if tt.ndim == 0 else val.reshape(tt.shape)
-
-
-def numeric_inverse_derivative(f: ParamFunction, u: float):
-    """(f^-1)'(u) = 1 / f'(f^-1(u)) by central differences on f.
-
-    u lives in the range (a, b) of f. One Richardson level on top of the
-    central difference gives ~1e-9 truncation error at double precision.
-    """
-    a, b = f.range_
-    if not (a < u < b):
-        raise ValueError(f"u={u} outside the range ({a}, {b}) of f")
-    if f.inverse is not None:
-        x = float(f.inverse(u))
-    else:
-        if f.epsilon_f is None:
-            raise ValueError("need either an inverse or a declared monotonicity")
-        x = _invert_monotone(f, u)
-    if not (1e-300 < x < 1.0 - 1e-15):
-        raise ValueError(
-            f"f^-1({u}) = {x} collapses to the boundary of (0,1) at "
-            "working precision; the derivative is not resolvable there")
-    h = max(1e-6, 1e-6 * abs(x))
-    h = min(h, 0.5 * x, 0.5 * (1.0 - x))
-
-    def central(step):
-        return (float(f.eval(x + step)) - float(f.eval(x - step))) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    deriv = (4.0 * d2 - d1) / 3.0
-    if deriv == 0.0 or not math.isfinite(deriv):
-        raise ValueError(f"f is numerically flat or singular at x={x}")
-    return 1.0 / deriv
-
-
-def _invert_monotone(f, y, tol=1e-13):
-    lo, hi = 1e-15, 1.0 - 1e-15
-    flo, fhi = float(f.eval(lo)), float(f.eval(hi))
-    sign = 1.0 if f.epsilon_f == 1 else -1.0
-    glo, ghi = sign * (flo - y), sign * (fhi - y)
-    if glo > 0 or ghi < 0:
-        raise ValueError(f"u={y} not bracketed by f on (0,1)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = sign * (float(f.eval(mid)) - y)
-        if gm <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
 
 
 def _density_preconditions(f):

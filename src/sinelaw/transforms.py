@@ -1,13 +1,15 @@
 """Order-0 Hankel transform, cosine Fourier transform of even functions,
 and a radial 2-D Fourier cross-check.
 
-For t > 0 the integrands oscillate through the lobes of J0(rt) (or
-cos(tx)); the integral over (0, inf) is computed lobe-by-lobe between
-consecutive kernel zeros, with the alternating lobe sums accelerated by
-the iterated-mean (Euler) transform. Non-oscillatory cases truncate the
-domain where the declared decay envelope pushes the tail below
-tolerance; algebraic tails are folded to a finite interval with a power
-substitution instead of being chopped.
+A function with gaussian or exponential decay, or finite support, is
+truncated where its declared envelope pushes the tail below tolerance;
+while fewer than 32 zeros of the kernel J0(rt) (or cos(tx)) lie inside
+the truncated support, one adaptive integral over it gives the
+transform at t. Past that, and for every algebraic tail, the integral
+over (0, inf) is computed lobe-by-lobe between consecutive kernel
+zeros, with the alternating lobe sums accelerated by the iterated-mean
+(Euler) transform. An algebraic tail at t = 0 is folded to a finite
+interval with a power substitution instead of being chopped.
 """
 
 import math
@@ -18,8 +20,8 @@ import numpy as np
 
 from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
-from .quadrature import (QuadConfig, _integrate_rows, _lobe_sums, _one_row,
-                         integrate)
+from .quadrature import (_LOBE_BLOCK, QuadConfig, _integrate_rows, _lobe_sums,
+                         _one_row, integrate)
 
 __all__ = ["Decay", "RealFunction", "QuadConfig", "hankel0", "fourier1",
            "fourier2_radial_crosscheck"]
@@ -27,6 +29,9 @@ __all__ = ["Decay", "RealFunction", "QuadConfig", "hankel0", "fourier1",
 # most t that one batched quadrature takes: bounds the panel arrays'
 # memory; a t's result does not depend on its batch
 _T_BLOCK = 2048
+# kernel zeros inside the truncated support at which the lobe sums take
+# over from one adaptive integral: there the two cost about the same per t
+_LOBE_CUT = 4 * _LOBE_BLOCK
 
 
 @dataclass(frozen=True)
@@ -106,30 +111,32 @@ def _amplitude(g: RealFunction):
 
 
 def _truncation_radius(g: RealFunction, tol, weight_power, c):
-    """R such that c * int_R^inf r^weight_power * envelope dr <= tol.
+    """(R, tail), one of each per tolerance of the array tol: R where
+    c * int_R^inf r^weight_power * envelope dr falls to about tol, and
+    that tail integral.
 
-    c is _amplitude(g). Only used for gaussian/exponential decay; algebraic tails are folded
-    instead. Finite declared support wins outright.
+    c is _amplitude(g). Only used for gaussian/exponential decay; algebraic
+    tails are folded instead. Finite declared support wins outright.
     """
     if math.isfinite(g.support[1]):
-        return g.support[1], 0.0
+        return np.full(tol.shape, g.support[1]), np.zeros(tol.shape)
     d = g.decay
     if d.kind == "gaussian":
         s2 = d.scale * d.scale
         # int_R r e^{-r^2/2s^2} = s^2 e^{-R^2/2s^2}; the unweighted tail is
         # smaller than the weighted one for R > 1, reuse the same bound
         arg = c * s2 * (1.0 + 1.0 / s2) / tol
-        r = d.scale * math.sqrt(2.0 * math.log(max(arg, 2.0)))
-        r = max(r, 4.0 * d.scale)
-        tail = c * s2 * math.exp(-0.5 * (r / d.scale) ** 2) * (1 + r / s2)
+        r = d.scale * np.sqrt(2.0 * np.log(np.maximum(arg, 2.0)))
+        r = np.maximum(r, 4.0 * d.scale)
+        tail = c * s2 * np.exp(-0.5 * (r / d.scale) ** 2) * (1 + r / s2)
         return r, tail
     if d.kind == "exponential":
         a = d.scale
-        r = max(1.0, math.log(max(c / (a * a * tol), 2.0)) / a)
+        r = np.maximum(1.0, np.log(np.maximum(c / (a * a * tol), 2.0)) / a)
         for _ in range(4):
-            r = math.log(max(c * (r ** weight_power / a + 1 / (a * a)) / tol,
-                             2.0)) / a
-        tail = c * math.exp(-a * r) * (r ** weight_power / a + 1.0 / (a * a))
+            r = np.log(np.maximum(c * (r ** weight_power / a + 1 / (a * a))
+                                  / tol, 2.0)) / a
+        tail = c * np.exp(-a * r) * (r ** weight_power / a + 1.0 / (a * a))
         return r, tail
     raise AssertionError("algebraic tails are folded, not truncated")
 
@@ -170,13 +177,16 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
     prefactor, of g at each t >= 0 of an array, to per-t tolerances
     abs_tol and tail_tol (of the truncated or Euler-summed tail).
 
-    The lobe sum runs once the kernel oscillates inside the effective
-    support; otherwise one adaptive integral covers the support, plus
-    the bound of the truncated tail or, for an algebraic tail, the tail
-    folded with the kernel taken as 1 (only for t <= 1e-14, where the
-    neglected kernel curvature contributes O(t), below tolerance). Each
-    branch takes one batched call per 2048 t, and every element has the
-    bits of a one-element call.
+    Each t takes one of two branches, by how many kernel zeros the
+    truncated support [0, cut] holds. With fewer than _LOBE_CUT (a t
+    with zeros(_LOBE_CUT) / t >= cut), one adaptive integral covers
+    [0, cut], plus the bound of the truncated tail; otherwise, and for
+    every algebraic tail, the lobe sums run over (0, inf). At t <= 1e-14
+    an algebraic tail is instead integrated up to a fixed cut and folded
+    beyond it with the kernel taken as 1 (the neglected kernel curvature
+    contributes O(t), below tolerance). Each branch takes one batched
+    call per 2048 t, and every element has the bits of a one-element
+    call.
     """
     name, weight_power, zeros, integrand = kind
     if g.decay.kind == "algebraic" and g.decay.scale <= weight_power + 1:
@@ -199,10 +209,9 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
         lobe = ~near0
     else:
         c = _amplitude(g)
-        cut, tail = np.array([_truncation_radius(g, tol, weight_power, c)
-                              for tol in tail_tol.tolist()]).reshape(-1, 2).T
-        # lobes once the first kernel zero lies inside the cut
-        lobe = np.divide(zeros(1), t, out=np.full(t.shape, math.inf),
+        cut, tail = _truncation_radius(g, tail_tol, weight_power, c)
+        # lobes once the cut holds _LOBE_CUT kernel zeros
+        lobe = np.divide(zeros(_LOBE_CUT), t, out=np.full(t.shape, math.inf),
                          where=t > 0) < cut
     # keep per-lobe refinement above both the tail target and any noise
     # floor implied by the overall tolerance
@@ -294,8 +303,9 @@ def fourier2_radial_crosscheck(G: RealFunction, t: float,
     if G.decay.kind == "algebraic":
         radius = 8.0 * (1.0 + G.decay.scale)
     else:
-        radius, _ = _truncation_radius(G, min(cfg.truncation_tail_tol, 1e-12), 1,
-                                       _amplitude(G))
+        radius, _ = _truncation_radius(
+            G, np.array([min(cfg.truncation_tail_tol, 1e-12)]), 1, _amplitude(G))
+        radius = float(radius[0])
     n_theta = max(64, 4 * (int(t * radius) // 4 + 12))
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     cos_theta = np.cos(theta)

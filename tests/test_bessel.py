@@ -171,25 +171,21 @@ def test_j1_and_jn_warn_nothing_at_any_finite_x(n, x):
     assert all(abs(v) <= 1.0 for v in vals)
 
 
+def _jn_envelope(n, x):
+    # |x|^n / (2^n Gamma(n+1/2) Gamma(1/2)), an envelope of |J_n| from
+    # order 3 on (at orders 0..2 it undershoots near x = 0)
+    return float(abs(x) ** n / (2 ** n * mp.gamma(n + 0.5) * mp.sqrt(mp.pi)))
+
+
 def test_jn_bound_example_order5():
     # |J_5(2)| <= 1/(Gamma(5.5) sqrt(pi))
-    bound = 1.0 / (float(mp.gamma(5.5)) * math.sqrt(math.pi))
-    assert abs(bessel.jn(5, 2.0)) <= bound
-    assert bessel.jn_upper_bound(5, 2.0) == pytest.approx(bound, rel=1e-12)
+    assert abs(bessel.jn(5, 2.0)) <= _jn_envelope(5, 2.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
 def test_jn_bound_holds_for_orders_three_up(n):
-    # the closed-form bound |x|^n/(2^n Gamma(n+1/2) Gamma(1/2)) is a true
-    # envelope only from order 3 on; at orders 0..2 it undershoots near
-    # x = 0 (at order 0 it equals 1/pi while J_0(0) = 1)
     for x in np.linspace(0.01, 30.0, 120):
-        assert abs(bessel.jn(n, float(x))) <= bessel.jn_upper_bound(n, float(x)) + 1e-12
-
-
-def test_bound_counterexample_low_order_documented():
-    # the reason the envelope property starts at order 3
-    assert bessel.j0(0.0) > bessel.jn_upper_bound(0, 0.0)
+        assert abs(bessel.jn(n, float(x))) <= _jn_envelope(n, float(x)) + 1e-12
 
 
 # ---------------------------------------------------------------------------

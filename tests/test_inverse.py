@@ -18,7 +18,7 @@ from sinelaw.errors import (BracketError, ConvergenceError,
 from sinelaw.inverse import (CharFn, TabulatedMonotone, check_L, invert_k,
                              k_psi, solve_inverse)
 from sinelaw.limitlaw import limit_char_fn
-from sinelaw.quadrature import QuadConfig
+from sinelaw.quadrature import QuadConfig, integrate
 from sinelaw.transforms import Decay, hankel0
 
 A = math.sqrt(math.pi / 2.0)
@@ -91,6 +91,51 @@ def test_check_l_flags_oddness():
                   decay=Decay("gaussian", 1.0), name="skewed")
     rep = check_L(skew)
     assert not rep.hard["even"]
+
+
+def _moments_one_by_one(psi, t_max):
+    # the integrability entries of check_L, one adaptive integral per power
+    hard, details = {}, {}
+    gf, d = psi.as_real_function(), psi.decay
+    for label, power, p_needed in [("psi in L1", 0.0, 1.0),
+                                   ("sqrt(t) psi in L1", 0.5, 1.5),
+                                   ("t psi in L1", 1.0, 2.0)]:
+        if d.kind == "algebraic" and d.scale <= p_needed:
+            hard[label] = False
+            details[label] = (f"algebraic decay p={d.scale} gives a "
+                              f"divergent tail (needs p > {p_needed})")
+            continue
+        head, _, _ = integrate(
+            lambda x, q=power: gf.eval_array(x) * np.power(
+                np.maximum(x, 1e-300), q),
+            0.0, t_max, 1e-8, max_panels=4000, raise_on_failure=False)
+        amp = abs(float(psi.eval(t_max))) / d.envelope(t_max)
+        if d.kind == "gaussian":
+            tail = amp * math.exp(-0.5 * (t_max / d.scale) ** 2) * d.scale * (
+                t_max ** power + d.scale)
+        elif d.kind == "exponential":
+            tail = amp * math.exp(-d.scale * t_max) * (
+                t_max ** power / d.scale + 1.0 / d.scale ** 2)
+        else:
+            tail = amp * t_max ** (power + 1.0 - d.scale) / (
+                d.scale - power - 1.0)
+        hard[label] = math.isfinite(head + tail)
+        details[label] = f"int ~ {head + tail:.6g} (tail bound {tail:.2g})"
+    return hard, details
+
+
+@pytest.mark.parametrize("psi", [
+    psi_gauss(), psi_cauchy(),
+    CharFn(eval=lambda t: (1.0 + np.abs(t)) ** -3.0,
+           decay=Decay("algebraic", 3.0), name="algebraic3"),
+    CharFn(eval=lambda t: 1.0 / (1.0 + np.square(t)),
+           decay=Decay("algebraic", 2.0), name="lorentz")])
+def test_check_l_moments_in_one_call_match_one_by_one(psi):
+    rep = check_L(psi)
+    hard, details = _moments_one_by_one(
+        psi, float(inverse._default_grid(psi)[-1]))
+    assert {k: rep.hard[k] for k in hard} == hard
+    assert {k: rep.details[k] for k in details} == details
 
 
 # ---------------------------------------------------------------------------

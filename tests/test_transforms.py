@@ -11,10 +11,13 @@ import math
 import numpy as np
 import pytest
 
+from sinelaw import transforms
 from sinelaw.errors import ConvergenceError
+from sinelaw.inverse import CharFn, KPsi
 from sinelaw.quadrature import QuadConfig
 from sinelaw.transforms import (Decay, RealFunction, _COSINE,
-                                _HANKEL, _transform_rows, fourier1,
+                                _HANKEL, _amplitude, _transform_rows,
+                                _truncation_radius, fourier1,
                                 fourier2_radial_crosscheck, hankel0)
 
 A = math.sqrt(math.pi / 2.0)
@@ -189,8 +192,9 @@ def test_finite_support_hint():
     assert hankel0(g, 0.0) == pytest.approx(0.5, abs=1e-9)
 
 
-# t = 0 and 1e-15 take the folded tail of an algebraic g; 0.05 and 0.3
-# the truncated integral of the others; the rest the lobe sum
+# t = 0 and 1e-15 take the folded tail of an algebraic g; up to t = 12
+# (gaussian) or 2 (exponential) the others take the truncated integral,
+# and the rest the lobe sum
 BATCH_T = np.array([0.0, 1e-15, 0.05, 0.3, 1.0, 2.0, 4.0, 7.0, 12.0, 30.0])
 
 
@@ -241,3 +245,104 @@ def test_array_transform_error_names_first_failing_t():
         (single.value.best, single.value.error_bound)
     assert hankel0(gauss_fn(), 0.1, cfg) == hankel0(gauss_fn(), np.array(
         [0.0, 0.1]), cfg)[1]
+
+
+# ---------------------------------------------------------------------------
+# the switch from one truncated integral to lobe sums at 32 kernel zeros
+
+def _counting_lobe_sums(monkeypatch):
+    # the number of problems of each _lobe_sums call, in call order
+    calls = []
+    real = transforms._lobe_sums
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(transforms, "_lobe_sums", counted)
+    return calls
+
+
+def _t_holding(kernel, g, cfg, zeros_held):
+    # t at which [0, cut] holds zeros_held kernel zeros, halfway between
+    # the last zero inside and the first outside
+    cut, _ = _truncation_radius(g, np.array([cfg.truncation_tail_tol]),
+                                kernel[1], _amplitude(g))
+    z = kernel[2]
+    return 0.5 * (z(zeros_held) + z(zeros_held + 1)) / float(cut[0])
+
+
+HELD = (1, 31, 32, 33, 64)
+CROSSOVER_CASES = [
+    (_HANKEL, hankel0, gauss_fn, lambda t: math.exp(-0.5 * t * t)),
+    (_HANKEL, hankel0, exp_fn, lambda t: A / (A * A + t * t) ** 1.5),
+    (_COSINE, fourier1, gauss_fn, lambda t: math.exp(-0.5 * t * t))]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("kernel, op, make_g, exact", CROSSOVER_CASES)
+def test_bounds_cover_errors_across_the_crossover(kernel, op, make_g, exact,
+                                                  tol, monkeypatch):
+    g = make_g()
+    cfg = QuadConfig(abs_tol=tol, truncation_tail_tol=0.01 * tol)
+    ts = np.array([_t_holding(kernel, g, cfg, n) for n in HELD])
+    calls = _counting_lobe_sums(monkeypatch)
+    single = [op(g, float(t), cfg, full_output=True) for t in ts]
+    # 1 and 31 zeros inside the cut take the one integral, 32 on the lobes
+    assert calls == [1, 1, 1]
+    for t, (v, e) in zip(ts, single):
+        assert abs(v - exact(t)) <= e
+    v, e = op(g, ts, cfg, full_output=True)
+    assert np.array_equal(v, [s[0] for s in single])
+    assert np.array_equal(e, [s[1] for s in single])
+    assert calls[3:] == [3]
+
+
+def test_gaussian_k_table_makes_no_lobe_sum(monkeypatch):
+    calls = _counting_lobe_sums(monkeypatch)
+    psi = CharFn(eval=lambda t: np.exp(-0.5 * np.square(t)),
+                 decay=Decay("gaussian", 1.0))
+    kp = KPsi(psi, QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
+    kp.invert(np.array([1e-6, 0.5]))
+    assert kp._h0_calls > 0 and calls == []
+    hankel0(exp_fn(), 100.0)
+    assert calls == [1]
+
+
+def _scalar_truncation_radius(g, tol, weight_power, c):
+    # the one-tolerance formulas, in math, as the reference
+    if math.isfinite(g.support[1]):
+        return g.support[1], 0.0
+    d = g.decay
+    if d.kind == "gaussian":
+        s2 = d.scale * d.scale
+        arg = c * s2 * (1.0 + 1.0 / s2) / tol
+        r = max(d.scale * math.sqrt(2.0 * math.log(max(arg, 2.0))),
+                4.0 * d.scale)
+        return r, c * s2 * math.exp(-0.5 * (r / d.scale) ** 2) * (1 + r / s2)
+    a = d.scale
+    r = max(1.0, math.log(max(c / (a * a * tol), 2.0)) / a)
+    for _ in range(4):
+        r = math.log(max(c * (r ** weight_power / a + 1 / (a * a)) / tol,
+                         2.0)) / a
+    return r, c * math.exp(-a * r) * (r ** weight_power / a + 1.0 / (a * a))
+
+
+@pytest.mark.parametrize("g", [
+    gauss_fn(), RealFunction(eval=lambda r: np.exp(-0.5 * np.square(r / 3.0)),
+                             decay=Decay("gaussian", 3.0)),
+    exp_fn(), RealFunction(eval=lambda r: np.exp(-0.2 * r),
+                           decay=Decay("exponential", 0.2)),
+    RealFunction(eval=lambda r: np.where(r < 2.0, 1.0, 0.0),
+                 decay=Decay("gaussian", 1.0), support=(0.0, 2.0))])
+@pytest.mark.parametrize("weight_power", [0, 1])
+def test_truncation_radius_array_matches_scalar_formulas(g, weight_power):
+    tol = 10.0 ** -np.linspace(3.0, 16.0, 27)
+    c = _amplitude(g)
+    cut, tail = _truncation_radius(g, tol, weight_power, c)
+    assert cut.shape == tail.shape == tol.shape
+    # numpy's log and exp may differ from math's by an ulp or two
+    ulps = 4.0 * np.finfo(float).eps
+    for i, x in enumerate(tol.tolist()):
+        r, bound = _scalar_truncation_radius(g, x, weight_power, c)
+        assert cut[i] == pytest.approx(r, rel=ulps, abs=0.0)
+        assert tail[i] == pytest.approx(bound, rel=ulps, abs=0.0)
