@@ -11,7 +11,8 @@ parameter function whose sine-modulated sequence converges in law to the
 distribution with density F1(psi)/sqrt(2pi).
 
 k_psi is expensive (every integrand value is itself a Hankel quadrature),
-so m(u) = u H0(psi)(u) is tabulated once on an adaptively refined panel
+so m(u) = u H0(psi)(u) is fitted by Chebyshev pieces over each span the
+table grows by, and the fit is tabulated on an adaptively refined panel
 grid with exact cumulative integrals of the local quadratic interpolant,
 kept as one tuple of arrays that each growth replaces whole (KPsi);
 inversions then cost microseconds.
@@ -39,6 +40,12 @@ _T_CAP = 1e8  # bracket expansion cap for the inversion
 # subtraction cannot represent u at all
 _U_FLOOR = 100.0 * np.finfo(float).eps
 _EPS = np.finfo(float).eps
+# degree-16 Chebyshev interpolation at the 17 Clenshaw-Curtis points
+# cos(j pi / 16): the values there times _CHEB are the coefficients
+_CC = np.cos(np.arange(17) * np.pi / 16.0)
+_CHEB = np.cos(np.outer(np.arange(17), np.arange(17)) * np.pi / 16.0) / 8.0
+_CHEB[[0, 16]] /= 2.0
+_CHEB[:, [0, 16]] /= 2.0
 
 
 @dataclass(eq=False)
@@ -196,12 +203,13 @@ class KPsi:
     """Tabulated k_psi(t) = 1 - int_0^t m, with m(u) = u * H0(psi)(u).
 
     Each leaf holds m at its two edges and its midpoint; within a leaf,
-    k integrates the interpolating quadratic in closed form. Spans are
-    refined by adaptive Simpson with a position-weighted tolerance, level
-    by level, with one batched H0 call per level, and the table extends
-    itself along a fixed geometric landmark ladder. So the table content
-    is a function of the covered range only, never of the order in which
-    callers requested it.
+    k integrates the interpolating quadratic in closed form. A growth
+    first fits m on the whole span it adds by Chebyshev pieces, halved
+    level by level with one batched H0 call per level, then refines the
+    span by adaptive Simpson on the fit, with a position-weighted
+    tolerance. The table extends itself along a fixed geometric landmark
+    ladder, so its content is a function of the covered range only,
+    never of the order in which callers requested it.
 
     The table is one tuple of arrays, `_table`: the leaf edges, the leaf
     widths, the cumulative integral at every edge, the integral of each
@@ -237,8 +245,7 @@ class KPsi:
             t0 = 8.0 / d.scale
         else:
             t0 = 8.0 * (1.0 + d.scale)
-        edges = np.arange(49) * t0 / 48.0
-        self._grow(edges[:-1], edges[1:])
+        self._grow(np.arange(49) * t0 / 48.0, 4)
 
     # -- m evaluation -------------------------------------------------
 
@@ -256,25 +263,61 @@ class KPsi:
         _checked("hankel0", u, h, err, 5.0 * target, 1e-9)
         return u * h
 
+    def _fit(self, cuts):
+        """m on [cuts[0], cuts[-1]] as a function of an array of u:
+        degree-16 Chebyshev pieces between the cuts, each halved until
+        its two top coefficients meet the Simpson leaves' tolerance per
+        unit width, 0.04 k_tol / (1 + its left edge)."""
+        if self.use_closed_form:
+            return self._m
+        lo, hi, pieces = cuts[:-1], cuts[1:], []
+        for depth in range(self._MAX_DEPTH + 1):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            v = self._m((mid[:, None] + np.outer(half, _CC)).ravel())
+            coef = np.einsum("pj,jk->pk", v.reshape(-1, 17), _CHEB)
+            done = (np.abs(coef[:, -2:]).max(axis=1) <= 0.04 * self.k_tol
+                    / (1.0 + lo)) | (depth >= self._MAX_DEPTH)
+            pieces.append(np.column_stack([lo, hi, coef])[done])
+            lo, hi = (np.concatenate([x[~done], y[~done]]) for x, y in
+                      ((lo, mid), (mid, hi)))
+            if not lo.size:
+                break
+        fit = np.concatenate(pieces)
+        fit = fit[np.argsort(fit[:, 0])]
+
+        def m(u):
+            # Clenshaw's recurrence in the piece of each u
+            i = np.searchsorted(fit[:, 0], u, side="right") - 1
+            lo, hi, *c = fit[np.clip(i, 0, len(fit) - 1)].T
+            s, b1, b2 = (2.0 * u - lo - hi) / (hi - lo), 0.0, 0.0
+            for ck in c[:0:-1]:
+                b1, b2 = ck + 2.0 * s * b1 - b2, b1
+            return c[0] + s * b1 - b2
+
+        return m
+
     # -- table construction -------------------------------------------
 
-    def _grow(self, a, b):
-        """Extend the table by leaves covering the adjacent spans [a[i],
-        b[i]], with a[0] the table's end, split breadth-first until the
-        Simpson two-level disagreement of each meets the
-        position-weighted tolerance. Each span hands m at its edges and
-        midpoint down to its two halves, so a level evaluates only its
-        new quarter points; level 0 also its new edges and midpoints."""
+    def _grow(self, span_edges, pieces):
+        """Extend the table by leaves covering the adjacent spans between
+        span_edges, the first the table's end, split breadth-first until the
+        Simpson two-level disagreement of each meets the position-weighted
+        tolerance, with m read from its fit begun on `pieces` equal
+        pieces. Each span hands m at its edges and midpoint down to its
+        two halves, so a level evaluates only its new quarter points;
+        level 0 also its new edges and midpoints."""
+        m = self._fit(np.linspace(span_edges[0], span_edges[-1], pieces + 1))
+        a, b = span_edges[:-1], span_edges[1:]
         edges, _, _, whole, c0, c1, c2 = self._table
         leaves = []
         for depth in range(self._MAX_DEPTH + 1):
             mid = 0.5 * (a + b)
             q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
             if depth:
-                f1, f2 = np.split(self._m(np.concatenate([q1, q2])), 2)
+                f1, f2 = np.split(m(np.concatenate([q1, q2])), 2)
             else:
                 fb, fm, f1, f2 = np.split(
-                    self._m(np.concatenate([b, mid, q1, q2])), 4)
+                    m(np.concatenate([b, mid, q1, q2])), 4)
                 fa = np.concatenate([c0[-1:], fb[:-1]])
             # permits the numeric noise of the inner transform, nothing more
             low = np.minimum(np.minimum(fa, fm), fb)
@@ -318,8 +361,8 @@ class KPsi:
             while self._table[0][-1] < min(t, _T_CAP):
                 # fixed ladder: t0 * growth^i, independent of the request
                 lo = self._table[0][-1]
-                edges = np.geomspace(lo, min(lo * self._GROWTH, _T_CAP), 11)
-                self._grow(edges[:-1], edges[1:])
+                self._grow(np.geomspace(lo, min(lo * self._GROWTH, _T_CAP),
+                                        11), 1)
 
     # -- evaluation ----------------------------------------------------
 

@@ -147,6 +147,15 @@ def _j0_of_tf(f, t):
     return lambda u, p: j0_array(t[p][:, None] * f.eval_array(u))
 
 
+def _first_zero_above(a, t):
+    """The least m >= 1 with j0_m / t > a, at each t: McMahon's j0_m ~
+    (m - 1/4) pi puts it at floor(a t / pi + 1/4) or one above."""
+    m = np.maximum(np.floor(a * t / math.pi + 0.25), 1.0).astype(np.intp)
+    for _ in range(2):
+        m += _j0_zeros(m) / t <= a
+    return m
+
+
 def _charfn_zero_split(f, t, cfg):
     """phi at each t via lobes of u -> J0(t f(u)), cut at u_m = f_inv(j0_m / t).
 
@@ -159,14 +168,7 @@ def _charfn_zero_split(f, t, cfg):
     a_rng, b_rng = f.range_
     delta = min(cfg.abs_tol / 4.0, 1e-3)
 
-    # first zero index with j0_m / t inside the range of f
-    m0 = np.ones(t.shape, dtype=np.intp)
-    low = _j0_zeros(m0) / t <= a_rng
-    while low.any():
-        m0[low] += 1
-        if m0.max() > cfg.max_panels:
-            raise ConvergenceError("no usable kernel zero found", best=None)
-        low = _j0_zeros(m0) / t <= a_rng
+    m0 = _first_zero_above(a_rng, t)
 
     def edge(p, m):
         # u-coordinate of the m-th kernel zero; clamps to the truncation

@@ -124,15 +124,21 @@ def _truncation_radius(g: RealFunction, tol, weight_power, c):
     if d.kind == "gaussian":
         s2 = d.scale * d.scale
         # int_R r e^{-r^2/2s^2} = s^2 e^{-R^2/2s^2}; the unweighted tail is
-        # smaller than the weighted one for R > 1, reuse the same bound
-        arg = c * s2 * (1.0 + 1.0 / s2) / tol
-        r = d.scale * np.sqrt(2.0 * np.log(np.maximum(arg, 2.0)))
+        # smaller than the weighted one for R > 1, reuse the same bound.
+        # The tail below falls to tol at an R under 1 + sqrt(1 + 2 s^2
+        # log(c s^2 / tol)); fixed-point steps from there stay above it
+        log_a = np.log(np.maximum(c * s2 / tol, 1.0))
+        r = 1.0 + np.sqrt(1.0 + 2.0 * s2 * log_a)
+        for _ in range(4):
+            r = d.scale * np.sqrt(2.0 * (log_a + np.log1p(r / s2)))
         r = np.maximum(r, 4.0 * d.scale)
         tail = c * s2 * np.exp(-0.5 * (r / d.scale) ** 2) * (1 + r / s2)
         return r, tail
     if d.kind == "exponential":
         a = d.scale
-        r = np.maximum(1.0, np.log(np.maximum(c / (a * a * tol), 2.0)) / a)
+        # with weight r, y = a R solves y = L + log(1 + y), L = log(c / (a^2
+        # tol)), below 2 L + 2 log 2 - 1: the fixed-point steps stay above
+        r = (2.0 * np.log(np.maximum(c / (a * a * tol), 2.0)) + 0.39) / a
         for _ in range(4):
             r = np.log(np.maximum(c * (r ** weight_power / a + 1 / (a * a))
                                   / tol, 2.0)) / a
@@ -223,7 +229,7 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
         if j.size:
             val[j], err[j], _ = _lobe_sums(
                 lambda x, q: f(x, j[q]), lambda q, m: edges(j[q], m), j.size,
-                panel_tol[j], tail_tol[j], 1e-11, max_panels)
+                panel_tol[j], tail_tol[j], min(rel_tol, 1e-11), max_panels)
         j = part[~lobe[part]]
         if j.size:
             v, e, _ = _integrate_rows(lambda x, q: f(x, j[q]), np.zeros(j.size),

@@ -19,7 +19,7 @@ from sinelaw.inverse import (CharFn, TabulatedMonotone, check_L, invert_k,
                              k_psi, solve_inverse)
 from sinelaw.limitlaw import limit_char_fn
 from sinelaw.quadrature import QuadConfig, integrate
-from sinelaw.transforms import Decay, hankel0
+from sinelaw.transforms import Decay
 
 A = math.sqrt(math.pi / 2.0)
 
@@ -217,27 +217,16 @@ def _same_table(x, y):
                                     for p, q in zip(x, y))
 
 
-def _depth_first_table(psi, cfg, t0):
+def _depth_first_table(m, k_tol, t0):
     """Reference KPsi table over [0, t0]: the 48 initial spans grown
-    depth-first, one scalar hankel0 call per new u. Returns the leaf
-    edges, the leaf midpoints, the leaf integrals, the cumulative
-    integrals at the edges and the m values."""
-    k_tol = max(cfg.abs_tol, 1e-11)
-    g = psi.as_real_function()
+    depth-first, reading the function m of arrays at one u at a time.
+    Returns the leaf edges, the leaf midpoints, the leaf integrals, the
+    cumulative integrals at the edges and the m values."""
     mv = {0.0: 0.0}
 
-    def m(u):
+    def m_at(u):
         if u not in mv:
-            target = k_tol * 0.02 / (1.0 + u) ** 2
-            hcfg = QuadConfig(abs_tol=target, rel_tol=1e-9,
-                              truncation_tail_tol=max(target * 0.05, 1e-300),
-                              max_panels=cfg.max_panels)
-            try:
-                h = hankel0(g, u, hcfg)
-            except ConvergenceError as exc:
-                assert exc.error_bound <= 5 * target
-                h = exc.best
-            mv[u] = u * h
+            mv[u] = float(m(np.array([u]))[0])
         return mv[u]
 
     edges, mids, whole, cum = [0.0], [], [], [0.0]
@@ -245,7 +234,7 @@ def _depth_first_table(psi, cfg, t0):
     def grow(a, b, depth):
         mid = 0.5 * (a + b)
         q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
-        fa, fm, fb, f1, f2 = m(a), m(mid), m(b), m(q1), m(q2)
+        fa, fm, fb, f1, f2 = m_at(a), m_at(mid), m_at(b), m_at(q1), m_at(q2)
         simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         s2 = (mid - a) / 6.0 * (fa + 4.0 * f1 + fm) + \
             (b - mid) / 6.0 * (fm + 4.0 * f2 + fb)
@@ -265,28 +254,74 @@ def _depth_first_table(psi, cfg, t0):
     return edges, mids, whole, cum, mv
 
 
+def _t0(psi):
+    d = psi.decay
+    return 6.0 * d.scale if d.kind == "gaussian" else 8.0 / d.scale
+
+
 @pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
 def test_kpsi_table_equals_depth_first_reference_bitwise(make_psi):
     cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
     kp = inverse.KPsi(make_psi(), cfg)
-    d = kp.psi.decay
-    t0 = 6.0 * d.scale if d.kind == "gaussian" else 8.0 / d.scale
-    edges, mids, whole, cum, mv = _depth_first_table(make_psi(), cfg, t0)
-    # every m value computed is one at a leaf edge or a leaf midpoint
+    calls, t0 = kp._h0_calls, _t0(kp.psi)
+    # the initial range's fit, built again: the fit alone calls H0
+    fit = kp._fit(np.linspace(0.0, t0, 5))
+    assert kp._h0_calls == 2 * calls
+    edges, mids, whole, cum, mv = _depth_first_table(fit, kp.k_tol, t0)
+    # every m value read is one at a leaf edge or a leaf midpoint
     fe = np.array([mv[u] for u in edges])
     fq = np.array([mv[u] for u in mids])
     fa, fb = fe[:-1], fe[1:]
     assert _same_table(kp._table, (
         edges, np.diff(edges), cum, whole, fe,
         -3.0 * fa + 4.0 * fq - fb, 2.0 * fa - 4.0 * fq + 2.0 * fb))
-    assert kp._h0_calls == len(mv) - 1
 
 
 def test_kpsi_h0_calls_pinned():
-    # the inverse workload's table: the initial range, then one ladder step
+    # the inverse workload's table: the initial range, then one ladder
+    # step; five Chebyshev pieces of 17 nodes, none halved
     kp = inverse.KPsi(psi_gauss(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
     kp.ensure(8.0)
-    assert kp._h0_calls == 584
+    assert kp._h0_calls == 85
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
+def test_kpsi_fit_within_its_budget(make_psi, tol):
+    # the fits of the initial range and of the first ladder step against
+    # u H0(psi)(u) in closed form, within 0.04 k_tol / (1 + u), which is
+    # below the budget 0.04 k_tol / (1 + left edge) of every piece
+    psi = make_psi()
+    kp = inverse.KPsi(psi, QuadConfig(abs_tol=tol, rel_tol=tol))
+    t0 = _t0(psi)
+    for cuts in (np.linspace(0.0, t0, 5), np.array([t0, 1.7 * t0])):
+        u = np.linspace(cuts[0], cuts[-1], 4001)
+        want = u * np.array([psi.closed_form_hankel(x) for x in u])
+        assert np.all(np.abs(kp._fit(cuts)(u) - want)
+                      <= 0.04 * tol / (1.0 + u))
+
+
+@pytest.mark.parametrize("factor", [4.9, 5.1])
+def test_kpsi_fit_nodes_hold_the_h0_bound(monkeypatch, factor):
+    # H0 bounds at factor times their targets past the initial range:
+    # beyond 5 times, the growth there raises at a fit node and leaves
+    # the table as it was
+    real = inverse._transform_rows
+
+    def inflated(kind, g, u, target, *args):
+        h, err = real(kind, g, u, target, *args)
+        return h, np.where(u > 6.0, factor * target, err)
+
+    monkeypatch.setattr(inverse, "_transform_rows", inflated)
+    kp = inverse.KPsi(psi_gauss(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
+    table = kp._table
+    if factor > 5.0:
+        with pytest.raises(ConvergenceError, match="hankel0"):
+            kp.ensure(8.0)
+        assert kp._table is table
+    else:
+        kp.ensure(8.0)
+        assert kp._table[0][-1] > 8.0
 
 
 def test_kpsi_one_ensure_equals_stepwise_growth():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinelaw import limitlaw
-from sinelaw.bessel import j0
+from sinelaw.bessel import _j0_zeros, j0
 from sinelaw.errors import ConvergenceError
 from sinelaw.limitlaw import (ParamFunction, build_limit_law, density_profile,
                               limit_char_fn, limit_density)
@@ -152,6 +152,35 @@ def test_charfn_sweep_within_tolerance(target, tol):
     got = limit_char_fn(builtin_f(target), ts,
                         QuadConfig(abs_tol=tol, rel_tol=tol))
     assert np.max(np.abs(got - want)) <= tol
+
+
+def _stepped_first_zero(a, t):
+    # the least m >= 1 with j0_m / t > a, stepping m from 1
+    m = np.ones(t.shape, dtype=np.intp)
+    while (low := _j0_zeros(m) / t <= a).any():
+        m[low] += 1
+    return m
+
+
+def test_charfn_zero_split_starts_at_mcmahons_estimate(monkeypatch):
+    # f's range starts at a = 0.5, so at t = 2000 pi the first usable
+    # zero is the 1,001st: stepping from m = 1 took a round per zero
+    f = ParamFunction(
+        eval=lambda u: 0.5 + np.sqrt(-2.0 * np.log(u)), epsilon_f=-1,
+        inverse=lambda w: np.exp(-0.5 * np.square(w - 0.5)),
+        range_=(0.5, math.inf), f_id="shifted",
+        char_decay=Decay("gaussian", 1.0))
+    edge = _j0_zeros(np.arange(1, 60)) / 0.5  # j0_m / t = a exactly
+    ts = np.concatenate([[0.5, 4.0, 2000.0 * math.pi], edge,
+                         np.nextafter(edge, 0.0), np.nextafter(edge, 1e9)])
+    want = _stepped_first_zero(0.5, ts)
+    assert np.array_equal(limitlaw._first_zero_above(0.5, ts), want)
+    assert want[2] == 1001
+    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
+    got = limitlaw._charfn_zero_split(f, ts[:3], cfg)
+    monkeypatch.setattr(limitlaw, "_first_zero_above", _stepped_first_zero)
+    ref = limitlaw._charfn_zero_split(f, ts[:3], cfg)
+    assert all(np.array_equal(x, y) for x, y in zip(got, ref))
 
 
 def test_oscillation_probed_at_the_clip():

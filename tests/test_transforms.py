@@ -234,9 +234,9 @@ def test_transform_rows_mixed_tolerances_equal_scalar_calls(kernel, op,
 
 
 def test_array_transform_error_names_first_failing_t():
-    # four panels leave errors of 2.8e-11 (t=0), 2.9e-11 (0.1), 3.4e-11
-    # (0.2) and 4.3e-11 (0.3) on the truncated integral
-    cfg = QuadConfig(abs_tol=3.1e-11, rel_tol=1e-14, max_panels=4)
+    # four panels leave errors of 4.5e-11 (t=0), 4.8e-11 (0.1), 5.6e-11
+    # (0.2) and 7.2e-11 (0.3) on the truncated integral
+    cfg = QuadConfig(abs_tol=5e-11, rel_tol=1e-14, max_panels=4)
     with pytest.raises(ConvergenceError, match=r"at t=0\.3$") as batch:
         hankel0(gauss_fn(), np.array([0.0, 0.1, 0.3, 0.2]), cfg)
     with pytest.raises(ConvergenceError) as single:
@@ -315,12 +315,14 @@ def _scalar_truncation_radius(g, tol, weight_power, c):
     d = g.decay
     if d.kind == "gaussian":
         s2 = d.scale * d.scale
-        arg = c * s2 * (1.0 + 1.0 / s2) / tol
-        r = max(d.scale * math.sqrt(2.0 * math.log(max(arg, 2.0))),
-                4.0 * d.scale)
+        log_a = math.log(max(c * s2 / tol, 1.0))
+        r = 1.0 + math.sqrt(1.0 + 2.0 * s2 * log_a)
+        for _ in range(4):
+            r = d.scale * math.sqrt(2.0 * (log_a + math.log1p(r / s2)))
+        r = max(r, 4.0 * d.scale)
         return r, c * s2 * math.exp(-0.5 * (r / d.scale) ** 2) * (1 + r / s2)
     a = d.scale
-    r = max(1.0, math.log(max(c / (a * a * tol), 2.0)) / a)
+    r = (2.0 * math.log(max(c / (a * a * tol), 2.0)) + 0.39) / a
     for _ in range(4):
         r = math.log(max(c * (r ** weight_power / a + 1 / (a * a)) / tol,
                          2.0)) / a
@@ -346,3 +348,28 @@ def test_truncation_radius_array_matches_scalar_formulas(g, weight_power):
         r, bound = _scalar_truncation_radius(g, x, weight_power, c)
         assert cut[i] == pytest.approx(r, rel=ulps, abs=0.0)
         assert tail[i] == pytest.approx(bound, rel=ulps, abs=0.0)
+
+
+@pytest.mark.parametrize("g", [
+    gauss_fn(), RealFunction(eval=lambda r: np.exp(-0.5 * np.square(r / 3.0)),
+                             decay=Decay("gaussian", 3.0)),
+    exp_fn(), RealFunction(eval=lambda r: np.exp(-0.2 * r),
+                           decay=Decay("exponential", 0.2))])
+@pytest.mark.parametrize("weight_power", [0, 1])
+def test_truncation_tail_meets_its_target(g, weight_power):
+    # the gaussian cut once missed its target by a factor (1 + R) / 2
+    tol = 10.0 ** -np.linspace(6.0, 14.0, 33)
+    cut, tail = _truncation_radius(g, tol, weight_power, _amplitude(g))
+    # unweighted exponential decay solves for the root in one step, so
+    # the tail meets tol there up to the rounding of log and exp
+    assert np.all(tail <= tol * (1.0 + 1e-13)) and np.all(tail >= 0.5 * tol)
+
+
+def test_lobe_sums_take_a_tighter_rel_tol():
+    # past the crossover, a fixed Euler rel_tol of 1e-11 left a bound of
+    # 1.70e-12 against abs_tol = rel_tol = 1e-12 here
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, truncation_tail_tol=1e-14)
+    t = 3.687
+    v, e = hankel0(exp_fn(), t, cfg, full_output=True)
+    assert e <= 1e-12
+    assert abs(v - A / (A * A + t * t) ** 1.5) <= e
