@@ -22,7 +22,7 @@ from .sampler import SampleBatch, builtin_f, sample_vn, uniform_stream
 from .transforms import (Decay, RealFunction, fourier1,
                          fourier2_radial_crosscheck, hankel0)
 from .verify import (TargetDistribution, ecf, erf, ks_statistic,
-                     ks_two_sample, target_library)
+                     target_library)
 
 __all__ = [
     "__version__",
@@ -37,6 +37,5 @@ __all__ = [
     "SampleBatch", "builtin_f", "sample_vn", "uniform_stream",
     "Decay", "RealFunction", "fourier1", "fourier2_radial_crosscheck",
     "hankel0",
-    "TargetDistribution", "ecf", "erf", "ks_statistic", "ks_two_sample",
-    "target_library",
+    "TargetDistribution", "ecf", "erf", "ks_statistic", "target_library",
 ]

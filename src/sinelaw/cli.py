@@ -142,15 +142,10 @@ _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 def _builtin_psi(name):
     if name == "gaussian":
         return CharFn(eval=lambda t: np.exp(-0.5 * np.square(t)),
-                      decay=Decay("gaussian", 1.0),
-                      closed_form_hankel=lambda u: math.exp(-0.5 * u * u),
-                      name="gaussian")
+                      decay=Decay("gaussian", 1.0), name="gaussian")
     if name == "cauchy":
-        return CharFn(
-            eval=lambda t: np.exp(-_SQRT_PI_2 * np.abs(t)),
-            decay=Decay("exponential", _SQRT_PI_2),
-            closed_form_hankel=lambda u: _SQRT_PI_2 / (u * u + math.pi / 2.0) ** 1.5,
-            name="cauchy")
+        return CharFn(eval=lambda t: np.exp(-_SQRT_PI_2 * np.abs(t)),
+                      decay=Decay("exponential", _SQRT_PI_2), name="cauchy")
     return None
 
 
@@ -251,8 +246,11 @@ def _cmd_density(args):
     if args.x:
         xs = np.array(_parse_floats(args.x))
     else:
-        lo, hi, n = args.x_grid.split(":")
-        xs = np.linspace(float(lo), float(hi), int(n))
+        try:
+            lo, hi, n = args.x_grid.split(":")
+            xs = np.linspace(float(lo), float(hi), int(n))
+        except ValueError:
+            raise ValueError(f"--x-grid takes lo:hi:n, not {args.x_grid!r}")
     cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol, max_panels=200_000)
     vals = density_profile(f, xs, cfg)
     if args.out:
@@ -353,6 +351,8 @@ def _cmd_transform(args):
                          decay=Decay("exponential", a))
     elif kind == "lorentz":
         a = float(param) if param else 1.0
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"lorentz:<a> needs a finite a > 0, not {a!r}")
         g = RealFunction(eval=lambda r: 1.0 / (np.square(r) + a * a),
                          decay=Decay("algebraic", 2.0))
     else:
@@ -509,8 +509,11 @@ def main(argv=None):
     except (ValueError, ModelViolationError, BracketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (ConvergenceError, ArithmeticError) as exc:
+        # float arithmetic out of range on extreme inputs raises an
+        # ArithmeticError; an OverflowError's args are (errno, message)
+        print(f"numeric failure: {exc.args[-1] if exc.args else exc}",
+              file=sys.stderr)
         return 3
 
 

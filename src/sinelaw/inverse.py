@@ -22,15 +22,13 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BracketError, ModelViolationError
 from .limitlaw import ParamFunction
 from .quadrature import QuadConfig, _integrate_rows
-from .transforms import (_HANKEL, Decay, RealFunction, _checked, _eval_array,
-                         _transform_rows)
+from .transforms import _HANKEL, RealFunction, _checked, _transform_rows
 
 __all__ = ["CharFn", "TabulatedMonotone", "KPsi", "k_psi", "invert_k",
            "solve_inverse", "check_L", "LReport"]
@@ -49,24 +47,12 @@ _CHEB[:, [0, 16]] /= 2.0
 
 
 @dataclass(eq=False)
-class CharFn:
-    """A candidate limit characteristic function psi.
+class CharFn(RealFunction):
+    """A candidate limit characteristic function psi: a RealFunction with
+    a name. The transforms take it as it is, and H0(psi) is always their
+    numerical Hankel transform."""
 
-    closed_form_hankel, when supplied, is the analytic H0(psi); the
-    numerical transform is the default everywhere, the closed form exists
-    for cross-checks and as an opt-in fast path.
-    """
-
-    eval: Callable[[float], float]
-    decay: Decay
-    closed_form_hankel: Optional[Callable[[float], float]] = None
     name: str = "psi"
-
-    def eval_array(self, t):
-        return _eval_array(self.eval, t)
-
-    def as_real_function(self):
-        return RealFunction(eval=self.eval, decay=self.decay)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +95,7 @@ def _default_grid(psi):
     return np.linspace(0.0, t_max, 801)
 
 
-def check_L(psi: CharFn, grid=None):
+def check_L(psi: CharFn):
     """Check the admissibility conditions for the inverse problem.
 
     Hard checks: psi(0)=1 (to 1e-12), evenness and nonnegativity on the
@@ -117,9 +103,7 @@ def check_L(psi: CharFn, grid=None):
     plus a decay-class tail bound). Smoothness is sampled by finite
     differences and reported as a heuristic warning only.
     """
-    if grid is None:
-        grid = _default_grid(psi)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = _default_grid(psi)
     hard = {}
     details = {}
     warns = []
@@ -142,13 +126,12 @@ def check_L(psi: CharFn, grid=None):
     # integrability of psi, sqrt(t) psi, t psi: the numeric heads in one
     # batched integral, one row per power, plus a decay-class tail bound
     t_max = float(grid[-1])
-    gf = psi.as_real_function()
     d = psi.decay
     moments = [("psi in L1", 0.0, 1.0), ("sqrt(t) psi in L1", 0.5, 1.5),
                ("t psi in L1", 1.0, 2.0)]
     powers = np.array([power for _, power, _ in moments])
     heads, _, _ = _integrate_rows(
-        lambda x, rows: gf.eval_array(x) * np.power(
+        lambda x, rows: psi.eval_array(x) * np.power(
             np.maximum(x, 1e-300), powers[rows][:, None]),
         np.zeros(powers.size), np.full(powers.size, t_max), 1e-8, 1e-12, 4000)
     for (label, power, p_needed), head in zip(moments, heads.tolist()):
@@ -225,18 +208,15 @@ class KPsi:
     _GROWTH = 1.7
     _MAX_DEPTH = 24
 
-    def __init__(self, psi: CharFn, cfg: QuadConfig = QuadConfig(),
-                 use_closed_form: bool = False):
+    def __init__(self, psi: CharFn, cfg: QuadConfig = QuadConfig()):
         self.psi = psi
         self.cfg = cfg
-        self.use_closed_form = use_closed_form and psi.closed_form_hankel is not None
         self.k_tol = max(cfg.abs_tol, 1e-11)
         self._lock = threading.Lock()
         # no leaves yet: the table is the edge 0, where m(0) = 0 exactly
         empty = np.empty(0)
         self._table = (np.zeros(1), empty, np.zeros(1), empty, np.zeros(1),
                        empty, empty)
-        self._gf = psi.as_real_function()
         self._h0_calls = 0
         d = psi.decay
         if d.kind == "gaussian":
@@ -253,11 +233,9 @@ class KPsi:
         """m at each u of the array u, in one batch. H0 is held to
         k_tol * 0.02 / (1 + u)^2, and a bound within 5 times that is
         accepted; ConvergenceError names the first u beyond it."""
-        if self.use_closed_form:
-            return u * _eval_array(self.psi.closed_form_hankel, u)
         target = self.k_tol * 0.02 / (1.0 + u) ** 2
         self._h0_calls += u.size
-        h, err = _transform_rows(_HANKEL, self._gf, u, target,
+        h, err = _transform_rows(_HANKEL, self.psi, u, target,
                                  np.maximum(target * 0.05, 1e-300), 1e-9,
                                  self.cfg.max_panels)
         _checked("hankel0", u, h, err, 5.0 * target, 1e-9)
@@ -268,8 +246,6 @@ class KPsi:
         degree-16 Chebyshev pieces between the cuts, each halved until
         its two top coefficients meet the Simpson leaves' tolerance per
         unit width, 0.04 k_tol / (1 + its left edge)."""
-        if self.use_closed_form:
-            return self._m
         lo, hi, pieces = cuts[:-1], cuts[1:], []
         for depth in range(self._MAX_DEPTH + 1):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -469,34 +445,31 @@ def _newton_bracketed(fn, x, lo, hi):
 _KPSI_LOCK = threading.Lock()
 
 
-def _get_kpsi(psi, cfg, use_closed_form=False):
+def _get_kpsi(psi, cfg):
     # one lock around lookup and construction: two threads asking for the
     # same table must not both spend seconds building it
-    key = (cfg, use_closed_form)
     with _KPSI_LOCK:
         cache = psi.__dict__.setdefault("_kpsi_cache", {})
-        if key not in cache:
-            cache[key] = KPsi(psi, cfg, use_closed_form)
-        return cache[key]
+        if cfg not in cache:
+            cache[cfg] = KPsi(psi, cfg)
+        return cache[cfg]
 
 
-def k_psi(psi: CharFn, t: float, cfg: QuadConfig = QuadConfig(),
-          use_closed_form: bool = False):
+def k_psi(psi: CharFn, t: float, cfg: QuadConfig = QuadConfig()):
     """k_psi(t) = 1 - int_0^t u H0(psi)(u) du, in [0, 1], non-increasing."""
     if not math.isfinite(t) or t < 0:
         raise ValueError("t must be finite and >= 0")
-    return _get_kpsi(psi, cfg, use_closed_form).k(t)
+    return _get_kpsi(psi, cfg).k(t)
 
 
-def invert_k(psi: CharFn, u, cfg: QuadConfig = QuadConfig(),
-             use_closed_form: bool = False):
+def invert_k(psi: CharFn, u, cfg: QuadConfig = QuadConfig()):
     """The unique t with k_psi(t) = u, for u in (0, 1); u may be an array.
 
     All u are inverted in one batch on the k table, to about an ulp (see
     KPsi.invert). Raises BracketError if some u lies below the smallest k
     attainable at working precision.
     """
-    t = _get_kpsi(psi, cfg, use_closed_form).invert(u)
+    t = _get_kpsi(psi, cfg).invert(u)
     if not np.all(np.isfinite(t)):
         raise BracketError(
             f"u={float(np.min(u)):.3e} is below the attainable infimum of "
@@ -623,8 +596,7 @@ class TabulatedMonotone:
 # the solved parameter function
 
 def solve_inverse(psi: CharFn, cfg: QuadConfig = QuadConfig(),
-                  override_checks: bool = False,
-                  use_closed_form: bool = False, on_report=None):
+                  override_checks: bool = False, on_report=None):
     """Construct f = k_psi^{-1} as a ParamFunction.
 
     f is the k table's own inverse: f.eval is KPsi.invert and f.inverse
@@ -643,7 +615,7 @@ def solve_inverse(psi: CharFn, cfg: QuadConfig = QuadConfig(),
         raise ModelViolationError(
             "psi fails the admissibility conditions:\n" + report.summary())
 
-    kp = _get_kpsi(psi, cfg, use_closed_form)
+    kp = _get_kpsi(psi, cfg)
     # local-integrability heuristic for the solved f: its values must stay
     # finite on shrinking neighbourhoods of the endpoints (the hypothesis
     # itself is a caller assertion, this only catches blatant violations)
@@ -655,5 +627,5 @@ def solve_inverse(psi: CharFn, cfg: QuadConfig = QuadConfig(),
 
     return ParamFunction(
         eval=kp.invert, epsilon_f=-1, inverse=kp.k,
-        range_=(0.0, math.inf), integrability="L1_loc",
-        f_id=f"kpsi_inverse:{psi.name}", char_decay=psi.decay)
+        range_=(0.0, math.inf), f_id=f"kpsi_inverse:{psi.name}",
+        char_decay=psi.decay)

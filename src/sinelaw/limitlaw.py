@@ -41,8 +41,6 @@ class ParamFunction:
         oscillatory truncation and the density path).
     inverse: exact or numeric inverse of f, when available.
     range_: image interval (a, b), a >= 0.
-    integrability: 'L1' or 'L1_loc'; both are admissible for the limit
-        theorem on (0,1), the field records the caller's assertion.
     char_decay: decay class of the limiting characteristic function.
         The density routines require a gaussian or exponential one (phi
         integrable), though the mixture integral does not read it.
@@ -52,15 +50,12 @@ class ParamFunction:
     epsilon_f: Optional[int] = None
     inverse: Optional[Callable[[float], float]] = None
     range_: tuple = (0.0, math.inf)
-    integrability: str = "L1"
     f_id: str = "custom"
     char_decay: Optional[Decay] = None
 
     def __post_init__(self):
         if self.epsilon_f not in (None, 1, -1):
             raise ValueError("epsilon_f must be +1, -1 or None")
-        if self.integrability not in ("L1", "L1_loc"):
-            raise ValueError("integrability must be 'L1' or 'L1_loc'")
 
     def eval_array(self, u):
         return _eval_array(self.eval, u)
@@ -353,12 +348,11 @@ def density_profile(f: ParamFunction, xs, cfg: QuadConfig = QuadConfig(abs_tol=1
     return _arcsine_mixture(f, xs, cfg)[0]
 
 
-def build_limit_law(f: ParamFunction, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6),
-                    want_density: bool = True):
+def build_limit_law(f: ParamFunction, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)):
     """Assemble a LimitLaw for f; density/cdf only when the hypotheses hold."""
     char_fn = lambda t: limit_char_fn(f, t, cfg)
     density = cdf = None
-    if want_density and f.inverse is not None and f.epsilon_f is not None \
+    if f.inverse is not None and f.epsilon_f is not None \
             and f.char_decay is not None:
         density = lambda x: limit_density(f, x, cfg)
         cdf = lambda x: float(_arcsine_mixture(f, float(x), cfg, cdf=True)[0])

@@ -160,18 +160,17 @@ def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels):
         used += np.bincount(r, minlength=n_rows)
 
 
-def integrate(f, a, b, abs_tol, rel_tol=1e-12, max_panels=10_000,
-              raise_on_failure=True):
+def integrate(f, a, b, abs_tol, rel_tol=1e-12, max_panels=10_000):
     """Adaptive GK15 quadrature of f over [a, b]: the one-interval case
     of _integrate_rows, f mapping a node array to values of its shape.
 
     Returns (value, error_bound, panels_used). If the tolerance cannot be
     met within the panel budget, raises ConvergenceError carrying the best
-    estimate, or returns it when raise_on_failure is false.
+    estimate and its error bound.
     """
     v, e, n = _integrate_rows(_one_row(f), a, b, abs_tol, rel_tol, max_panels)
     total_v, total_e, n = float(v[0]), float(e[0]), int(n[0])
-    if total_e > max(abs_tol, rel_tol * abs(total_v)) and raise_on_failure:
+    if total_e > max(abs_tol, rel_tol * abs(total_v)):
         raise ConvergenceError(
             f"adaptive quadrature stalled at error {total_e:.3e} "
             f"(target {abs_tol:.3e}) after {n} panels",

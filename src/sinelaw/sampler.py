@@ -132,7 +132,6 @@ def builtin_f(name: str) -> ParamFunction:
             epsilon_f=-1,
             inverse=lambda t: np.exp(-0.5 * np.square(t)),
             range_=(0.0, math.inf),
-            integrability="L1",
             f_id="gaussian",
             char_decay=Decay("gaussian", 1.0))
     if name == "cauchy":
@@ -142,7 +141,6 @@ def builtin_f(name: str) -> ParamFunction:
             inverse=lambda t: math.sqrt(math.pi) / np.sqrt(
                 2.0 * np.square(t) + math.pi),
             range_=(0.0, math.inf),
-            integrability="L1",
             f_id="cauchy",
             char_decay=Decay("exponential", _SQRT_PI_2))
     if name.startswith("const:"):

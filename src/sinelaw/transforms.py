@@ -77,19 +77,13 @@ def _eval_array(fn, x):
                     dtype=np.float64).reshape(x.shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class RealFunction:
-    """A real function on (0, inf) with the metadata the transforms need.
-
-    `bounded_variation` is a caller assertion (it cannot be checked from
-    an evaluator); it gates nothing here but is recorded because the
-    self-inversion property relies on it.
-    """
+    """A real function on (0, inf) with the metadata the transforms need."""
 
     eval: Callable[[float], float]
     decay: Decay
     support: tuple = (0.0, math.inf)
-    bounded_variation: bool = True
 
     def eval_array(self, r):
         return _eval_array(self.eval, r)
@@ -246,8 +240,10 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
 
 def _checked(name, t, val, err, abs_tol, rel_tol):
     """Raise ConvergenceError, with the best estimate attached, at the
-    first t whose error bound exceeds both abs_tol and rel_tol |value|."""
-    bad = (err > abs_tol) & (err > rel_tol * np.abs(val))
+    first t whose value is not finite or whose error bound exceeds both
+    abs_tol and rel_tol |value| (a NaN bound exceeds every tolerance)."""
+    tol = np.maximum(abs_tol, rel_tol * np.abs(val))
+    bad = ~(err <= tol) | ~np.isfinite(val)
     if bad.any():
         i = int(np.argmax(bad))
         raise ConvergenceError(
@@ -261,9 +257,11 @@ def _transform(kind, g, t, cfg, full_output, scale=1.0):
     ta = np.abs(tt).ravel()
     if not np.all(np.isfinite(ta)):
         raise ValueError("t must be finite")
-    val, err = _transform_rows(kind, g, ta, np.full(ta.shape, cfg.abs_tol),
-                               np.full(ta.shape, cfg.truncation_tail_tol),
-                               cfg.rel_tol, cfg.max_panels)
+    # a g that overflows makes the sums inf or NaN, which _checked rejects
+    with np.errstate(all="ignore"):
+        val, err = _transform_rows(kind, g, ta, np.full(ta.shape, cfg.abs_tol),
+                                   np.full(ta.shape, cfg.truncation_tail_tol),
+                                   cfg.rel_tol, cfg.max_panels)
     val, err = val * scale, err * scale
     _checked(kind[0], ta, val, err, cfg.abs_tol, cfg.rel_tol)
     if tt.ndim == 0:

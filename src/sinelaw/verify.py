@@ -14,7 +14,7 @@ import numpy as np
 from .sampler import SampleBatch
 
 __all__ = ["erf", "TargetDistribution", "ks_statistic", "ecf",
-           "ks_two_sample", "target_library"]
+           "target_library"]
 
 _ERF = np.frompyfunc(math.erf, 1, 1)
 
@@ -76,16 +76,6 @@ def ks_statistic(batch: SampleBatch, target: TargetDistribution) -> float:
     fx = np.asarray(target.cdf(x), dtype=np.float64)
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(max(np.max(i / n - fx), np.max(fx - (i - 1) / n)))
-
-
-def ks_two_sample(a, b) -> float:
-    """Two-sample KS distance between empirical CDFs."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    every = np.concatenate([a, b])
-    ca = np.searchsorted(a, every, side="right") / a.size
-    cb = np.searchsorted(b, every, side="right") / b.size
-    return float(np.max(np.abs(ca - cb)))
 
 
 def ecf(batch: SampleBatch, t_grid) -> np.ndarray:

@@ -262,8 +262,8 @@ def test_invert_runs_the_admissibility_checks_once(monkeypatch, capsys,
     reports = []
     real = inverse.check_L
 
-    def counted(psi, grid=None):
-        reports.append(real(psi, grid))
+    def counted(psi):
+        reports.append(real(psi))
         return reports[-1]
 
     monkeypatch.setattr(inverse, "check_L", counted)
@@ -435,3 +435,28 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
     assert out.returncode == 2
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+@pytest.mark.parametrize("argv,rc,says", [
+    (["transform", "--kind", "fourier1", "--g", "lorentz:0", "--t", "1,0"],
+     2, "error: lorentz:<a> needs a finite a > 0, not 0.0"),
+    (["transform", "--kind", "fourier1", "--g", "exp:1e-300", "--t", "1"],
+     3, "numeric failure: float division by zero"),
+    (["invert", "--psi", "table:{dir}/psi.csv", "--psi-decay",
+      "gaussian:1e-300", "--out", "{dir}/f.csv"],
+     3, "numeric failure: Numerical result out of range"),
+    (["invert", "--psi", "table:{dir}/psi.csv", "--psi-decay",
+      "exponential:1e300", "--out", "{dir}/f.csv"],
+     3, "numeric failure: Numerical result out of range"),
+    (["density", "--f", "gaussian", "--x-grid", "1:2"],
+     2, "error: --x-grid takes lo:hi:n, not '1:2'")],
+    ids=["lorentz-0", "exp-tiny", "gaussian-tiny", "exponential-huge",
+         "x-grid"])
+def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
+    # float overflow, division by zero and malformed values keep the
+    # exit-code contract: one line on stderr, no traceback
+    _gaussian_psi_table(tmp_path / "psi.csv")
+    out = _cli("--quiet", *(a.format(dir=tmp_path) for a in argv))
+    assert out.returncode == rc
+    assert out.stderr.splitlines() == [says], out.stderr
+    assert not (tmp_path / "f.csv").exists()

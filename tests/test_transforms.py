@@ -247,6 +247,16 @@ def test_array_transform_error_names_first_failing_t():
         [0.0, 0.1]), cfg)[1]
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_non_integrable_singularity_raises_without_warnings(t):
+    # 1/x^2 at 0 drives the sums to inf or NaN: a failure to converge,
+    # not a value, and no numpy warning on the way
+    g = RealFunction(eval=lambda x: 1.0 / np.square(x),
+                     decay=Decay("algebraic", 2.0))
+    with pytest.raises(ConvergenceError, match="fourier1"):
+        fourier1(g, t)
+
+
 # ---------------------------------------------------------------------------
 # the switch from one truncated integral to lobe sums at 32 kernel zeros
 
