@@ -205,10 +205,9 @@ def _cmd_sample(args):
 
 def _write_csv(path, header, *columns):
     # 17 significant digits, so every float reads back exactly
-    fmt = "{:.17g}".format
-    cols = (map(fmt, np.asarray(c, dtype=float).tolist()) for c in columns)
-    rows = map(",".join, zip(*cols))
-    _atomic_write(path, "\n".join([header, *rows]) + "\n")
+    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    text = (",".join(["%.17g"] * len(columns)) + "\n") * len(data)
+    _atomic_write(path, f"{header}\n" + text % tuple(data.ravel().tolist()))
 
 
 def _read_samples(path):
@@ -264,11 +263,30 @@ def _cmd_density(args):
     return 0
 
 
+def _solve(args, psi, summary, **kw):
+    """solve_inverse with its warnings caught. Unless --quiet, the check_L
+    summary is printed if `summary`, and each warning not listed there as
+    a WARN line."""
+    shown = []
+
+    def on_report(report):
+        if summary:
+            _say(args, report.summary())
+            shown.extend(report.warnings)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            return solve_inverse(psi, on_report=on_report, **kw)
+        finally:
+            for w in caught:
+                if str(w.message) not in shown:
+                    _say(args, f"WARN  {w.message}")
+
+
 def _cmd_invert(args):
     psi = _load_psi(args.psi, args.psi_decay)
-    f = solve_inverse(psi, override_checks=args.override_checks,
-                      on_report=None if args.quiet else
-                      lambda r: print(r.summary(), file=sys.stderr))
+    f = _solve(args, psi, True, override_checks=args.override_checks)
     us = np.linspace(1e-4, 1.0 - 1e-4, args.table_points)
     _write_csv(args.out, "u,f_of_u", us, f.eval(us))
     config = {"command": "invert", "psi": args.psi,
@@ -311,9 +329,11 @@ def _cmd_verify(args):
 
 
 def _cmd_pipeline(args):
+    if args.n < 1 or args.count < 1:
+        raise ValueError("n and count must be >= 1")
     psi = _builtin_psi(args.psi)
     _say(args, f"solving the inverse problem for psi={psi.name}")
-    f = solve_inverse(psi)
+    f = _solve(args, psi, False)
 
     os.makedirs(args.out_dir, exist_ok=True)
     f_path = os.path.join(args.out_dir, "f_table.csv")

@@ -33,7 +33,7 @@ from .transforms import _HANKEL, RealFunction, _checked, _transform_rows
 __all__ = ["CharFn", "TabulatedMonotone", "KPsi", "k_psi", "invert_k",
            "solve_inverse", "check_L", "LReport"]
 
-_T_CAP = 1e8  # bracket expansion cap for the inversion
+_T_CAP = 1e8  # the k table grows no further
 # k is evaluated as 1 minus a cumulative integral; below this floor the
 # subtraction cannot represent u at all
 _U_FLOOR = 100.0 * np.finfo(float).eps
@@ -124,16 +124,17 @@ def check_L(psi: CharFn):
     details["nonnegative"] = f"min on grid = {min_val:.2e}"
 
     # integrability of psi, sqrt(t) psi, t psi: the numeric heads in one
-    # batched integral, one row per power, plus a decay-class tail bound
+    # batched integral in s = sqrt(t), where the row 2 s^(2p+1) psi(s^2) of
+    # t^p psi has no corner at 0, plus a decay-class tail bound
     t_max = float(grid[-1])
     d = psi.decay
     moments = [("psi in L1", 0.0, 1.0), ("sqrt(t) psi in L1", 0.5, 1.5),
                ("t psi in L1", 1.0, 2.0)]
-    powers = np.array([power for _, power, _ in moments])
+    exps = np.array([2.0 * power + 1.0 for _, power, _ in moments])
     heads, _, _ = _integrate_rows(
-        lambda x, rows: psi.eval_array(x) * np.power(
-            np.maximum(x, 1e-300), powers[rows][:, None]),
-        np.zeros(powers.size), np.full(powers.size, t_max), 1e-8, 1e-12, 4000)
+        lambda s, rows: 2.0 * psi.eval_array(s * s) * s ** exps[rows][:, None],
+        np.zeros(exps.size), np.full(exps.size, math.sqrt(t_max)), 1e-8, 1e-12,
+        4000)
     for (label, power, p_needed), head in zip(moments, heads.tolist()):
         if d.kind == "algebraic" and d.scale <= p_needed:
             hard[label] = False
@@ -330,15 +331,21 @@ class KPsi:
                        np.concatenate([c1, -3.0 * fl + 4.0 * fq - fh]),
                        np.concatenate([c2, 2.0 * fl - 4.0 * fq + 2.0 * fh]))
 
+    def _extend(self, short):
+        """Grow the table along its fixed ladder, t0 * growth^i up to the
+        1e8 cap, independent of the request, while short(table) holds."""
+        def more():
+            return self._table[0][-1] < _T_CAP and short(self._table)
+
+        if more():
+            with self._lock:
+                while more():
+                    lo = self._table[0][-1]
+                    self._grow(np.geomspace(
+                        lo, min(lo * self._GROWTH, _T_CAP), 11), 1)
+
     def ensure(self, t):
-        if t <= self._table[0][-1]:
-            return
-        with self._lock:
-            while self._table[0][-1] < min(t, _T_CAP):
-                # fixed ladder: t0 * growth^i, independent of the request
-                lo = self._table[0][-1]
-                self._grow(np.geomspace(lo, min(lo * self._GROWTH, _T_CAP),
-                                        11), 1)
+        self._extend(lambda table: table[0][-1] < t)
 
     # -- evaluation ----------------------------------------------------
 
@@ -364,28 +371,25 @@ class KPsi:
 
     def invert(self, u):
         """t with k(t) = u for each u in (0, 1); inf where u lies below
-        the smallest k attainable at working precision.
+        the smallest k attainable at working precision or at the 1e8 cap.
 
-        The table first grows as far as the smallest u needs: t doubles
-        from 1 until k(t) <= u, up to the 1e8 cap. Each u then finds its
-        leaf by a search on k at the leaf edges, and a bracketed Newton
-        iteration solves the leaf's cubic k(t) = u inside it.
+        The table grows along its ladder only while k at its end is above
+        the smallest u. Each u then finds its leaf by a search on k at the
+        leaf edges, and a bracketed Newton iteration solves the leaf's
+        cubic k(t) = u inside it.
         """
         uu = np.asarray(u, dtype=np.float64)
         scalar = uu.ndim == 0
         uu = np.atleast_1d(uu)
         if not np.all((uu > 0.0) & (uu < 1.0)):
             raise ValueError("u must lie strictly inside (0, 1)")
+        u_lo = uu[uu >= _U_FLOOR].min(initial=1.0)
+        self._extend(lambda table: 1.0 - table[2][-1] > u_lo)
+        a, h, cum, _, c0, c1, c2 = self._table
+        k_edge = 1.0 - cum
         t = np.full(uu.shape, math.inf)
-        ok = uu >= _U_FLOOR
+        ok = uu >= max(_U_FLOOR, k_edge[-1])
         if ok.any():
-            u_lo, hi = uu[ok].min(), 1.0
-            while self.k(hi) > u_lo and 2.0 * hi <= _T_CAP:
-                hi *= 2.0
-            ok &= uu >= self.k(hi)
-        if ok.any():
-            a, h, cum, _, c0, c1, c2 = self._table
-            k_edge = 1.0 - cum
             v = uu[ok]
             # leaf i holds the root when k_edge[i] >= v > k_edge[i + 1]
             i = np.minimum(np.searchsorted(-k_edge, -v, side="right") - 1,

@@ -177,7 +177,6 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-@pytest.mark.filterwarnings("ignore:heuristic")
 def test_pipeline_cauchy_example(tmp_path):
     d = str(tmp_path / "out")
     rc = run("--quiet", "pipeline", "--psi", "cauchy", "--n", "1000",
@@ -320,14 +319,18 @@ def test_transform_evaluates_all_t_in_one_call(monkeypatch, capsys, tmp_path):
 
 
 def test_write_csv_formats_every_value_as_a_17_digit_float(tmp_path):
+    # byte for byte the join of one "{:.17g}" format per value, for one
+    # or two columns, lists (as charfn passes) or arrays, and no rows
     vals = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 3, -7,
-            2**60, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0]
-    ints = np.arange(len(vals))
+            2**60, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, 1e16, 1e17]
     out = tmp_path / "v.csv"
-    _write_csv(str(out), "a,b", vals, ints)
-    want = "a,b\n" + "".join(f"{float(a):.17g},{float(b):.17g}\n"
-                             for a, b in zip(vals, ints))
-    assert read_bytes(out) == want.encode()
+    for columns in ([vals, np.arange(len(vals))], [np.array(vals)],
+                    [np.array(vals), vals[::-1]], [np.empty(0)], [[], []]):
+        _write_csv(str(out), "a,b", *columns)
+        cols = ([f"{v:.17g}" for v in np.asarray(c, dtype=float).tolist()]
+                for c in columns)
+        want = "\n".join(["a,b", *map(",".join, zip(*cols))]) + "\n"
+        assert read_bytes(out) == want.encode()
 
 
 def _gaussian_psi_table(path):
@@ -460,3 +463,55 @@ def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
     assert out.returncode == rc
     assert out.stderr.splitlines() == [says], out.stderr
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_quiet_pipeline_prints_no_heuristic(tmp_path):
+    # the cauchy target's kink at t = 0 is a check_L heuristic
+    out = _cli("--quiet", "pipeline", "--psi", "cauchy",
+               "--out-dir", str(tmp_path))
+    assert out.returncode == 0
+    assert out.stderr == ""
+
+
+def test_pipeline_prints_each_heuristic_once_as_a_warn_line(tmp_path,
+                                                            capsys):
+    assert run("pipeline", "--psi", "cauchy", "--out-dir",
+               str(tmp_path)) == 0
+    err = capsys.readouterr().err.splitlines()
+    warns = [line for line in err if "heuristic" in line]
+    assert len(warns) == 1
+    assert warns[0].startswith("WARN  heuristic: psi looks "
+                               "non-differentiable at t=0")
+
+
+def test_quiet_override_prints_only_the_numeric_failure(tmp_path):
+    # cos(3t) e^{-t/4} fails nonnegativity and sets off four heuristics;
+    # past the override, its Hankel transform fails to converge
+    t = np.linspace(0.0, 40.0, 401)
+    table = tmp_path / "psi.csv"
+    table.write_text("t,psi\n" + "".join(
+        f"{a:.17g},{math.cos(3.0 * a) * math.exp(-0.25 * a):.17g}\n"
+        for a in t.tolist()))
+    out = _cli("--quiet", "invert", "--psi", f"table:{table}",
+               "--psi-decay", "exponential:0.25", "--override-checks",
+               "--out", str(tmp_path / "f.csv"))
+    assert out.returncode == 3
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: "), \
+        out.stderr
+
+
+@pytest.mark.parametrize("flag", ["--n", "--count"])
+def test_pipeline_rejects_bad_size_before_the_solve(tmp_path, capsys,
+                                                    monkeypatch, flag):
+    import sinelaw.cli as cli
+    solved = []
+    monkeypatch.setattr(cli, "solve_inverse",
+                        lambda *a, **k: solved.append(1))
+    out_dir = tmp_path / "out"
+    assert run("pipeline", "--psi", "gaussian", flag, "0",
+               "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: n and count must be >= 1"]
+    assert solved == []
+    assert not out_dir.exists()

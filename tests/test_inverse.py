@@ -154,6 +154,39 @@ def test_check_l_moments_in_one_call_match_one_by_one(psi):
     assert {k: rep.details[k] for k in details} == details
 
 
+@pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
+def test_check_l_heads_in_three_rounds(monkeypatch, make_psi):
+    # int_0^t_max t^p psi for p = 0, 1/2, 1, against the integrals over
+    # (0, inf), whose tails past t_max lie far below the 1e-8 target; in
+    # s = sqrt(t) no row has a corner to bisect, so three adaptive
+    # rounds (GK15 calls) meet it
+    from sinelaw import quadrature
+    heads, rounds = [], []
+    real_rows, real_panels = inverse._integrate_rows, quadrature._gk_panels
+
+    def rows(*args):
+        out = real_rows(*args)
+        heads.append(out[0])
+        return out
+
+    def panels(*args):
+        rounds.append(1)
+        return real_panels(*args)
+
+    monkeypatch.setattr(inverse, "_integrate_rows", rows)
+    monkeypatch.setattr(quadrature, "_gk_panels", panels)
+    psi = make_psi()
+    assert check_L(psi).passed
+    if psi.name == "gaussian":
+        want = [math.sqrt(math.pi / 2.0), 2.0 ** -0.25 * math.gamma(0.75),
+                1.0]
+    else:
+        want = [math.gamma(p + 1.0) / A ** (p + 1.0) for p in (0.0, 0.5, 1.0)]
+    assert len(heads) == 1
+    assert np.all(np.abs(heads[0] - want) <= 1e-8)
+    assert len(rounds) <= 3
+
+
 # ---------------------------------------------------------------------------
 # k_psi
 
@@ -302,6 +335,49 @@ def test_kpsi_h0_calls_pinned():
     assert kp._h0_calls == 85
 
 
+def test_pipeline_table_keeps_its_initial_span():
+    # the endpoint probe of solve_inverse and f.eval on the CLI's u grid:
+    # every root lies inside the initial range [0, 6], so the table
+    # grows no further than its 68 H0 values
+    psi, cfg = psi_gauss(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+    f = solve_inverse(psi, cfg)
+    f.eval(np.linspace(1e-4, 1.0 - 1e-4, 2001))
+    kp = inverse._get_kpsi(psi, cfg)
+    assert kp._table[0][-1] == 6.0
+    assert kp._h0_calls == 68
+
+
+def test_invert_grows_the_table_along_the_ladder():
+    # k(6) is about 1.5e-8, so the root of 1e-9 lies past the initial
+    # range: the table grows as ensure grows it, and the u whose roots
+    # it already covered keep their bits
+    cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+    kp = inverse.KPsi(psi_gauss(), cfg)
+    us = np.linspace(0.01, 0.99, 50)
+    before = kp.invert(us)
+    t = kp.invert(np.concatenate([[1e-9], us]))
+    ref = inverse.KPsi(psi_gauss(), cfg)
+    ref.ensure(t[0])
+    assert _same_table(kp._table, ref._table)
+    assert kp._h0_calls == ref._h0_calls == 85
+    assert np.array_equal(t[1:], before)
+    assert t[0] > 6.0 and abs(kp.k(t[0]) - 1e-9) <= 1e-16
+
+
+def test_invert_reaches_the_table_cap():
+    # k is 1.87e-8 at 2^26 and 1.25e-8 at the 1e8 cap: a u between them
+    # has its root on the table, which grows up to the cap and no
+    # further; a u below k at the cap gives inf
+    kp = ExactKPsi(psi_cauchy())
+    us = np.array([1.5e-8, 1.3e-8, 1.2e-8])
+    t = kp.invert(us)
+    assert kp._table[0][-1] == 1e8
+    assert t[:2] == pytest.approx([f_cauchy_exact(u) for u in us[:2]],
+                                  rel=2e-3)
+    assert np.all(np.abs(kp.k(t[:2]) - us[:2]) <= 1e-16)
+    assert t[2] == math.inf
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
 def test_kpsi_fit_within_its_budget(make_psi, tol):
@@ -412,9 +488,9 @@ def test_invert_round_trip():
 def test_invert_round_trip_log_grid():
     # k(invert(u)) = u within 2 ulps of 1 wherever invert is finite; it
     # is inf only below the attainable floor: 100 ulps of 1 (gaussian),
-    # k at t = 2^26, the last doubling below the 1e8 cap (cauchy, 1.87e-8)
+    # k at the 1e8 cap (cauchy, 1.25e-8)
     us = np.geomspace(1e-16, 1.0 - 1e-12, 200)
-    for psi, floor in ((psi_gauss(), 2.3e-14), (psi_cauchy(), 1.9e-8)):
+    for psi, floor in ((psi_gauss(), 2.3e-14), (psi_cauchy(), 1.3e-8)):
         kp = inverse._get_kpsi(psi, QuadConfig())
         t = kp.invert(us)
         assert np.all(np.isfinite(t[us >= floor]))
