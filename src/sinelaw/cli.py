@@ -8,6 +8,7 @@ same hash produce byte-identical CSVs.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -123,17 +124,16 @@ def _load_f_table(path):
 
 def _decay_from_flag(arg):
     kind, _, param = arg.partition(":")
-    if kind == "gaussian":
-        return Decay("gaussian", float(param) if param else 1.0)
-    if kind == "exponential":
-        if not param:
-            raise ValueError("exponential decay needs a rate: exponential:<rate>")
-        return Decay("exponential", float(param))
-    if kind == "algebraic":
-        if not param:
-            raise ValueError("algebraic decay needs a power: algebraic:<p>")
-        return Decay("algebraic", float(param))
-    raise ValueError(f"unknown decay class {arg!r}")
+    if kind == "exponential" and not param:
+        raise ValueError("exponential decay needs a rate: exponential:<rate>")
+    if kind == "algebraic" and not param:
+        raise ValueError("algebraic decay needs a power: algebraic:<p>")
+    if kind not in ("gaussian", "exponential", "algebraic"):
+        raise ValueError(f"unknown decay class {arg!r}")
+    try:
+        return Decay(kind, float(param) if param else 1.0)
+    except ValueError as exc:
+        raise ValueError(f"--psi-decay {arg}: {exc}") from None
 
 
 _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -436,6 +436,7 @@ def _cmd_selfcheck(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # on the first main call, not at import
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="sinelaw",

@@ -41,6 +41,9 @@ class Decay:
     kind 'gaussian'    : ~ exp(-r^2 / (2 scale^2))
     kind 'exponential' : ~ exp(-rate r), rate passed via `scale`
     kind 'algebraic'   : ~ r^(-p), p passed via `scale`
+
+    The scale lies in [1e-100, 1e100], where the envelope and the tail
+    bounds of check_L, which square it, stay finite.
     """
 
     kind: str
@@ -49,12 +52,13 @@ class Decay:
     def __post_init__(self):
         if self.kind not in ("gaussian", "exponential", "algebraic"):
             raise ValueError(f"unknown decay kind {self.kind!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("decay parameter must be finite and positive")
+        if not 1e-100 <= self.scale <= 1e100:
+            raise ValueError(f"decay parameter {self.scale!r} is outside "
+                             "[1e-100, 1e100]")
 
     def envelope(self, r):
         if self.kind == "gaussian":
-            return math.exp(-0.5 * (r / self.scale) ** 2)
+            return math.exp(-0.5 * min(r / self.scale, 40.0) ** 2)
         if self.kind == "exponential":
             return math.exp(-min(self.scale * r, 745.0))
         return (1.0 + r) ** (-self.scale)

@@ -444,20 +444,22 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
     (["transform", "--kind", "fourier1", "--g", "lorentz:0", "--t", "1,0"],
      2, "error: lorentz:<a> needs a finite a > 0, not 0.0"),
     (["transform", "--kind", "fourier1", "--g", "exp:1e-300", "--t", "1"],
-     3, "numeric failure: float division by zero"),
+     2, "error: decay parameter 1e-300 is outside [1e-100, 1e100]"),
     (["invert", "--psi", "table:{dir}/psi.csv", "--psi-decay",
       "gaussian:1e-300", "--out", "{dir}/f.csv"],
-     3, "numeric failure: Numerical result out of range"),
+     2, "error: --psi-decay gaussian:1e-300: decay parameter 1e-300 is "
+        "outside [1e-100, 1e100]"),
     (["invert", "--psi", "table:{dir}/psi.csv", "--psi-decay",
       "exponential:1e300", "--out", "{dir}/f.csv"],
-     3, "numeric failure: Numerical result out of range"),
+     2, "error: --psi-decay exponential:1e300: decay parameter 1e+300 is "
+        "outside [1e-100, 1e100]"),
     (["density", "--f", "gaussian", "--x-grid", "1:2"],
      2, "error: --x-grid takes lo:hi:n, not '1:2'")],
     ids=["lorentz-0", "exp-tiny", "gaussian-tiny", "exponential-huge",
          "x-grid"])
 def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
-    # float overflow, division by zero and malformed values keep the
-    # exit-code contract: one line on stderr, no traceback
+    # decay scales whose float arithmetic would overflow and malformed
+    # values are usage errors: one line on stderr, no traceback
     _gaussian_psi_table(tmp_path / "psi.csv")
     out = _cli("--quiet", *(a.format(dir=tmp_path) for a in argv))
     assert out.returncode == rc
@@ -499,6 +501,18 @@ def test_quiet_override_prints_only_the_numeric_failure(tmp_path):
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure: "), \
         out.stderr
+
+
+def test_main_calls_share_one_parser_and_no_state(tmp_path, capsys):
+    import sinelaw.cli as cli
+    argv = ["sample", "--f", "gaussian", "--n", "10", "--count", "20",
+            "--out", str(tmp_path / "s.csv")]
+    assert run("--quiet", *argv) == 0
+    assert capsys.readouterr().err == ""
+    # the second call reuses the parser, but not the first call's --quiet
+    assert run(*argv) == 0
+    assert "wrote " in capsys.readouterr().err
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("flag", ["--n", "--count"])

@@ -719,6 +719,16 @@ def _max_rel_error(f, exact):
     return np.max(np.abs(f.eval(us) - want) / (1.0 + want))
 
 
+def test_density_of_the_solved_f(solved_gauss, solved_cauchy):
+    # the arcsine mixture of the tabulated f against the closed forms
+    from sinelaw.limitlaw import density_profile
+    xs = np.linspace(-8.0, 8.0, 41)
+    for f, want in (
+            (solved_gauss, np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)),
+            (solved_cauchy, A / (math.pi * (xs * xs + A * A)))):
+        assert np.max(np.abs(density_profile(f, xs) - want)) <= 1e-7
+
+
 def test_solved_gaussian_matches_closed_form(solved_gauss):
     assert _max_rel_error(solved_gauss, f_gauss_exact) <= 1e-6
 

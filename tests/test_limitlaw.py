@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sinelaw import limitlaw
 from sinelaw.bessel import _j0_zeros, j0
@@ -443,6 +443,19 @@ def f_gauss_increasing():
         char_decay=Decay("gaussian", 1.0))
 
 
+def f_cauchy_increasing():
+    # the u -> 1-u mirror of f_cauchy; its inverse 1 - 1/sqrt(1 + w),
+    # w = 2 t^2 / pi, keeps the digits of small u
+    def inverse(t):
+        w = 2.0 * np.square(t) / math.pi
+        r = np.sqrt(1.0 + w)
+        return w / (r * (1.0 + r))
+    return ParamFunction(
+        eval=lambda u: A * np.sqrt(u * (2.0 - u)) / (1.0 - u), epsilon_f=1,
+        inverse=inverse, range_=(0.0, math.inf), f_id="cauchy_mirror",
+        char_decay=Decay("exponential", A))
+
+
 def f_shifted(a=0.5):
     # f = a + (-3 ln u)^(1/3) on the range (a, inf): the 2-D law behind
     # V vanishes inside the disc of radius a, quadratically at its edge,
@@ -524,6 +537,60 @@ def test_density_and_cdf_bounds_cover_closed_forms(target, tol):
     assert np.max(np.abs(val - p)) <= (1e-8 if tol == 1e-6 else tol)
     val, err = limitlaw._arcsine_mixture(f, xs, cfg, cdf=True)
     assert np.all(np.abs(val - cdf) <= err)
+
+
+def _closed_form(gaussian, x, cdf):
+    # standard normal or Cauchy(0, A), at 30 digits for the normal tails
+    import mpmath as mp
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        if gaussian:
+            return float(mp.ncdf(x) if cdf else mp.npdf(x))
+        a = mp.sqrt(mp.pi / 2)
+        return float(mp.mpf(0.5) + mp.atan(x / a) / mp.pi if cdf
+                     else a / (mp.pi * (x * x + a * a)))
+
+
+@pytest.mark.parametrize("cdf", [False, True], ids=["density", "cdf"])
+@pytest.mark.parametrize("make, gaussian", [
+    (f_gauss, True), (f_cauchy, False), (f_gauss_increasing, True),
+    (f_cauchy_increasing, False)],
+    ids=["gaussian", "cauchy", "gaussian_mirror", "cauchy_mirror"])
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(-10.0, 10.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+@example(x=2.0 ** -14, tol=1e-10)
+@example(x=6.25, tol=1e-6)
+@example(x=-9.0, tol=1e-6)
+def test_density_and_cdf_bounds_are_honest(make, gaussian, cdf, x, tol):
+    # the mirrors f(1 - u) take the graded map from u* up to u_far = 1.
+    # At x = 2^-14 the arcsine form of the gaussian CDF missed by 13 times
+    # its bound; at 6.25 the mirror's u* near 1 holds few digits of the
+    # stretch, and at -9 it rounds onto 1
+    cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_panels=200_000)
+    try:
+        val, err = limitlaw._arcsine_mixture(make(), x, cfg, cdf=cdf)
+    except ConvergenceError:
+        return
+    assert abs(float(val) - _closed_form(gaussian, x, cdf)) <= float(err)
+
+
+@pytest.mark.parametrize("target, cdf, most", [
+    ("gaussian", False, 2), ("gaussian", True, 5), ("cauchy", False, 1)])
+def test_mixture_rounds_on_the_cli_grid(monkeypatch, target, cdf, most):
+    # the graded map keeps the gaussian's log end from driving bisection
+    from sinelaw import quadrature
+    from sinelaw.sampler import builtin_f
+    calls = []
+    gk = quadrature._gk_panels
+    monkeypatch.setattr(quadrature, "_gk_panels",
+                        lambda *args: calls.append(1) or gk(*args))
+    xs = np.linspace(-8.0, 8.0, 161)
+    cfg = QuadConfig(abs_tol=1e-6, rel_tol=1e-6, max_panels=200_000)
+    val, _ = limitlaw._arcsine_mixture(builtin_f(target), xs, cfg, cdf=cdf)
+    assert 1 <= len(calls) <= most
+    if target == "gaussian" and not cdf:
+        want = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(val - want)) <= 1.01e-9
 
 
 def test_density_unreachable_tolerance_raises():

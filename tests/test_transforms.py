@@ -88,6 +88,20 @@ def test_decay_parameter_must_be_finite_and_positive(scale):
             Decay(kind, scale)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "algebraic"])
+def test_decay_scales_at_the_range_ends_do_not_overflow(kind):
+    # the ends of [1e-100, 1e100] pass through the envelope and check_L's
+    # tail bounds in float arithmetic; just past them Decay refuses
+    from sinelaw.inverse import CharFn, check_L
+    for scale in (1e-100, 1e100):
+        d = Decay(kind, scale)
+        assert all(0.0 <= d.envelope(r) <= 1.0 for r in (0.0, 1.0, 1e300))
+        check_L(CharFn(eval=lambda t: np.exp(-0.5 * np.square(t)), decay=d))
+    for scale in (1e-101, 1e101):
+        with pytest.raises(ValueError, match="outside"):
+            Decay(kind, scale)
+
+
 def test_hankel_error_bound_honest_on_goldens():
     for g, exact in [(gauss_fn(), lambda t: math.exp(-0.5 * t * t)),
                      (exp_fn(), lambda t: A / (t * t + math.pi / 2) ** 1.5)]:
