@@ -1,11 +1,11 @@
-"""Adaptive Gauss-Kronrod panels and Euler-accelerated alternating sums.
+"""Adaptive Gauss-Kronrod panels and Euler-accelerated lobe sums.
 
 The work is batched, as numpy's cost is per call, not per point: one
 adaptive routine integrates many intervals with one integrand call per
 refinement round, and the lobe sums of many oscillatory integrals
-integrate their lobes in blocks through it and advance the Euler tables
-of all open sums together. The public scalar functions are the
-one-interval and one-sum cases.
+integrate their lobes in blocks through it and take the Euler means of
+a whole block of every open sum at once. `integrate` is the
+one-interval case.
 
 The 7/15 nodes and weights were generated from the Stieltjes polynomial
 orthogonality conditions in exact rational arithmetic; test_quadrature
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError
 
@@ -86,18 +87,6 @@ def _one_row(f):
     # a scalar-interval integrand f(x) as a row integrand f(x, rows)
     return lambda x, rows: np.asarray(f(x.ravel()),
                                       dtype=np.float64).reshape(x.shape)
-
-
-def gk15(f, a, b):
-    """One Gauss-Kronrod 7/15 panel: returns (integral, error_estimate).
-
-    `f` maps a node array to a value array. The error estimate is the
-    QUADPACK-style rescaling of |K15 - G7|, which is reliably
-    conservative for smooth integrands.
-    """
-    v, e = _gk_panels(_one_row(f), np.array([float(a)]), np.array([float(b)]),
-                      np.zeros(1, dtype=np.intp))
-    return float(v[0]), float(e[0])
 
 
 def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels):
@@ -184,78 +173,11 @@ def _tol(abs_tol, rel_tol, x):
     return np.where(r > abs_tol, r, abs_tol)
 
 
-class _Euler:
-    """Euler-transform states of n alternating sums, advanced together.
-
-    Each sum keeps its partial sum, the iterated means of its partial
-    sums (61 rows, row 0 the accelerated top), its last top, increment
-    and term size. push() runs the recurrence row by row, elementwise
-    across the sums, so a sum has the same bits in any batch.
-    """
-
-    def __init__(self, abs_tol, rel_tol, min_terms=7):
-        n = abs_tol.size
-        self.abs_tol, self.rel_tol, self.min_terms = abs_tol, rel_tol, min_terms
-        self.total, self.prev = np.zeros(n), np.zeros(n)
-        self.prev_term, self.inc = np.full(n, math.inf), np.full(n, math.inf)
-        self.table = np.zeros((61, n))
-        self.rows, self.terms = list(self.table), 0
-
-    def push(self, t):
-        """Add the next term of every sum: (done, value, increment). A
-        sum is done after two increments of its top in a row within
-        tolerance (one can be a chance settling), or after two raw terms
-        within a quarter of it, when the plain sum is the value (the table
-        forgets early partial sums only like 2^-m)."""
-        m, self.terms = self.terms, self.terms + 1
-        ripe = self.terms >= self.min_terms
-        self.total = total = self.total + t
-        size = np.abs(t)
-        quarter = 0.25 * _tol(self.abs_tol, self.rel_tol, total)
-        raw = ripe & (size <= quarter) & (self.prev_term <= quarter)
-        raw_inc = 4.0 * (size + self.prev_term)
-        self.prev_term = size
-        # the newest partial sum takes the bottom row; past 61 rows it
-        # overwrites the last one, as older rows no longer move the top
-        rows, depth = self.rows, min(m, 60)
-        rows[depth][:] = total
-        for i in range(depth - 1, -1, -1):
-            rows[i] += rows[i + 1]
-            rows[i] *= 0.5
-        best = rows[0].copy()
-        inc = np.abs(best - self.prev) if m else self.inc
-        done = ripe & (inc <= _tol(self.abs_tol, self.rel_tol, best)) & (
-            self.inc <= _tol(self.abs_tol, self.rel_tol, self.prev))
-        self.prev, self.inc = best, inc
-        return (raw | done, np.where(raw, total, best),
-                np.where(raw, raw_inc, inc))
-
-    def keep(self, mask):
-        """Drop the sums where mask is false."""
-        self.abs_tol, self.total, self.prev, self.prev_term, self.inc = (
-            a[mask] for a in (self.abs_tol, self.total, self.prev,
-                              self.prev_term, self.inc))
-        self.table = self.table[:, mask]
-        self.rows = list(self.table)
-
-    def failure(self):
-        # the first sum did not settle in self.terms terms
-        return ConvergenceError(
-            f"alternating series did not settle in {self.terms} terms",
-            best=float(self.prev[0]), error_bound=float(self.inc[0]))
-
-
-def euler_alternating(term, abs_tol, rel_tol=0.0, max_terms=10_000,
-                      min_terms=7):
-    """Sum sum_m term(m) for an eventually-alternating sequence: the
-    one-sum case of _Euler. Returns (value, increment, terms_used)."""
-    state = _Euler(np.array([float(abs_tol)]), rel_tol, min_terms)
-    for m in range(max_terms):
-        done, value, inc = state.push(np.array([float(term(m))]))
-        if done[0]:
-            return float(value[0]), float(inc[0]), m + 1
-    raise state.failure()
-
+# row d: the Euler weights C(d, i) / 2^d, i = 0..d, in the last d + 1 of
+# 61 columns, one per partial sum of the window that ends at term d
+_EULER = np.array([[0.0] * (60 - d) + [math.comb(d, i) / 2 ** d
+                                        for i in range(d + 1)]
+                   for d in range(61)])
 
 # lobes integrated per open problem and round of _lobe_sums; 8 covers the
 # 7 terms every Euler sum takes before it may stop
@@ -271,25 +193,38 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
     next _LOBE_BLOCK lobes of every open problem in one _integrate_rows
     call, lobe 0 on up to 1024 panels and the others on 256, at
     tolerance max(panel_tol, 1e-13 * the largest lobe of earlier
-    rounds). One _Euler (tolerances tail_tol, rel_tol) then takes them
-    lobe by lobe, so each lobe enters its sum once, and a problem closes
-    when its sum settles; after max_terms lobes, ConvergenceError.
-    panel_tol and tail_tol are per problem or one scalar for all. A
-    problem's lobes and sum never depend on the other problems.
+    rounds). The lobes are the terms of an alternating sum. Its top
+    after term m is the binomial mean sum_i C(d, i) S_{m-d+i} / 2^d,
+    d = min(m, 60), of its partial sums S: the Euler transform, whose
+    window slides past 61 terms. The tops of a whole block come from one
+    cumsum over the 61 weighted partial sums of each, which adds them
+    in order and elementwise (a dot product would not), so a sum has
+    the same bits in any batch. From term 7 on, a sum stops once two
+    increments of its top in a row are within max(tail_tol, rel_tol
+    |top|) (one can be a chance settling), or two raw terms in a row
+    within a quarter of that, when the plain sum is the value.
+    panel_tol and tail_tol are per problem or one scalar for all.
 
-    Returns (values, error_bounds, lobes_used): each bound is 10 times
-    the last Euler increment plus the quadrature errors of the lobes the
-    sum used.
+    Returns (values, error_bounds, lobes_used): each bound is the
+    quadrature errors of the lobes the sum used plus 10 times the larger
+    of its last two increments (40 times its last two terms at a raw
+    stop). A sum still open after max_terms lobes returns its last top
+    with the bound inf.
     """
     panel_tol = np.broadcast_to(panel_tol, (n,))
-    state = _Euler(np.full(n, tail_tol, dtype=np.float64), rel_tol)
+    tail_tol = np.broadcast_to(tail_tol, (n,))
     scale = np.zeros(n)
-    out = np.zeros((3, n))  # values, summed lobe errors then bounds, lobes
-    todo = np.arange(n)  # the open problems, in the state's order
-    while todo.size:
-        if state.terms >= max_terms:
-            raise state.failure()
-        m = np.arange(state.terms, min(state.terms + _LOBE_BLOCK, max_terms))
+    sums = np.zeros((n, 60))  # the last 60 partial sums, 0 before the first
+    last = np.zeros((4, n))  # the last top, increment and |term|; lobe errors
+    out = np.array([np.zeros(n), np.full(n, math.inf), np.full(n, max_terms)])
+    todo = np.arange(n)  # the open problems
+
+    def after(first, cols):
+        # the predecessor of each column: first, then all columns but the last
+        return np.column_stack([first, cols[:, :-1]])
+
+    for m0 in range(0, max_terms, _LOBE_BLOCK):
+        m = np.arange(m0, min(m0 + _LOBE_BLOCK, max_terms))
         p = np.repeat(todo, m.size)
         mp = np.tile(m, todo.size)
         lo, hi = edges(p, mp)
@@ -302,13 +237,38 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
                 np.maximum(panel_tol[pl], 1e-13 * scale[pl]), 1e-13,
                 np.where(mp[live] == 0, 1024, 256))
         scale[todo] = np.maximum(scale[todo], np.abs(v).max(axis=1))
-        for j in range(m.size):
-            out[1, todo] += e[:, j]
-            done, val, inc = state.push(v[:, j])
-            if done.any():
-                q = todo[done]
-                out[0, q], out[2, q] = val[done], state.terms
-                out[1, q] = 10.0 * inc[done] + out[1, q]
-                todo, v, e = todo[~done], v[~done], e[~done]
-                state.keep(~done)
+        top0, inc0, size0, err0 = last[:, todo]
+        # the last 60 partial sums, then the block's
+        s = np.column_stack([sums[todo], v])
+        s[:, 60:] = np.cumsum(s[:, 59:], axis=1)[:, 1:]
+        err = np.cumsum(np.column_stack([err0, e]), axis=1)[:, 1:]
+        weighted = (sliding_window_view(s, 61, axis=1)
+                    * _EULER[np.minimum(m, 60)])
+        top = np.cumsum(weighted, axis=2)[:, :, -1]
+        # top2, inc2 and size2 are one term behind top, inc and size
+        top2 = after(top0, top)
+        inc = np.abs(top - top2)
+        inc2 = after(inc0, inc)
+        size = np.abs(v)
+        size2 = after(size0, size)
+        tt = tail_tol[todo, None]
+        quarter = 0.25 * _tol(tt, rel_tol, s[:, 60:])
+        raw = (m >= 6) & (size <= quarter) & (size2 <= quarter)
+        stop = raw | ((m >= 6) & (inc <= _tol(tt, rel_tol, top))
+                      & (inc2 <= _tol(tt, rel_tol, top2)))
+        j = stop.argmax(axis=1)
+        r = np.flatnonzero(stop[np.arange(todo.size), j])
+        j, q = j[r], todo[r]
+        use_raw = raw[r, j]
+        out[0, q] = np.where(use_raw, s[r, 60 + j], top[r, j])
+        out[1, q] = 10.0 * np.where(
+            use_raw, 4.0 * (size[r, j] + size2[r, j]),
+            np.maximum(inc[r, j], inc2[r, j])) + err[r, j]
+        out[2, q] = m[j] + 1
+        last[:, todo] = top[:, -1], inc[:, -1], size[:, -1], err[:, -1]
+        sums[todo] = s[:, -60:]
+        todo = np.delete(todo, r)
+        if not todo.size:
+            break
+    out[0, todo] = last[0, todo]
     return out[0], out[1], out[2].astype(np.intp)

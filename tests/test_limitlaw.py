@@ -209,6 +209,19 @@ def test_charfn_array_failure_names_the_failing_t():
     assert ei.value.best is not None and ei.value.error_bound > 1e-7
 
 
+def test_charfn_lobe_sum_out_of_terms_names_its_t():
+    # the zero split sums at most max_panels lobes: on 20, t = 40 settles
+    # and t = 3 does not, and the error carries t = 3's own best value
+    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=20)
+    with pytest.raises(ConvergenceError, match=r"at t=3\.0$") as batch:
+        limit_char_fn(f_cauchy(), np.array([40.0, 3.0]), cfg)
+    with pytest.raises(ConvergenceError) as single:
+        limit_char_fn(f_cauchy(), 3.0, cfg)
+    assert batch.value.best == single.value.best
+    assert batch.value.best == pytest.approx(math.exp(-3.0 * A), abs=1e-6)
+    assert batch.value.error_bound == math.inf
+
+
 def test_charfn_unreachable_tolerance_raises():
     from sinelaw.errors import ConvergenceError
     f = f_cauchy()

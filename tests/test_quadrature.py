@@ -1,6 +1,5 @@
 """Checks of the Gauss-Kronrod constants and the adaptive/Euler drivers."""
 
-import copy
 import math
 import struct
 
@@ -9,23 +8,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sinelaw.errors import ConvergenceError
-from sinelaw.quadrature import (QuadConfig, _Euler, _integrate_rows,
-                                _lobe_sums, euler_alternating, gk15,
-                                integrate)
+from sinelaw.quadrature import (QuadConfig, _gk_panels, _integrate_rows,
+                                _lobe_sums, integrate)
 
 
 def test_gk15_exact_for_monomials():
     # the 15-point Kronrod rule integrates degree <= 22 exactly; any typo
-    # in the frozen nodes/weights breaks this immediately
-    for deg in range(0, 23):
-        v, _ = gk15(lambda x, d=deg: x ** d, 0.0, 1.0)
-        assert v == pytest.approx(1.0 / (deg + 1), abs=5e-16)
+    # in the frozen nodes/weights breaks this immediately. One panel
+    # [0, 1] per degree.
+    deg = np.arange(23)
+    v, _ = _gk_panels(lambda x, rows: x ** deg[rows, None], np.zeros(23),
+                      np.ones(23), deg)
+    assert v == pytest.approx(1.0 / (deg + 1), abs=5e-16)
 
 
 def test_gk15_error_estimate_is_conservative():
-    v, e = gk15(np.sin, 0.0, 1.0)
+    v, e = _gk_panels(lambda x, rows: np.sin(x), np.zeros(1), np.ones(1),
+                      np.zeros(1, dtype=np.intp))
     true = 1.0 - math.cos(1.0)
-    assert abs(v - true) <= max(e, 1e-15)
+    assert abs(v[0] - true) <= max(e[0], 1e-15)
 
 
 def test_integrate_smooth():
@@ -111,81 +112,80 @@ def test_lobe_sums_batch_equals_one_at_a_time():
     assert e[1] >= abs(v[1] - 0.6214496242358134)
 
 
+def _unit_lobes(terms):
+    # lobe m of problem p is [m, m + 1], where the integrand is the
+    # constant terms[p][m]: the lobe integrals are the terms
+    terms = np.array(terms, dtype=np.float64, ndmin=2)
+
+    def f(x, p):
+        return terms[p[:, None], np.floor(x).astype(np.intp)]
+
+    def edges(p, m):
+        return m.astype(np.float64), m + 1.0
+
+    return f, edges
+
+
 def test_euler_alternating_slow_series():
     # sum (-1)^m / (m+1) = ln 2; raw convergence is hopeless at 1e-10
-    v, inc, terms = euler_alternating(lambda m: (-1.0) ** m / (m + 1.0),
-                                      1e-12, max_terms=200)
-    assert v == pytest.approx(math.log(2.0), abs=1e-10)
-    assert terms < 60
+    f, edges = _unit_lobes([(-1.0) ** m / (m + 1.0) for m in range(200)])
+    v, e, k = _lobe_sums(f, edges, 1, 1e-14, 1e-12, 0.0, 200)
+    assert v[0] == pytest.approx(math.log(2.0), abs=1e-10)
+    assert e[0] >= abs(v[0] - math.log(2.0))
+    assert k[0] < 60
 
 
 def test_euler_alternating_fast_series_uses_raw_sum():
-    # geometric decay: the raw partial sum is returned and is accurate
-    v, inc, terms = euler_alternating(lambda m: (-0.25) ** m, 1e-13,
-                                      max_terms=100)
-    assert v == pytest.approx(0.8, abs=1e-12)
+    # geometric decay: the raw partial sum is returned and is accurate,
+    # with 40 times the last two terms as its bound
+    terms = [(-0.25) ** m for m in range(100)]
+    f, edges = _unit_lobes(terms)
+    v, e, k = _lobe_sums(f, edges, 1, 1e-14, 1e-13, 0.0, 100)
+    assert v[0] == pytest.approx(0.8, abs=1e-12)
+    assert v[0] == sum(terms[:k[0]])
+    assert e[0] >= 40.0 * (abs(terms[k[0] - 1]) + abs(terms[k[0] - 2]))
 
 
 def test_euler_alternating_failure():
-    # tolerance unreachable within the term budget
-    with pytest.raises(ConvergenceError):
-        euler_alternating(lambda m: (-1.0) ** m / (m + 1.0), 1e-30,
-                          max_terms=12)
+    # tolerance unreachable within the term budget: the sum comes back
+    # with its last top and the bound inf, which every caller rejects
+    f, edges = _unit_lobes([(-1.0) ** m / (m + 1.0) for m in range(12)])
+    v, e, k = _lobe_sums(f, edges, 1, 1e-14, 1e-30, 0.0, 12)
+    assert v[0] == pytest.approx(math.log(2.0), abs=1e-3)
+    assert e[0] == math.inf and k[0] == 12
 
 
-def _euler_reference(terms, abs_tol, rel_tol, min_terms=7):
-    # the iterated-mean recurrence in plain Python floats, term by term:
-    # (value, increment, terms) or ("raise", best, error_bound)
-    row, total, prev, prev_term, prev_inc = [], 0.0, None, math.inf, math.inf
-    for m, t in enumerate(terms):
-        total += t
-        tol_now = max(abs_tol, rel_tol * abs(total))
-        if (m + 1 >= min_terms and abs(t) <= 0.25 * tol_now
-                and prev_term <= 0.25 * tol_now):
-            return total, 4.0 * (abs(t) + prev_term), m + 1
-        prev_term = abs(t)
-        row.append(total)
-        for i in range(len(row) - 2, -1, -1):
-            row[i] = 0.5 * (row[i] + row[i + 1])
-        if prev is not None:
+def _euler_reference(terms, errs, abs_tol, rel_tol):
+    # the windowed binomial mean in plain Python floats, term by term and
+    # summed in _lobe_sums' order: (value, bound, terms used). The top
+    # after term m adds, left to right, the weights times the last 61
+    # partial sums, with 0 for the partial sums before the first.
+    sums, err, top, inc, size = [0.0] * 60, 0.0, 0.0, 0.0, 0.0
+    for m, (t, e) in enumerate(zip(terms, errs)):
+        sums.append(sums[-1] + t)
+        err += e
+        d = min(m, 60)
+        weights = [0.0] * (60 - d) + [math.comb(d, i) / 2 ** d
+                                      for i in range(d + 1)]
+        new_top = weights[0] * sums[-61]
+        for w, s in zip(weights[1:], sums[-60:]):
+            new_top += w * s
+        new_inc = abs(new_top - top)
+        quarter = 0.25 * max(abs_tol, rel_tol * abs(sums[-1]))
+        if m >= 6 and abs(t) <= quarter and size <= quarter:
+            # two raw terms in a row within a quarter of the tolerance
+            return sums[-1], 10.0 * (4.0 * (abs(t) + size)) + err, m + 1
+        if (m >= 6 and new_inc <= max(abs_tol, rel_tol * abs(new_top))
+                and inc <= max(abs_tol, rel_tol * abs(top))):
             # two increments in a row within tolerance
-            inc = abs(row[0] - prev)
-            if (m + 1 >= min_terms
-                    and inc <= max(abs_tol, rel_tol * abs(row[0]))
-                    and prev_inc <= max(abs_tol, rel_tol * abs(prev))):
-                return row[0], inc, m + 1
-            prev_inc = inc
-        prev = row[0]
-        if len(row) > 60:
-            row.pop()
-    return "raise", row[0], prev_inc
+            return new_top, 10.0 * max(new_inc, inc) + err, m + 1
+        top, inc, size = new_top, new_inc, abs(t)
+    return top, math.inf, len(terms)
 
 
 def _bits(x):
     # a float's bits, so that NaN compares equal to itself
-    return x if isinstance(x, (str, int)) else struct.pack("<d", x)
-
-
-def _euler_batch(seqs, abs_tol, rel_tol):
-    # the sequences through one _Euler, closing each where it settles, as
-    # _lobe_sums does with its lobes
-    state = _Euler(np.array(abs_tol), rel_tol)
-    out = [None] * len(seqs)
-    todo = np.arange(len(seqs))
-    for m in range(len(seqs[0])):
-        if not todo.size:
-            break
-        done, val, inc = state.push(np.array([seqs[q][m] for q in todo]))
-        for i in np.flatnonzero(done):
-            out[todo[i]] = float(val[i]), float(inc[i]), m + 1
-        todo = todo[~done]
-        state.keep(~done)
-    for i, q in enumerate(todo):
-        one = copy.copy(state)
-        one.keep(np.arange(todo.size) == i)
-        exc = one.failure()
-        out[q] = "raise", exc.best, exc.error_bound
-    return out
+    return struct.pack("<d", x)
 
 
 _TERMS = st.floats(-1.0, 1.0, allow_nan=False)
@@ -199,9 +199,9 @@ _IRREGULAR = [math.sin(k * k) for k in range(70)]
                 max_size=4),
        st.sampled_from([0.0, 1e-11]))
 @settings(max_examples=150, deadline=None)
-# past the 61-row cap: an irregular head of 70 terms, then a stop at
-# term 78 and, at an unreachable tolerance, ConvergenceError at max_terms
-@example([(_IRREGULAR, -0.5, 1e-8)] * 2, [1e-9, 1e-300] * 2, 1e-11)
+# past 61 terms: an irregular head of 70 terms, then a stop at term 78
+# and, at an unreachable tolerance, an open sum at max_terms
+@example([(_IRREGULAR, -0.5, 1e-8)] * 2, [1e-9, 1e-300] * 2, 0.0)
 # the raw-terms exit
 @example([([], -0.25, 1.0)], [1e-13] * 4, 0.0)
 # a NaN lobe: the total is NaN, Python's max keeps abs_tol, and the raw
@@ -213,29 +213,35 @@ def test_euler_batch_equals_scalar_bitwise(specs, tols, rel_tol):
     n_terms = 120
     seqs = [head + [amp * ratio ** k for k in range(n_terms - len(head))]
             for head, ratio, amp in specs]
-    tols = tols[:len(seqs)]
-    batch = _euler_batch(seqs, tols, rel_tol)
-    for seq, tol, got in zip(seqs, tols, batch):
-        try:
-            one = euler_alternating(seq.__getitem__, tol, rel_tol=rel_tol,
-                                    max_terms=n_terms)
-        except ConvergenceError as exc:
-            one = "raise", exc.best, exc.error_bound
-        want = _euler_reference(seq, tol, rel_tol)
-        assert [_bits(x) for x in one] == [_bits(x) for x in want]
-        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    tols = np.array(tols[:len(seqs)])
+    f, edges = _unit_lobes(seqs)
+    # each lobe is one GK15 panel at panel tolerance 1, whose integral and
+    # error _integrate_rows gives the same bits in any batch
+    m = np.tile(np.arange(n_terms), len(seqs))
+    p = np.repeat(np.arange(len(seqs)), n_terms)
+    lobe, lobe_err, _ = _integrate_rows(lambda x, rows: f(x, p[rows]),
+                                        m, m + 1.0, 1.0, 1e-13, 1)
+    lobe, lobe_err = lobe.reshape(-1, n_terms), lobe_err.reshape(-1, n_terms)
+    batch = _lobe_sums(f, edges, len(seqs), 1.0, tols, rel_tol, n_terms)
+    for i, tol in enumerate(tols):
+        one = _lobe_sums(lambda x, q, i=i: f(x, q + i), edges, 1, 1.0, tol,
+                         rel_tol, n_terms)
+        want = _euler_reference(lobe[i].tolist(), lobe_err[i].tolist(),
+                                float(tol), rel_tol)
+        assert [_bits(x[0]) for x in one] == [_bits(x) for x in want]
+        assert [_bits(x[i]) for x in batch] == [_bits(x) for x in want]
 
 
-def test_lobe_sums_raise_at_max_terms():
-    # an unreachable tail tolerance: the sum gives up after max_terms
-    # lobes with the Euler top attached
+def test_lobe_sums_unsettled_at_max_terms():
+    # an unreachable tail tolerance: after max_terms lobes the sum comes
+    # back open, with its Euler top and the bound inf
     def f(x, p):
         return np.sin(x) / (x + 1.0)
 
-    with pytest.raises(ConvergenceError, match="in 20 terms") as ei:
-        _lobe_sums(f, lambda p, m: (m * np.pi, (m + 1) * np.pi), 2, 1e-14,
-                   1e-300, 0.0, 20)
-    assert ei.value.best == pytest.approx(0.6214496242358134, abs=1e-3)
+    v, e, k = _lobe_sums(f, lambda p, m: (m * np.pi, (m + 1) * np.pi), 2,
+                         1e-14, 1e-300, 0.0, 20)
+    assert np.all(v == pytest.approx(0.6214496242358134, abs=1e-3))
+    assert np.all(e == math.inf) and np.all(k == 20)
 
 
 def test_quadconfig_validation():

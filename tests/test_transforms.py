@@ -397,3 +397,70 @@ def test_lobe_sums_take_a_tighter_rel_tol():
     v, e = hankel0(exp_fn(), t, cfg, full_output=True)
     assert e <= 1e-12
     assert abs(v - A / (A * A + t * t) ** 1.5) <= e
+
+
+def _closed_form_families(a):
+    # (transform, g, its transform in mpmath) for the algebraic and the
+    # exponential family of each kernel
+    mp = pytest.importorskip("mpmath")
+    return [
+        (fourier1, RealFunction(lambda x: 1.0 / (a * a + np.square(x)),
+                                Decay("algebraic", 2.0)),
+         lambda t: mp.sqrt(mp.pi / 2) / a * mp.exp(-a * t)),
+        (fourier1, RealFunction(lambda x: np.exp(-a * x),
+                                Decay("exponential", a)),
+         lambda t: mp.sqrt(2 / mp.pi) * a / (a * a + t * t)),
+        (hankel0, RealFunction(lambda r: (a * a + np.square(r)) ** -1.5,
+                               Decay("algebraic", 3.0)),
+         lambda t: mp.exp(-a * t) / a),
+        (hankel0, RealFunction(lambda r: np.exp(-a * r),
+                               Decay("exponential", a)),
+         lambda t: a / (a * a + t * t) ** 1.5),
+    ]
+
+
+def test_lobe_sum_bounds_are_honest_on_closed_forms():
+    # 62 t in [0.05, 1e3], most of them past the lobe crossover: each
+    # call raises ConvergenceError or returns a bound at least its true
+    # error. A bound of 10 times the last Euler increment alone missed by
+    # up to 2.30 times (fourier1 of 1/(1 + x^2) at t = 74.4, tol 1e-8).
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    raised = {}
+    for tol in (1e-8, 1e-11):
+        cfg = QuadConfig(abs_tol=tol, rel_tol=tol)
+        raised[tol] = 0
+        for a in (0.3, 1.0, 5.0, 100.0):
+            for op, g, exact in _closed_form_families(a):
+                for t in np.geomspace(0.05, 1e3, 62):
+                    try:
+                        v, e = op(g, float(t), cfg, full_output=True)
+                    except ConvergenceError:
+                        raised[tol] += 1
+                        continue
+                    err = abs(float(mp.mpf(v) - exact(mp.mpf(float(t)))))
+                    assert err <= e, (op.__name__, g.decay, t, tol, v, e)
+    assert raised[1e-8] == 0
+
+
+@pytest.mark.parametrize("op, g, exact, lobes", [
+    (fourier1, RealFunction(lambda x: 1.0 / (1.0 + np.square(x)),
+                            Decay("algebraic", 2.0)),
+     lambda t: math.sqrt(math.pi / 2.0) * math.exp(-t), 20),
+    (hankel0, RealFunction(lambda r: (1.0 + np.square(r)) ** -1.5,
+                           Decay("algebraic", 3.0)),
+     lambda t: math.exp(-t), 30)])
+def test_lobe_sum_out_of_terms_names_its_t(op, g, exact, lobes):
+    # max_panels also caps the lobes of a sum: on 20 (fourier1) or 30
+    # (hankel0), t = 30 settles and t = 1 does not. The error names t = 1
+    # and carries its own best value, with the bound inf of a sum that
+    # never settled.
+    cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8, max_panels=lobes)
+    with pytest.raises(ConvergenceError, match=r"at t=1\.0$") as batch:
+        op(g, np.array([30.0, 1.0]), cfg)
+    with pytest.raises(ConvergenceError) as single:
+        op(g, 1.0, cfg)
+    assert batch.value.best == single.value.best
+    assert batch.value.best == pytest.approx(exact(1.0), abs=1e-6)
+    assert batch.value.error_bound == math.inf
+    assert op(g, 30.0, cfg) == pytest.approx(exact(30.0), abs=1e-8)
