@@ -11,11 +11,9 @@ parameter function whose sine-modulated sequence converges in law to the
 distribution with density F1(psi)/sqrt(2pi).
 
 k_psi is expensive (every integrand value is itself a Hankel quadrature),
-so m(u) = u H0(psi)(u) is fitted by Chebyshev pieces over each span the
-table grows by, and the fit is tabulated on an adaptively refined panel
-grid with exact cumulative integrals of the local quadratic interpolant,
-kept as one tuple of arrays that each growth replaces whole (KPsi);
-inversions then cost microseconds.
+so KPsi fits m(u) = u H0(psi)(u) by Chebyshev pieces, integrated
+exactly, and f by polynomial pieces on the binary octaves of u: f.eval
+costs one Horner sweep per u.
 """
 
 import math
@@ -44,6 +42,24 @@ _CC = np.cos(np.arange(17) * np.pi / 16.0)
 _CHEB = np.cos(np.outer(np.arange(17), np.arange(17)) * np.pi / 16.0) / 8.0
 _CHEB[[0, 16]] /= 2.0
 _CHEB[:, [0, 16]] /= 2.0
+# the integrals over [-1, 1] of the T_k; and, coefficients times
+# _ANTIDERIV, those of the integral from -1 over s + 1, which keeps its
+# digits near -1 (row k: 2 j (-1)^(k-j) / (k^2 - 1) at 0 < j < k and
+# 1 / (k + 1) at j = k)
+_CC_WEIGHTS = np.zeros(17)
+_CC_WEIGHTS[::2] = 2.0 / (1.0 - np.arange(0.0, 17.0, 2.0) ** 2)
+_k, _j = np.ogrid[:17, :17]
+_ANTIDERIV = np.diag(1.0 / (_j[0] + 1.0)) + np.where(
+    (0 < _j) & (_j < _k), 2.0 * _j * (-1.0) ** (_k - _j), 0.0
+) / np.maximum(_k * _k - 1, 1)
+_ANTIDERIV[1, 0] = -0.5
+# f pieces of degree 20 on the binary octaves of u down to 2^-14: they
+# interpolate at the Chebyshev points of the first kind and are checked
+# at the extrema of T_21 between them
+_F_DEG, _F_OCTAVES = 20, 14
+_F_LOW = 2.0 ** -_F_OCTAVES
+_F_NODES = np.cos((np.arange(_F_DEG + 1) + 0.5) * np.pi / (_F_DEG + 1))
+_F_BETWEEN = np.cos(np.arange(1, _F_DEG + 1) * np.pi / (_F_DEG + 1))
 
 
 @dataclass(eq=False)
@@ -184,25 +200,29 @@ def check_L(psi: CharFn):
 # cached k_psi evaluator
 
 class KPsi:
-    """Tabulated k_psi(t) = 1 - int_0^t m, with m(u) = u * H0(psi)(u).
+    """Tabulated k_psi(t) = 1 - int_0^t m, with m(u) = u * H0(psi)(u),
+    and its inverse f as polynomial pieces.
 
-    Each leaf holds m at its two edges and its midpoint; within a leaf,
-    k integrates the interpolating quadratic in closed form. A growth
-    first fits m on the whole span it adds by Chebyshev pieces, halved
-    level by level with one batched H0 call per level, then refines the
-    span by adaptive Simpson on the fit, with a position-weighted
-    tolerance. The table extends itself along a fixed geometric landmark
-    ladder, so its content is a function of the covered range only,
-    never of the order in which callers requested it.
+    The table is a run of degree-16 Chebyshev pieces of m, halved level
+    by level (one batched H0 call per level) until each meets its
+    tolerance, and integrated exactly: Clenshaw-Curtis weights give the
+    integral up to each edge, Clenshaw's recurrence on the antiderivative
+    k inside a piece. It grows along a fixed geometric ladder, so its
+    content depends on the covered range only, not on the call order.
 
-    The table is one tuple of arrays, `_table`: the leaf edges, the leaf
-    widths, the cumulative integral at every edge, the integral of each
-    leaf, and the coefficients of each leaf's quadratic m = c0 + c1 s +
-    c2 s^2 in s = (t - a) / h. The edges, the cumulative integrals and
-    c0 (m at the left edge) run one entry past the last leaf, to the
-    table's end. A growth builds a new tuple and swaps it in with one
-    assignment under the lock, so readers use whichever snapshot they
-    took, a failed growth changes nothing, and concurrent builds
+    f = k^-1 is 14 degree-20 pieces: f = sqrt(v) p(4 v - 1), v = 1 - u,
+    on [1/2, 1), where f has a square-root end at u = 1, and one piece
+    per binary octave of u below, down to 2^-14. They interpolate
+    Newton's roots, built once the table covers k <= 2^-14, so they
+    depend on the table alone. A piece that misses Newton by more than
+    0.0025 k_tol (1 + f) between its nodes is left to Newton, which also
+    serves u below 2^-14.
+
+    `_table` is one tuple: the edges, the integral of m up to each, per
+    piece the coefficients of m and of its integral from the left edge
+    over s + 1, and the f pieces (None until built). Growths and the f
+    build swap in a new tuple under the lock: readers keep the snapshot
+    they took, a failed growth changes nothing, and concurrent builds
     reproduce the sequential table bit for bit.
     """
 
@@ -214,10 +234,8 @@ class KPsi:
         self.cfg = cfg
         self.k_tol = max(cfg.abs_tol, 1e-11)
         self._lock = threading.Lock()
-        # no leaves yet: the table is the edge 0, where m(0) = 0 exactly
-        empty = np.empty(0)
-        self._table = (np.zeros(1), empty, np.zeros(1), empty, np.zeros(1),
-                       empty, empty)
+        # no pieces yet: the table is the edge 0, where k = 1
+        self._table = (np.zeros(1), np.zeros(1), np.empty((0, 2, 17)), None)
         self._h0_calls = 0
         d = psi.decay
         if d.kind == "gaussian":
@@ -226,7 +244,7 @@ class KPsi:
             t0 = 8.0 / d.scale
         else:
             t0 = 8.0 * (1.0 + d.scale)
-        self._grow(np.arange(49) * t0 / 48.0, 4)
+        self._grow(np.linspace(0.0, t0, 5))
 
     # -- m evaluation -------------------------------------------------
 
@@ -243,15 +261,26 @@ class KPsi:
         return u * h
 
     def _fit(self, cuts):
-        """m on [cuts[0], cuts[-1]] as a function of an array of u:
-        degree-16 Chebyshev pieces between the cuts, each halved until
-        its two top coefficients meet the Simpson leaves' tolerance per
-        unit width, 0.04 k_tol / (1 + its left edge)."""
+        """m on [cuts[0], cuts[-1]] as degree-16 Chebyshev pieces, one row
+        (left edge, right edge, 17 coefficients) each, in order: the
+        pieces between the cuts, each halved until its two top
+        coefficients are within 0.04 k_tol / (1 + its left edge) per unit
+        width. m at the nodes of every piece must not be negative beyond
+        the noise the H0 tolerance allows (ModelViolationError)."""
         lo, hi, pieces = cuts[:-1], cuts[1:], []
         for depth in range(self._MAX_DEPTH + 1):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             v = self._m((mid[:, None] + np.outer(half, _CC)).ravel())
-            coef = np.einsum("pj,jk->pk", v.reshape(-1, 17), _CHEB)
+            v = v.reshape(-1, 17)
+            low = v.min(axis=1)
+            bad = low < -(40.0 * (1.0 + hi) * self.k_tol * 0.02 / (1.0 + lo)
+                          + 1e-12)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ModelViolationError(
+                    f"u*H0(psi)(u) is negative on [{lo[i]:.6g}, {hi[i]:.6g}] "
+                    f"(min {low[i]:.3e}); k_psi would not be decreasing there")
+            coef = np.einsum("pj,jk->pk", v, _CHEB)
             done = (np.abs(coef[:, -2:]).max(axis=1) <= 0.04 * self.k_tol
                     / (1.0 + lo)) | (depth >= self._MAX_DEPTH)
             pieces.append(np.column_stack([lo, hi, coef])[done])
@@ -260,89 +289,44 @@ class KPsi:
             if not lo.size:
                 break
         fit = np.concatenate(pieces)
-        fit = fit[np.argsort(fit[:, 0])]
-
-        def m(u):
-            # Clenshaw's recurrence in the piece of each u
-            i = np.searchsorted(fit[:, 0], u, side="right") - 1
-            lo, hi, *c = fit[np.clip(i, 0, len(fit) - 1)].T
-            s, b1, b2 = (2.0 * u - lo - hi) / (hi - lo), 0.0, 0.0
-            for ck in c[:0:-1]:
-                b1, b2 = ck + 2.0 * s * b1 - b2, b1
-            return c[0] + s * b1 - b2
-
-        return m
+        return fit[np.argsort(fit[:, 0])]
 
     # -- table construction -------------------------------------------
 
-    def _grow(self, span_edges, pieces):
-        """Extend the table by leaves covering the adjacent spans between
-        span_edges, the first the table's end, split breadth-first until the
-        Simpson two-level disagreement of each meets the position-weighted
-        tolerance, with m read from its fit begun on `pieces` equal
-        pieces. Each span hands m at its edges and midpoint down to its
-        two halves, so a level evaluates only its new quarter points;
-        level 0 also its new edges and midpoints."""
-        m = self._fit(np.linspace(span_edges[0], span_edges[-1], pieces + 1))
-        a, b = span_edges[:-1], span_edges[1:]
-        edges, _, _, whole, c0, c1, c2 = self._table
-        leaves = []
-        for depth in range(self._MAX_DEPTH + 1):
-            mid = 0.5 * (a + b)
-            q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
-            if depth:
-                f1, f2 = np.split(m(np.concatenate([q1, q2])), 2)
-            else:
-                fb, fm, f1, f2 = np.split(
-                    m(np.concatenate([b, mid, q1, q2])), 4)
-                fa = np.concatenate([c0[-1:], fb[:-1]])
-            # permits the numeric noise of the inner transform, nothing more
-            low = np.minimum(np.minimum(fa, fm), fb)
-            bad = low < -(40.0 * (1.0 + b) * self.k_tol * 0.02 / (1.0 + a)
-                          + 1e-12)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ModelViolationError(
-                    f"u*H0(psi)(u) is negative on [{a[i]:.6g}, {b[i]:.6g}] "
-                    f"(min {low[i]:.3e}); k_psi would not be decreasing there")
-            simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-            s2 = (mid - a) / 6.0 * (fa + 4.0 * f1 + fm) + \
-                (b - mid) / 6.0 * (fm + 4.0 * f2 + fb)
-            tol = 0.04 * self.k_tol * (b - a) / (1.0 + a)
-            done = (np.abs(simp - s2) / 15.0 <= tol) | (depth >= self._MAX_DEPTH)
-            # a done span stores the two halves its two-level value was
-            # built from: each half's quadratic through (edge, quarter
-            # point, edge) integrates to its Simpson term, so k(t) inside
-            # a leaf meets the cumulative sum at its edges
-            halves = ((a, mid, fa, f1, fm), (mid, b, fm, f2, fb))
-            leaves += [np.array(half)[:, done] for half in halves]
-            go = ~done
-            a, b, fa, fm, fb = (np.concatenate([x[go], y[go]]) for x, y in
-                                zip(*halves))
-            if not a.size:
-                break
-        leaf = np.concatenate(leaves, axis=1)
-        lo, hi, fl, fq, fh = leaf[:, np.argsort(leaf[0])]
-        edges = np.concatenate([edges, hi])
-        whole = np.concatenate([whole, (hi - lo) / 6.0 * (fl + 4.0 * fq + fh)])
-        self._table = (edges, np.diff(edges),
-                       np.concatenate([[0.0], np.cumsum(whole)]), whole,
-                       np.concatenate([c0, fh]),
-                       np.concatenate([c1, -3.0 * fl + 4.0 * fq - fh]),
-                       np.concatenate([c2, 2.0 * fl - 4.0 * fq + 2.0 * fh]))
+    def _grow(self, cuts):
+        """Extend the table, whose end is cuts[0], by the fit begun on the
+        cuts. A piece integral below 0 is the transform's noise where m
+        is about 0: it counts as 0, so k never rises from edge to edge."""
+        fit = self._fit(cuts)
+        half, coef = 0.5 * (fit[:, 1] - fit[:, 0]), fit[:, 2:]
+        whole = half * np.einsum("pk,k->p", coef, _CC_WEIGHTS)
+        edges, cum, pieces, f_pieces = self._table
+        area = half[:, None] * np.einsum("pj,jk->pk", coef, _ANTIDERIV)
+        self._table = (
+            np.concatenate([edges, fit[:, 1]]),
+            np.concatenate([cum[:-1], np.cumsum(np.concatenate(
+                [cum[-1:], np.maximum(whole, 0.0)]))]),
+            np.concatenate([pieces, np.stack([coef, area], axis=1)]),
+            f_pieces)
 
-    def _extend(self, short):
-        """Grow the table along its fixed ladder, t0 * growth^i up to the
-        1e8 cap, independent of the request, while short(table) holds."""
+    def _extend(self, short, with_f=False):
+        """The table, grown along its fixed ladder, t0 * growth^i up to the
+        1e8 cap, while short(table) holds, and given its f pieces if
+        with_f and they are missing."""
         def more():
             return self._table[0][-1] < _T_CAP and short(self._table)
 
-        if more():
+        if more() or (with_f and self._table[-1] is None):
             with self._lock:
                 while more():
                     lo = self._table[0][-1]
-                    self._grow(np.geomspace(
-                        lo, min(lo * self._GROWTH, _T_CAP), 11), 1)
+                    self._grow(np.array([lo, min(lo * self._GROWTH, _T_CAP)]))
+                if with_f and self._table[-1] is None:
+                    # between the check points the error can reach twice
+                    # theirs: they are held to a quarter of the bound
+                    self._table = self._table[:-1] + (
+                        self._f_pieces(0.0025 * self.k_tol),)
+        return self._table
 
     def ensure(self, t):
         self._extend(lambda table: table[0][-1] < t)
@@ -353,66 +337,122 @@ class KPsi:
         """k_psi(t) in [0, 1] for t >= 0 (inf included), a scalar or an
         array of t; beyond the 1e8 cap, the value at the table's end.
         NaN or negative t raises ValueError. The table is accurate to an
-        absolute tolerance, so deep in the tail 1 - cum can dip below 0
-        by about that much; k is clamped there."""
+        absolute tolerance, so deep in the tail k can dip below 0 by
+        about that much; k is clamped there."""
         tt = np.asarray(t, dtype=np.float64)
         if not np.all(tt >= 0.0):
             raise ValueError("k_psi is defined for t >= 0 (not NaN)")
         if tt.size:
             self.ensure(float(tt.max()))
-        a, h, cum, whole, c0, c1, c2 = self._table
-        i = np.minimum(np.searchsorted(a, tt, side="right") - 1, len(h) - 1)
-        s = np.minimum((tt - a[i]) / h[i], 1.0)  # 1 past the table's end
-        # capped at the leaf's stored integral, so rounding cannot lift k
-        # above its value at the leaf's right edge
-        part = np.minimum(_leaf_area(h[i], c0[i], c1[i], c2[i], s), whole[i])
-        val = np.clip(1.0 - (cum[i] + part), 0.0, 1.0)
+        edges, cum, pieces, _ = self._table
+        i = np.minimum(np.searchsorted(edges, tt, side="right") - 1,
+                       len(pieces) - 1).ravel()
+        lo, hi = edges[i], edges[i + 1]
+        s = 2.0 * ((np.minimum(tt.ravel(), edges[-1]) - lo) / (hi - lo)) - 1.0
+        # held between k at the piece's edges, so rounding cannot make k
+        # rise across an edge; at an edge, k there, whether or not the
+        # table has grown past it
+        val = np.clip(1.0 - (cum[i] + (s + 1.0) * _clenshaw(pieces[i, 1], s)),
+                      1.0 - cum[i + 1], 1.0 - cum[i])
+        val = np.where(tt.ravel() >= edges[-1], 1.0 - cum[-1], val)
+        val = np.clip(val, 0.0, 1.0).reshape(tt.shape)
         return float(val) if tt.ndim == 0 else val
 
     def invert(self, u):
-        """t with k(t) = u for each u in (0, 1); inf where u lies below
-        the smallest k attainable at working precision or at the 1e8 cap.
-
-        The table grows along its ladder only while k at its end is above
-        the smallest u. Each u then finds its leaf by a search on k at the
-        leaf edges, and a bracketed Newton iteration solves the leaf's
-        cubic k(t) = u inside it.
-        """
+        """t with k(t) = u for each u in (0, 1), a scalar or an array: one
+        frexp, one index and one Horner sweep of its f piece, or newton
+        below 2^-14 and where the piece was left to it."""
         uu = np.asarray(u, dtype=np.float64)
         scalar = uu.ndim == 0
         uu = np.atleast_1d(uu)
         if not np.all((uu > 0.0) & (uu < 1.0)):
             raise ValueError("u must lie strictly inside (0, 1)")
-        u_lo = uu[uu >= _U_FLOOR].min(initial=1.0)
-        self._extend(lambda table: 1.0 - table[2][-1] > u_lo)
-        a, h, cum, _, c0, c1, c2 = self._table
-        k_edge = 1.0 - cum
-        t = np.full(uu.shape, math.inf)
-        ok = uu >= max(_U_FLOOR, k_edge[-1])
-        if ok.any():
-            v = uu[ok]
-            # leaf i holds the root when k_edge[i] >= v > k_edge[i + 1]
-            i = np.minimum(np.searchsorted(-k_edge, -v, side="right") - 1,
-                           len(h) - 1)
-            h, c0, c1, c2 = h[i], c0[i], c1[i], c2[i]
-            r = k_edge[i] - v  # the integral of m from the leaf's edge to t
-
-            def residual(j, s):
-                area = _leaf_area(h[j], c0[j], c1[j], c2[j], s)
-                return area - r[j], h[j] * (c0[j] + s * (c1[j] + s * c2[j]))
-
-            whole = h * (c0 + 0.5 * c1 + c2 / 3.0)
-            start = np.clip(np.divide(r, whole, out=np.full_like(r, 0.5),
-                                      where=whole > 0.0), 0.0, 1.0)
-            s = _newton_bracketed(residual, start, np.zeros_like(r),
-                                  np.ones_like(r))
-            t[ok] = a[i] + s * h
+        coef, ok = self._extend(lambda table: 1.0 - table[1][-1] > _F_LOW,
+                                with_f=True)[-1]
+        t, i = _f_horner(coef, uu)
+        slow = (uu < _F_LOW) | ~ok[i]
+        if slow.any():
+            t[slow] = self.newton(uu[slow])
         return float(t[0]) if scalar else t
 
+    def newton(self, u):
+        """The root t of k(t) = u on the table for each u of an array, to
+        about an ulp; inf where u lies below the smallest k attainable at
+        working precision or at the 1e8 cap, as the table grows along its
+        ladder only while k at its end is above the smallest u. Each u
+        finds its piece by a search on the integral of m at the edges,
+        and bracketed Newton solves int_0^t m = 1 - u in the piece, which
+        is exact for u >= 1/2."""
+        u_lo = u[u >= _U_FLOOR].min(initial=1.0)
+        edges, cum, pieces, _ = self._extend(
+            lambda table: 1.0 - table[1][-1] > u_lo)
+        t = np.full(u.shape, math.inf)
+        ok = u >= max(_U_FLOOR, 1.0 - cum[-1])
+        if ok.any():
+            w = 1.0 - u[ok]
+            # the first piece i with cum[i] < w <= cum[i + 1] holds the root
+            i = np.minimum(np.searchsorted(cum, w) - 1, len(pieces) - 1)
+            r, whole = w - cum[i], cum[i + 1] - cum[i]
+            half = 0.5 * (edges[i + 1] - edges[i])
 
-def _leaf_area(h, c0, c1, c2, s):
-    # integral over [0, s] of the leaf quadratic c0 + c1 s + c2 s^2, times h
-    return h * s * (c0 + s * (0.5 * c1 + s * c2 / 3.0))
+            # Newton in y = s + 1, on [0, 2], where an ulp of y is about
+            # the precision of the residual
+            def residual(j, y):
+                m, area = _clenshaw(pieces[i[j]], y[:, None] - 1.0).T
+                return y * area - r[j], half[j] * m
+
+            # start by linear interpolation of the piece's integral between
+            # its nodes y = _CC + 1
+            ys = _CC[::-1] + 1.0
+            area = (ys * _clenshaw(pieces[:, 1, None, :], ys - 1.0))[i]
+            c = np.clip((area < r[:, None]).sum(axis=1), 1, 16)
+            a0, a1 = np.take_along_axis(area, np.stack([c - 1, c], 1), 1).T
+            y = ys[c - 1] + (ys[c] - ys[c - 1]) * np.divide(
+                r - a0, a1 - a0, out=np.zeros_like(r), where=a1 > a0)
+            y = _newton_bracketed(residual, np.clip(y, 0.0, 2.0),
+                                  np.zeros_like(r), np.full_like(r, 2.0))
+            t[ok] = edges[i] + y * half
+        return t
+
+    def _f_pieces(self, tol):
+        """The f pieces, built under the lock on a table that covers
+        k <= 2^-14, so that newton grows nothing: the monomial
+        coefficients, a row per power from the highest down and a column
+        per piece, and whether each piece is within tol (1 + f) of newton
+        at the points between its nodes."""
+        j = np.arange(_F_OCTAVES)[:, None]
+        x = np.concatenate([_F_NODES, _F_BETWEEN])
+        # octave j: u = 2^-j (x + 3) / 4; the top piece: 1 - u = (x + 1) / 4
+        u = np.where(j == 0, 1.0 - 0.25 * (x + 1.0),
+                     np.ldexp(0.25 * (x + 3.0), -j))
+        t = self.newton(u.ravel()).reshape(u.shape)
+        n = _F_DEG + 1
+        p = t[:, :n] / np.where(j == 0, np.sqrt(1.0 - u[:, :n]), 1.0)
+        coef = np.linalg.solve(np.vander(_F_NODES), p.T)
+        miss = np.abs(_f_horner(coef, u[:, n:])[0] - t[:, n:])
+        return coef, np.all(miss <= tol * (1.0 + t[:, n:]), axis=1)
+
+
+def _clenshaw(coef, s):
+    # sum_k coef[..., k] T_k(s), over the last axis of coef
+    b1, b2, s2 = 0.0, 0.0, 2.0 * s
+    for k in range(coef.shape[-1] - 1, 0, -1):
+        b1, b2 = coef[..., k] + s2 * b1 - b2, b1
+    return coef[..., 0] + s * b1 - b2
+
+
+def _f_horner(coef, u):
+    # the f pieces at each u, with each u's piece index, clipped to the
+    # lowest octave
+    mant, e = np.frexp(u)
+    i = np.minimum(-e, _F_OCTAVES - 1)
+    v = 1.0 - u  # exact where it is used, u >= 1/2
+    x = np.where(e == 0, 4.0 * v - 1.0, 4.0 * mant - 3.0)
+    t = np.take(coef[0], i)
+    for row in coef[1:]:
+        t *= x
+        t += np.take(row, i)
+    return np.where(e == 0, np.sqrt(v) * t, t), i
 
 
 def _newton_bracketed(fn, x, lo, hi):
@@ -469,9 +509,9 @@ def k_psi(psi: CharFn, t: float, cfg: QuadConfig = QuadConfig()):
 def invert_k(psi: CharFn, u, cfg: QuadConfig = QuadConfig()):
     """The unique t with k_psi(t) = u, for u in (0, 1); u may be an array.
 
-    All u are inverted in one batch on the k table, to about an ulp (see
-    KPsi.invert). Raises BracketError if some u lies below the smallest k
-    attainable at working precision.
+    All u are inverted in one batch by KPsi.invert, within 0.01 k_tol
+    (1 + t) of Newton's root on the k table. Raises BracketError if some
+    u lies below the smallest k attainable at working precision.
     """
     t = _get_kpsi(psi, cfg).invert(u)
     if not np.all(np.isfinite(t)):
@@ -603,12 +643,12 @@ def solve_inverse(psi: CharFn, cfg: QuadConfig = QuadConfig(),
                   override_checks: bool = False, on_report=None):
     """Construct f = k_psi^{-1} as a ParamFunction.
 
-    f is the k table's own inverse: f.eval is KPsi.invert and f.inverse
-    is KPsi.k, on the table that k_psi and invert_k share, so f.eval(u)
-    equals invert_k(psi, u) to the bit. Where u lies below the smallest k
-    attainable at working precision, f.eval gives inf, which the sampler
-    resamples. on_report, if given, is called with the check_L report
-    before its warnings and verdict are acted on.
+    f is the k table's own inverse: f.eval is KPsi.invert, the f pieces
+    of the table that k_psi and invert_k share, and f.inverse is KPsi.k,
+    so f.eval(u) equals invert_k(psi, u) to the bit. Where u lies below
+    the smallest k attainable at working precision, f.eval gives inf,
+    which the sampler resamples. on_report, if given, is called with the
+    check_L report before its warnings and verdict are acted on.
     """
     report = check_L(psi)
     if on_report is not None:

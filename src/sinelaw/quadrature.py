@@ -89,21 +89,22 @@ def _one_row(f):
                                       dtype=np.float64).reshape(x.shape)
 
 
-def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels):
+def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels, panels=None):
     """Adaptive GK15 on P independent intervals [a[i], b[i]] at once.
 
     `f(x, rows)` is as in _gk_panels; `rows` names the interval of each
-    panel, so one integrand can differ per interval. Tolerances and
-    panel budgets broadcast to (P,). Each round bisects, with one
-    integrand call, every panel of every unconverged interval whose
-    error exceeds its share of that interval's tolerance: the tolerance
-    max(abs_tol, rel_tol * |value|) over the interval's panel count. An
-    interval stops once its summed error meets the tolerance or its
-    panels reach its max_panels (the largest errors are split first when
-    the budget is short). A panel too narrow to split keeps its error in
-    the bound. The panels of an interval are summed in an order that
-    depends on that interval alone, so its result is the same bits
-    whichever intervals share the call.
+    panel, so one integrand can differ per interval. Tolerances, panel
+    budgets and `panels`, the number of equal panels each interval
+    starts on (capped at its budget; one if None), broadcast to (P,).
+    Each round bisects, with one integrand call, every panel of every
+    unconverged interval whose error exceeds its share of that
+    interval's tolerance: the tolerance max(abs_tol, rel_tol * |value|)
+    over the interval's panel count. An interval stops once its summed
+    error meets the tolerance or its panels reach its max_panels (the
+    largest errors are split first when the budget is short). A panel
+    too narrow to split keeps its error in the bound. The panels of an
+    interval are summed in an order that depends on that interval alone,
+    so its result is the same bits whichever intervals share the call.
 
     Returns (values, error_bounds, panels_used), each of shape (P,).
     """
@@ -111,8 +112,17 @@ def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels):
     pb = np.array(b, dtype=np.float64, ndmin=1)
     n_rows = pa.size
     prow = np.arange(n_rows)
-    pv, pe = _gk_panels(f, pa, pb, prow)
     used = np.ones(n_rows, dtype=np.intp)
+    if panels is not None:
+        used = np.minimum(np.broadcast_to(panels, (n_rows,)),
+                          max_panels).astype(np.intp)
+        # panel j of n spans fractions j / n to (j + 1) / n of its row
+        prow = np.repeat(prow, used)
+        j = np.arange(prow.size) - np.repeat(np.cumsum(used) - used, used)
+        n, a, b, w = used[prow], pa[prow], pb[prow], (pb - pa)[prow]
+        pa = a + w * (j / n)
+        pb = np.where(j + 1 == n, b, a + w * ((j + 1) / n))
+    pv, pe = _gk_panels(f, pa, pb, prow)
     active = np.ones(n_rows, dtype=bool)
     while True:
         total_v = np.bincount(prow, pv, n_rows)
@@ -199,10 +209,11 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
     window slides past 61 terms. The tops of a whole block come from one
     cumsum over the 61 weighted partial sums of each, which adds them
     in order and elementwise (a dot product would not), so a sum has
-    the same bits in any batch. From term 7 on, a sum stops once two
-    increments of its top in a row are within max(tail_tol, rel_tol
-    |top|) (one can be a chance settling), or two raw terms in a row
-    within a quarter of that, when the plain sum is the value.
+    the same bits in any batch. From term 7 on, a sum stops once its
+    bound, 10 times the larger of the last two increments of its top
+    (one can be a chance settling), is within max(tail_tol, rel_tol
+    |top|), or two raw terms in a row are within a quarter of that, when
+    the plain sum is the value.
     panel_tol and tail_tol are per problem or one scalar for all.
 
     Returns (values, error_bounds, lobes_used): each bound is the
@@ -245,25 +256,22 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
         weighted = (sliding_window_view(s, 61, axis=1)
                     * _EULER[np.minimum(m, 60)])
         top = np.cumsum(weighted, axis=2)[:, :, -1]
-        # top2, inc2 and size2 are one term behind top, inc and size
-        top2 = after(top0, top)
-        inc = np.abs(top - top2)
+        # inc2 and size2 are one term behind inc and size
+        inc = np.abs(top - after(top0, top))
         inc2 = after(inc0, inc)
         size = np.abs(v)
         size2 = after(size0, size)
         tt = tail_tol[todo, None]
         quarter = 0.25 * _tol(tt, rel_tol, s[:, 60:])
         raw = (m >= 6) & (size <= quarter) & (size2 <= quarter)
-        stop = raw | ((m >= 6) & (inc <= _tol(tt, rel_tol, top))
-                      & (inc2 <= _tol(tt, rel_tol, top2)))
+        bound = 10.0 * np.where(raw, 4.0 * (size + size2),
+                                np.maximum(inc, inc2))
+        stop = raw | ((m >= 6) & (bound <= _tol(tt, rel_tol, top)))
         j = stop.argmax(axis=1)
         r = np.flatnonzero(stop[np.arange(todo.size), j])
         j, q = j[r], todo[r]
-        use_raw = raw[r, j]
-        out[0, q] = np.where(use_raw, s[r, 60 + j], top[r, j])
-        out[1, q] = 10.0 * np.where(
-            use_raw, 4.0 * (size[r, j] + size2[r, j]),
-            np.maximum(inc[r, j], inc2[r, j])) + err[r, j]
+        out[0, q] = np.where(raw[r, j], s[r, 60 + j], top[r, j])
+        out[1, q] = bound[r, j] + err[r, j]
         out[2, q] = m[j] + 1
         last[:, todo] = top[:, -1], inc[:, -1], size[:, -1], err[:, -1]
         sums[todo] = s[:, -60:]

@@ -230,9 +230,11 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
                 panel_tol[j], tail_tol[j], min(rel_tol, 1e-11), max_panels)
         j = part[~lobe[part]]
         if j.size:
+            # one panel per half period of the kernel to start with
             v, e, _ = _integrate_rows(lambda x, q: f(x, j[q]), np.zeros(j.size),
                                       cut[j], abs_tol[j] * 0.5, rel_tol,
-                                      max_panels)
+                                      max_panels, np.maximum(
+                                          np.ceil(t[j] * cut[j] / math.pi), 1))
             val[j], err[j] = v, e + tail[j]
     if algebraic and near0.any():
         tv, te = _folded_tail(g, cut[0], weight_power, abs_tol[near0] * 0.25,

@@ -216,8 +216,8 @@ def test_k_strictly_decreasing_and_in_unit_interval():
 
 @pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
 def test_k_continuous_and_non_increasing_across_leaf_edges(make_psi):
-    # inside a leaf k integrates the leaf's quadratic; at its right edge
-    # it switches to the stored cumulative sum, and the two must agree
+    # inside a piece k integrates the piece's polynomial; at its right
+    # edge it switches to the stored k at the edge, and the two must agree
     kp = inverse.KPsi(make_psi(), QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
     edges = kp._table[0][1:-1]
     left = np.array([kp.k(float(np.nextafter(e, 0.0))) for e in edges])
@@ -250,58 +250,62 @@ def test_k_beyond_the_cap_is_the_value_at_the_table_end():
 
 
 def test_k_is_clamped_at_zero_in_the_tail():
-    # 1 - cum dips to about -1e-12 here, within the table's absolute
-    # tolerance, with m exact and with m from the numerical transform
+    # an m whose integral passes 1 by 1e-12, within the table's absolute
+    # tolerance: 1 minus the integral dips below 0, and k stops at 0;
+    # with m from the numerical transform, k stays in [0, 1e-14] there
     psi = psi_gauss()
-    for kp, t in [(ExactKPsi(psi), 40.0),
-                  (inverse._get_kpsi(psi, QuadConfig()), 12.0)]:
+    over = ExactKPsi(psi, lambda u: (1.0 + 1e-12) * np.exp(-0.5 * u * u))
+    for kp, t in [(over, 40.0), (inverse._get_kpsi(psi, QuadConfig()), 12.0)]:
         ts = np.linspace(0.0, t, 401)
         ks = kp.k(ts)
-        assert ks.min() == 0.0 and kp.k(t) == 0.0
+        assert ks.min() >= 0.0 and kp.k(t) <= 1e-14
         assert np.all(np.diff(ks) <= 0.0)
-    assert k_psi(psi, 12.0) == 0.0
+    assert over._table[1][-1] > 1.0 and over.k(40.0) == 0.0
+    assert 0.0 <= k_psi(psi, 12.0) <= 1e-14
 
 
 def _same_table(x, y):
-    return len(x) == len(y) and all(np.array_equal(p, q)
-                                    for p, q in zip(x, y))
+    # the k part of two table snapshots, bit for bit
+    return all(np.array_equal(p, q) for p, q in zip(x[:3], y[:3]))
 
 
-def _depth_first_table(m, k_tol, t0):
-    """Reference KPsi table over [0, t0]: the 48 initial spans grown
-    depth-first, reading the function m of arrays at one u at a time.
-    Returns the leaf edges, the leaf midpoints, the leaf integrals, the
-    cumulative integrals at the edges and the m values."""
-    mv = {0.0: 0.0}
+def _fit_at(fit, u):
+    # the fit's m at each u of an array, by the Clenshaw sum of its piece
+    i = np.clip(np.searchsorted(fit[:, 0], u, side="right") - 1, 0,
+                len(fit) - 1)
+    lo, hi = fit[i, 0], fit[i, 1]
+    return inverse._clenshaw(fit[i, 2:], (2.0 * u - lo - hi) / (hi - lo))
 
-    def m_at(u):
-        if u not in mv:
-            mv[u] = float(m(np.array([u]))[0])
-        return mv[u]
 
-    edges, mids, whole, cum = [0.0], [], [], [0.0]
+def _depth_first_table(kp, t0):
+    """Reference KPsi table over [0, t0]: the four initial pieces of the
+    fit halved depth-first, each piece's 17 H0 values in a call of their
+    own, and the integral of m up to each edge as the sum of the pieces'
+    Clenshaw-Curtis integrals, one at a time. Returns the edges, those
+    integrals and the coefficients of m and of its integral from each
+    left edge over s + 1."""
+    edges, cum, pieces = [0.0], [0.0], []
 
-    def grow(a, b, depth):
-        mid = 0.5 * (a + b)
-        q1, q2 = 0.5 * (a + mid), 0.5 * (mid + b)
-        fa, fm, fb, f1, f2 = m_at(a), m_at(mid), m_at(b), m_at(q1), m_at(q2)
-        simp = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        s2 = (mid - a) / 6.0 * (fa + 4.0 * f1 + fm) + \
-            (b - mid) / 6.0 * (fm + 4.0 * f2 + fb)
-        if abs(simp - s2) / 15.0 <= 0.04 * k_tol * (b - a) / (1.0 + a) \
+    def grow(lo, hi, depth):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v = kp._m(mid + half * inverse._CC)
+        c = np.einsum("pj,jk->pk", v[None], inverse._CHEB)
+        if np.abs(c[0, -2:]).max() <= 0.04 * kp.k_tol / (1.0 + lo) \
                 or depth >= 24:
-            for lo, q, hi in ((a, q1, mid), (mid, q2, b)):
-                edges.append(hi)
-                mids.append(q)
-                whole.append((hi - lo) / 6.0 * (mv[lo] + 4.0 * mv[q] + mv[hi]))
-                cum.append(cum[-1] + whole[-1])
+            edges.append(hi)
+            whole = max(half * np.einsum("pk,k->p", c,
+                                         inverse._CC_WEIGHTS)[0], 0.0)
+            cum.append(cum[-1] + whole)
+            pieces.append([c[0], half * np.einsum("pj,jk->pk", c,
+                                                  inverse._ANTIDERIV)[0]])
         else:
-            grow(a, mid, depth + 1)
-            grow(mid, b, depth + 1)
+            grow(lo, mid, depth + 1)
+            grow(mid, hi, depth + 1)
 
-    for i in range(48):
-        grow(i * t0 / 48.0, (i + 1) * t0 / 48.0, 0)
-    return edges, mids, whole, cum, mv
+    cuts = np.linspace(0.0, t0, 5)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        grow(lo, hi, 0)
+    return edges, cum, np.array(pieces).reshape(-1, 2, 17)
 
 
 def _t0(psi):
@@ -311,20 +315,14 @@ def _t0(psi):
 
 @pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
 def test_kpsi_table_equals_depth_first_reference_bitwise(make_psi):
+    # the batched, breadth-first fit and its exact integrals against the
+    # same fit built one piece at a time, with the same H0 values
     cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
     kp = inverse.KPsi(make_psi(), cfg)
-    calls, t0 = kp._h0_calls, _t0(kp.psi)
-    # the initial range's fit, built again: the fit alone calls H0
-    fit = kp._fit(np.linspace(0.0, t0, 5))
+    calls = kp._h0_calls
+    ref = _depth_first_table(kp, _t0(kp.psi))
     assert kp._h0_calls == 2 * calls
-    edges, mids, whole, cum, mv = _depth_first_table(fit, kp.k_tol, t0)
-    # every m value read is one at a leaf edge or a leaf midpoint
-    fe = np.array([mv[u] for u in edges])
-    fq = np.array([mv[u] for u in mids])
-    fa, fb = fe[:-1], fe[1:]
-    assert _same_table(kp._table, (
-        edges, np.diff(edges), cum, whole, fe,
-        -3.0 * fa + 4.0 * fq - fb, 2.0 * fa - 4.0 * fq + 2.0 * fb))
+    assert _same_table(kp._table, ref)
 
 
 def test_kpsi_h0_calls_pinned():
@@ -390,7 +388,7 @@ def test_kpsi_fit_within_its_budget(make_psi, tol):
     for cuts in (np.linspace(0.0, t0, 5), np.array([t0, 1.7 * t0])):
         u = np.linspace(cuts[0], cuts[-1], 4001)
         want = u * H0_EXACT[psi.name](u)
-        assert np.all(np.abs(kp._fit(cuts)(u) - want)
+        assert np.all(np.abs(_fit_at(kp._fit(cuts), u) - want)
                       <= 0.04 * tol / (1.0 + u))
 
 
@@ -432,7 +430,7 @@ def test_kpsi_model_violation_appends_no_leaves():
     # H0 turns negative past u = 5 pi / 2, beyond the initial range [0, 6]
     kp = ExactKPsi(psi_gauss(), lambda u: np.cos(u / 5.0))
     table = kp._table
-    saved = [x.copy() for x in table]
+    saved = [x.copy() for x in table[:3]]
     k5 = kp.k(5.0)
     for _ in range(2):
         with pytest.raises(ModelViolationError):
@@ -486,16 +484,22 @@ def test_invert_round_trip():
 
 @pytest.mark.filterwarnings("ignore:heuristic")
 def test_invert_round_trip_log_grid():
-    # k(invert(u)) = u within 2 ulps of 1 wherever invert is finite; it
+    # k(newton(u)) = u within 2 ulps of 1 wherever newton is finite; it
     # is inf only below the attainable floor: 100 ulps of 1 (gaussian),
-    # k at the 1e8 cap (cauchy, 1.25e-8)
+    # k at the 1e8 cap (cauchy, 1.25e-8). invert, through the f pieces
+    # above 2^-14, is within 0.01 k_tol (1 + f) of newton and inf where
+    # newton is
     us = np.geomspace(1e-16, 1.0 - 1e-12, 200)
     for psi, floor in ((psi_gauss(), 2.3e-14), (psi_cauchy(), 1.3e-8)):
         kp = inverse._get_kpsi(psi, QuadConfig())
-        t = kp.invert(us)
+        t = kp.newton(us)
         assert np.all(np.isfinite(t[us >= floor]))
         fin = np.isfinite(t)
         assert np.max(np.abs(kp.k(t[fin]) - us[fin])) <= 4.5e-16
+        got = kp.invert(us)
+        assert np.array_equal(np.isfinite(got), fin)
+        assert np.all(np.abs(got[fin] - t[fin])
+                      <= 0.01 * kp.k_tol * (1.0 + t[fin]))
 
 
 def test_invert_domain():
@@ -630,6 +634,53 @@ def test_kpsi_grown_from_eight_threads_equals_a_sequential_build():
     assert kp._h0_calls == seq._h0_calls
     for got, ref in zip(results, want):
         assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+    # the f pieces, built by whichever thread came first, and f.eval
+    assert all(np.array_equal(x, y)
+               for x, y in zip(kp._table[-1], seq._table[-1]))
+    us = np.concatenate([np.geomspace(1e-12, 0.5, 500),
+                         1.0 - np.geomspace(1e-12, 0.5, 500)])
+    assert np.array_equal(kp.invert(us), seq.invert(us))
+
+
+def test_sample_vn_on_a_fresh_f_from_four_workers_equals_one(monkeypatch):
+    # four workers draw from the f of a fresh table at once, in chunks of
+    # 4096: the first to need the f pieces builds them under the lock, the
+    # others wait for them, and the draws have the bits of one worker's
+    from sinelaw.limitlaw import ParamFunction
+    from sinelaw.sampler import sample_vn
+    built, real = [], inverse.KPsi._f_pieces
+
+    def counting(self, tol):
+        built.append(self)
+        return real(self, tol)
+
+    monkeypatch.setattr(inverse.KPsi, "_f_pieces", counting)
+    cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+    draws = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("4", "1"):
+            monkeypatch.setenv("SINELAW_WORKERS", workers)
+            kp = inverse.KPsi(psi_gauss(), cfg)
+            f = ParamFunction(eval=kp.invert, epsilon_f=-1)
+            draws.append(sample_vn(f, 1000, 8 * 4096, 7, 4096).values)
+            assert built.count(kp) == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(draws[0], draws[1])
+
+
+def test_kpsi_constants_against_numpy_polynomial():
+    # the Clenshaw-Curtis weights and the integral over s + 1
+    cheb = np.polynomial.chebyshev
+    for k in range(17):
+        unit = np.eye(17)[k]
+        assert inverse._CC_WEIGHTS[k] == pytest.approx(
+            cheb.chebval(1.0, cheb.chebint(unit, lbnd=-1.0)), abs=1e-15)
+        quo = cheb.chebdiv(cheb.chebint(unit, lbnd=-1.0), [1.0, 1.0])[0]
+        assert np.allclose(np.pad(quo, (0, 17 - quo.size)),
+                           inverse._ANTIDERIV[k], rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,10 @@ def _euler_reference(terms, errs, abs_tol, rel_tol):
         if m >= 6 and abs(t) <= quarter and size <= quarter:
             # two raw terms in a row within a quarter of the tolerance
             return sums[-1], 10.0 * (4.0 * (abs(t) + size)) + err, m + 1
-        if (m >= 6 and new_inc <= max(abs_tol, rel_tol * abs(new_top))
-                and inc <= max(abs_tol, rel_tol * abs(top))):
-            # two increments in a row within tolerance
+        if m >= 6 and 10.0 * max(new_inc, inc) <= max(
+                abs_tol, rel_tol * abs(new_top)):
+            # 10 times the larger of the last two increments within
+            # tolerance
             return new_top, 10.0 * max(new_inc, inc) + err, m + 1
         top, inc, size = new_top, new_inc, abs(t)
     return top, math.inf, len(terms)

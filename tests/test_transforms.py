@@ -452,15 +452,31 @@ def test_lobe_sum_bounds_are_honest_on_closed_forms():
      lambda t: math.exp(-t), 30)])
 def test_lobe_sum_out_of_terms_names_its_t(op, g, exact, lobes):
     # max_panels also caps the lobes of a sum: on 20 (fourier1) or 30
-    # (hankel0), t = 30 settles and t = 1 does not. The error names t = 1
+    # (hankel0), t = 60 settles and t = 1 does not. The error names t = 1
     # and carries its own best value, with the bound inf of a sum that
     # never settled.
     cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8, max_panels=lobes)
     with pytest.raises(ConvergenceError, match=r"at t=1\.0$") as batch:
-        op(g, np.array([30.0, 1.0]), cfg)
+        op(g, np.array([60.0, 1.0]), cfg)
     with pytest.raises(ConvergenceError) as single:
         op(g, 1.0, cfg)
     assert batch.value.best == single.value.best
     assert batch.value.best == pytest.approx(exact(1.0), abs=1e-6)
     assert batch.value.error_bound == math.inf
-    assert op(g, 30.0, cfg) == pytest.approx(exact(30.0), abs=1e-8)
+    assert op(g, 60.0, cfg) == pytest.approx(exact(60.0), abs=1e-8)
+
+
+def test_lobe_sums_meet_a_tight_tolerance_they_report():
+    # fourier1 of 1/(a^2 + x^2) at tolerance 1e-11, 62 t in [0.05, 1e3]:
+    # a sum that stopped on two small increments but reported 10 times
+    # the larger one raised ConvergenceError at 34, 24 and 4 of these t
+    # (a^2 = 0.09, 1, 25); stopping on the reported bound itself meets
+    # it, and the bound still covers the true error
+    cfg = QuadConfig(abs_tol=1e-11, rel_tol=1e-11)
+    ts = np.geomspace(0.05, 1e3, 62)
+    for a in (0.3, 1.0, 5.0):
+        g = RealFunction(lambda x, a=a: 1.0 / (a * a + np.square(x)),
+                         Decay("algebraic", 2.0))
+        v, e = fourier1(g, ts, cfg, full_output=True)
+        exact = math.sqrt(math.pi / 2.0) / a * np.exp(-a * ts)
+        assert np.all(np.abs(v - exact) <= e)
