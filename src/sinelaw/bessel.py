@@ -127,18 +127,15 @@ _zeros = np.empty(0)  # the first zeros, in order; replaced whole, never changed
 
 
 def j0_zero(m):
-    """m-th positive zero of J0 (m >= 1), refined to ~1e-14.
-
-    Zeros are computed from the McMahon expansion polished with Newton
-    steps (J0' = -J1) and cached in one array snapshot: a growth
-    computes the missing zeros under a lock and swaps in the extended
-    array, so a reader indexes whichever snapshot it took.
-    """
+    """m-th positive zero of J0 (m >= 1), within an ulp; see _j0_zeros."""
     return float(_j0_zeros(m))
 
 
 def _j0_zeros(m):
-    """j0_zero over an integer array of indices m >= 1."""
+    """j0_zero over an integer array of indices m >= 1. A growth takes
+    the missing zeros from McMahon's expansion by three array Newton steps
+    (J0 by kernels.j0_array, its slope by kernels.j0_slope) under a lock,
+    and swaps in the extended cache: a reader keeps the snapshot it took."""
     global _zeros
     m = np.asarray(m)
     if m.size and m.min() < 1:
@@ -146,17 +143,13 @@ def _j0_zeros(m):
     zeros = _zeros
     if m.size and m.max() > zeros.size:
         with _zeros_lock:
-            new = []
-            for k in range(_zeros.size + 1, int(m.max()) + 1):
-                beta = (k - 0.25) * math.pi
-                bi = 1.0 / beta
-                x = beta + bi * (_MCMAHON[0] + bi * bi * (
-                    _MCMAHON[1] + bi * bi * _MCMAHON[2]))
-                for _ in range(3):
-                    fx = kernels.j0(x)
-                    dfx = -kernels.j1(x)
-                    if dfx != 0.0:
-                        x -= fx / dfx
-                new.append(x)
-            _zeros = zeros = np.concatenate([_zeros, new])
+            beta = np.arange(_zeros.size + 1, int(m.max()) + 1) - 0.25
+            beta *= math.pi
+            bi = 1.0 / beta
+            x = beta + bi * (_MCMAHON[0] + bi * bi * (
+                _MCMAHON[1] + bi * bi * _MCMAHON[2]))
+            for _ in range(3):
+                fx, dfx = kernels.j0_array(x), kernels.j0_slope(x)
+                x -= np.divide(fx, dfx, out=np.zeros_like(x), where=dfx != 0.0)
+            _zeros = zeros = np.concatenate([_zeros, x])
     return zeros[m - 1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, ModelViolationError
+from .errors import BracketError, ConvergenceError, ModelViolationError
 from .limitlaw import ParamFunction
 from .quadrature import QuadConfig, _integrate_rows
 from .transforms import _HANKEL, RealFunction, _checked, _transform_rows
@@ -266,8 +266,11 @@ class KPsi:
         pieces between the cuts, each halved until its two top
         coefficients are within 0.04 k_tol / (1 + its left edge) per unit
         width. m at the nodes of every piece must not be negative beyond
-        the noise the H0 tolerance allows (ModelViolationError)."""
+        the noise the H0 tolerance allows (ModelViolationError). A piece
+        whose top coefficients exceed half theirs two halvings before has
+        met H0's noise: ConvergenceError names its span."""
         lo, hi, pieces = cuts[:-1], cuts[1:], []
+        tops = np.full((2, lo.size), np.inf)  # of each parent, grandparent
         for depth in range(self._MAX_DEPTH + 1):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             v = self._m((mid[:, None] + np.outer(half, _CC)).ravel())
@@ -281,8 +284,16 @@ class KPsi:
                     f"u*H0(psi)(u) is negative on [{lo[i]:.6g}, {hi[i]:.6g}] "
                     f"(min {low[i]:.3e}); k_psi would not be decreasing there")
             coef = np.einsum("pj,jk->pk", v, _CHEB)
-            done = (np.abs(coef[:, -2:]).max(axis=1) <= 0.04 * self.k_tol
-                    / (1.0 + lo)) | (depth >= self._MAX_DEPTH)
+            top = np.abs(coef[:, -2:]).max(axis=1)
+            done = (top <= 0.04 * self.k_tol / (1.0 + lo)) | (
+                depth >= self._MAX_DEPTH)
+            stall = ~done & (top > 0.5 * tops[1])
+            if stall.any():
+                i = int(np.argmax(stall))
+                raise ConvergenceError(
+                    f"hankel0 noise stalls the k_psi fit on [{lo[i]:.6g}, "
+                    f"{hi[i]:.6g}]: its top coefficients do not shrink")
+            tops = np.tile([top[~done], tops[0][~done]], 2)
             pieces.append(np.column_stack([lo, hi, coef])[done])
             lo, hi = (np.concatenate([x[~done], y[~done]]) for x, y in
                       ((lo, mid), (mid, hi)))

@@ -1,8 +1,8 @@
 """Goodness-of-fit checks: exact KS statistic, empirical characteristic
 function, and the reference target distributions.
 
-The normal CDF needs erf, which is the stdlib's math.erf taken
-elementwise, so the package carries no special-function dependency.
+The normal CDF needs erf, which is the stdlib's math.erf mapped over
+the values, so the package carries no special-function dependency.
 """
 
 import math
@@ -16,14 +16,14 @@ from .sampler import SampleBatch
 __all__ = ["erf", "TargetDistribution", "ks_statistic", "ecf",
            "target_library"]
 
-_ERF = np.frompyfunc(math.erf, 1, 1)
-
 
 def erf(x):
-    """Error function, abs error <= 2e-16; scalar or array: the
-    stdlib's math.erf, elementwise."""
-    out = np.asarray(_ERF(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-    return float(out) if out.ndim == 0 else out
+    """Error function, abs error <= 2e-16; a float for a scalar, else an
+    array of x's shape: the stdlib's math.erf mapped over the values into
+    one float64 buffer, with no object array between."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, x.size)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 @dataclass
@@ -81,7 +81,10 @@ def ks_statistic(batch: SampleBatch, target: TargetDistribution) -> float:
 def ecf(batch: SampleBatch, t_grid) -> np.ndarray:
     """Empirical characteristic function (1/N) sum_k e^{i t V_k}.
 
-    Exactly 1 at t = 0; modulus never exceeds 1.
+    A t twice the t before it squares that t's terms in place of a
+    complex exp per draw. A squaring doubles a term's error and adds a few
+    ulps: after j of them a term is within about 3 2^j eps of e^{itV}, and
+    the modulus within that of 1. Exactly 1 at t = 0.
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     if batch.values.size == 0:
@@ -89,8 +92,9 @@ def ecf(batch: SampleBatch, t_grid) -> np.ndarray:
     out = np.empty(t.shape, dtype=np.complex128)
     v = batch.values
     for j, tj in enumerate(t):
-        if tj == 0.0:
-            out[j] = 1.0 + 0.0j
-        else:
-            out[j] = np.mean(np.exp(1j * tj * v))
+        if j and tj == 2.0 * t[j - 1] != 0.0:
+            e *= e  # e^{2itV} = (e^{itV})^2
+        elif tj != 0.0:
+            e = np.exp(1j * tj * v)
+        out[j] = 1.0 + 0.0j if tj == 0.0 else np.mean(e)
     return out

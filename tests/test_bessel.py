@@ -285,3 +285,36 @@ def test_j0_zero_cache_concurrent_growth():
         got = list(ex.map(bessel.j0_zero, ms))
     want = [bessel.j0_zero(m) for m in ms]
     assert got == want
+
+
+def _zeros_by_scalar_newton(count):
+    # the reference: McMahon's start and three scalar Newton steps with
+    # J0' = -J1, zero by zero
+    from sinelaw import kernels
+    out = []
+    for k in range(1, count + 1):
+        beta = (k - 0.25) * math.pi
+        bi = 1.0 / beta
+        x = beta + bi * (0.125 + bi * bi * (
+            -31.0 / 384.0 + bi * bi * (3779.0 / 15360.0)))
+        for _ in range(3):
+            dfx = -kernels.j1(x)
+            if dfx != 0.0:
+                x -= kernels.j0(x) / dfx
+        out.append(x)
+    return out
+
+
+def test_j0_zeros_array_newton_is_the_scalar_newton(monkeypatch):
+    # grown in two steps from an empty cache: every zero is its own array
+    # element, whatever else grows with it
+    monkeypatch.setattr(bessel, "_zeros", np.empty(0))
+    first = bessel._j0_zeros(np.arange(1, 33))
+    got = bessel._j0_zeros(np.arange(1, 257))
+    assert bessel._zeros.size == 256
+    assert first.tolist() == got[:32].tolist()
+    assert got.tolist() == _zeros_by_scalar_newton(256)
+    with mp.workdps(20):
+        want = [float(mp.besseljzero(0, m)) for m in range(1, 257)]
+    # relative 2e-14 at most; measured, every zero is within an ulp
+    assert np.all(np.abs(got - want) <= np.spacing(want))

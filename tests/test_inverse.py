@@ -415,6 +415,22 @@ def test_kpsi_fit_nodes_hold_the_h0_bound(monkeypatch, factor):
         assert kp._table[0][-1] > 8.0
 
 
+def test_kpsi_fit_stops_where_h0_noise_stalls_it(monkeypatch):
+    # m carries noise of 1e-9 that no halving resolves: the top
+    # coefficients stop shrinking, and the fit raises at the third level
+    # instead of halving toward depth 24
+    noisy = lambda u: np.exp(-0.5 * u * u) + 1e-9 * np.sin(1e7 * u)
+    with pytest.raises(ConvergenceError, match=r"hankel0 noise stalls the "
+                       r"k_psi fit on \[\d"):
+        ExactKPsi(psi_gauss(), noisy)
+    calls, real = [], ExactKPsi._m
+    monkeypatch.setattr(ExactKPsi, "_m", lambda self, u:
+                        calls.append(u.size) or real(self, u))
+    with pytest.raises(ConvergenceError):
+        ExactKPsi(psi_gauss(), noisy)
+    assert calls == [4 * 17, 8 * 17, 16 * 17]
+
+
 def test_kpsi_one_ensure_equals_stepwise_growth():
     cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
     once = inverse.KPsi(psi_gauss(), cfg)

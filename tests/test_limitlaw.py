@@ -574,11 +574,17 @@ def _closed_form(gaussian, x, cdf):
 @example(x=2.0 ** -14, tol=1e-10)
 @example(x=6.25, tol=1e-6)
 @example(x=-9.0, tol=1e-6)
+@example(x=0.12, tol=1e-11)
+@example(x=0.14, tol=1e-11)
+@example(x=0.16, tol=1e-11)
+@example(x=4.34, tol=1e-11)
 def test_density_and_cdf_bounds_are_honest(make, gaussian, cdf, x, tol):
     # the mirrors f(1 - u) take the graded map from u* up to u_far = 1.
     # At x = 2^-14 the arcsine form of the gaussian CDF missed by 13 times
     # its bound; at 6.25 the mirror's u* near 1 holds few digits of the
-    # stretch, and at -9 it rounds onto 1
+    # stretch, and at -9 it rounds onto 1. At 0.12 to 4.34 and 1e-11 the
+    # gaussian mirror's density missed its tolerance by the terms added
+    # to the quadrature's bound
     cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_panels=200_000)
     try:
         val, err = limitlaw._arcsine_mixture(make(), x, cfg, cdf=cdf)
@@ -587,10 +593,26 @@ def test_density_and_cdf_bounds_are_honest(make, gaussian, cdf, x, tol):
     assert abs(float(val) - _closed_form(gaussian, x, cdf)) <= float(err)
 
 
+@pytest.mark.parametrize("x, tol", [(0.12, 1e-11), (0.14, 1e-11),
+                                    (0.16, 1e-11), (4.34, 1e-11),
+                                    (0.36, 1e-12), (2.16, 1e-12)])
+def test_density_rows_short_by_the_added_terms_are_integrated_again(x, tol):
+    # the quadrature met its target but 2 reach peak and the float-grid
+    # term of the mirror's u_far = 1 took the bound past the tolerance
+    cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_panels=200_000)
+    val, err = limitlaw._arcsine_mixture(f_gauss_increasing(), [x, 1.0],
+                                         cfg)
+    want = [_closed_form(True, v, False) for v in (x, 1.0)]
+    assert np.all(np.abs(val - want) <= err)
+    assert np.all(err <= tol * np.maximum(1.0, val))
+
+
 @pytest.mark.parametrize("target, cdf, most", [
-    ("gaussian", False, 2), ("gaussian", True, 5), ("cauchy", False, 1)])
+    ("gaussian", False, 2), ("gaussian", True, 5), ("cauchy", False, 1),
+    ("cauchy", True, 2)])
 def test_mixture_rounds_on_the_cli_grid(monkeypatch, target, cdf, most):
-    # the graded map keeps the gaussian's log end from driving bisection
+    # the graded map keeps the gaussian's log end from driving bisection;
+    # CDF rows start on 3 panels (the cauchy CDF took 4 rounds on one)
     from sinelaw import quadrature
     from sinelaw.sampler import builtin_f
     calls = []

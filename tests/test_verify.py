@@ -40,6 +40,28 @@ def test_erf_against_mpmath_within_documented_bound(x):
     assert erf(np.array([x, -x])).tolist() == [erf(x), -erf(x)]
 
 
+def test_erf_is_math_erf_bit_for_bit_in_any_shape():
+    # signed zeros, infinities and |x| near 6, where erf reaches 1
+    vals = [0.0, -0.0, math.inf, -math.inf, 5.9, -5.95, 6.0,
+            np.nextafter(6.0, 0.0), 1e-300, -0.3, 2.5, 26.0]
+    want = [math.erf(v) for v in vals]
+    for x in vals:
+        got = erf(x)
+        assert type(got) is float
+        assert math.copysign(1.0, got) == math.copysign(1.0, math.erf(x))
+        assert got == math.erf(x)
+    assert type(erf(np.float64(0.5))) is float
+    assert erf(np.array(0.5)) == math.erf(0.5)
+    got = erf(np.array(vals))
+    assert got.shape == (12,) and got.dtype == np.float64
+    assert got.tolist() == want
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    got = erf(np.array(vals).reshape(3, 4))
+    assert got.shape == (3, 4)
+    assert got.ravel().tolist() == want
+    assert erf(np.empty((0, 3))).shape == (0, 3)
+
+
 def test_erf_special_values():
     assert erf(0.0) == 0.0
     assert erf(1.0) == pytest.approx(0.8427007929497149, abs=2e-16)
@@ -178,3 +200,29 @@ def test_ecf_pooling_linearity():
     lhs = ecf(pooled, ts)
     rhs = (1500 * ecf(make_batch(a), ts) + 500 * ecf(make_batch(b), ts)) / 2000
     assert np.allclose(lhs, rhs, atol=1e-14)
+
+
+def _ecf_per_t(v, ts):
+    # the reference: one complex exp pass per t
+    return np.array([1.0 + 0.0j if t == 0.0 else np.mean(np.exp(1j * t * v))
+                     for t in ts])
+
+
+@pytest.mark.parametrize("draw", ["standard_normal", "standard_cauchy"])
+def test_ecf_doubling_grid_within_ulps_of_per_t_exp(draw):
+    # the CLI grid: each t after the first is twice the one before, so
+    # its terms are the squares of the previous t's
+    v = getattr(np.random.default_rng(3), draw)(10_000)
+    ts = (0.5, 1.0, 2.0, 4.0)
+    got = ecf(make_batch(v), ts)
+    assert np.max(np.abs(got - _ecf_per_t(v, ts))) <= 1e-15
+    assert np.all(np.abs(got) <= 1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("ts", [(0.3, 1.1, 2.7, -0.5), (0.0, 1.0, 3.0),
+                                (1.0, 0.0, 0.0, 2.5), (2.0, -1.0, 0.0)])
+def test_ecf_without_doubling_is_the_per_t_exp_bit_for_bit(ts):
+    v = np.random.default_rng(4).standard_cauchy(10_000)
+    got = ecf(make_batch(v), ts)
+    assert np.array_equal(got, _ecf_per_t(v, ts))
+    assert np.all(got[np.asarray(ts) == 0.0] == 1.0 + 0.0j)
