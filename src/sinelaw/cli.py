@@ -188,8 +188,6 @@ def _load_f(arg):
 
 def _cmd_sample(args):
     f = _load_f(args.f)
-    if args.n < 1 or args.count < 1:
-        raise ValueError("n and count must be >= 1")
     _say(args, f"sampling {args.count} draws of V_n[{f.f_id}], n={args.n}, "
                f"seed={args.seed}")
     batch = sample_vn(f, args.n, args.count, args.seed)
@@ -250,6 +248,8 @@ def _cmd_density(args):
             xs = np.linspace(float(lo), float(hi), int(n))
         except ValueError:
             raise ValueError(f"--x-grid takes lo:hi:n, not {args.x_grid!r}")
+        if xs.size == 0:
+            raise ValueError(f"--x-grid needs n >= 1, not {args.x_grid!r}")
     cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol, max_panels=200_000)
     vals = density_profile(f, xs, cfg)
     if args.out:
@@ -319,7 +319,10 @@ def _ks_report(batch, target, path, threshold):
 def _cmd_verify(args):
     batch = _read_samples(args.samples)
     target = target_library(args.target)
-    ks, passed = _ks_report(batch, target, args.report, args.ks_threshold)
+    try:
+        ks, passed = _ks_report(batch, target, args.report, args.ks_threshold)
+    except ValueError as exc:  # a sample file of non-finite values
+        raise ValueError(f"{args.samples}: {exc}") from None
     config = {"command": "verify", "samples": args.samples,
               "target": args.target, "ks_threshold": args.ks_threshold}
     _write_meta(args.report + ".meta.json", "verify", config)
@@ -329,8 +332,6 @@ def _cmd_verify(args):
 
 
 def _cmd_pipeline(args):
-    if args.n < 1 or args.count < 1:
-        raise ValueError("n and count must be >= 1")
     psi = _builtin_psi(args.psi)
     _say(args, f"solving the inverse problem for psi={psi.name}")
     f = _solve(args, psi, False)
@@ -436,96 +437,115 @@ def _cmd_selfcheck(args):
 
 # ---------------------------------------------------------------------------
 
+# name: (handler, help line, the add_argument calls of its parser)
+_COMMANDS = {
+    "sample": (_cmd_sample, "draw realizations of V_n[f]", (
+        ("--f", dict(required=True,
+                     help="gaussian | cauchy | const:<c> | table:<path>")),
+        ("--n", dict(type=int, default=1000)),
+        ("--count", dict(type=int, default=10000)),
+        ("--seed", dict(type=int, default=42)),
+        ("--out", dict(default="samples.csv")))),
+    "charfn": (_cmd_charfn, "limiting characteristic function", (
+        ("--f", dict(required=True)),
+        ("--t", dict(required=True, help="comma-separated t values")),
+        ("--tol", dict(type=float, default=1e-7)),
+        ("--out", {}))),
+    "density": (_cmd_density, "limiting probability density", (
+        ("--f", dict(required=True)),
+        ("--x", dict(help="comma-separated x values")),
+        ("--x-grid", dict(default="-8:8:161", help="lo:hi:n")),
+        ("--tol", dict(type=float, default=1e-6)),
+        ("--out", {}))),
+    "invert": (_cmd_invert, "solve the inverse problem for psi", (
+        ("--psi", dict(required=True,
+                       help="gaussian | cauchy | table:<path>")),
+        ("--psi-decay", dict(
+            help="decay class for table targets: gaussian[:scale] | "
+                 "exponential:<rate> | algebraic:<p>")),
+        ("--table-points", dict(type=int, default=2001)),
+        ("--override-checks", dict(
+            action="store_true",
+            help="proceed even if the admissibility checks fail")),
+        ("--out", dict(default="f_table.csv")))),
+    "verify": (_cmd_verify, "goodness of fit of a sample file", (
+        ("--samples", dict(required=True)),
+        ("--target", dict(required=True,
+                          help="std_normal | cauchy | cauchy_gamma:<g>")),
+        ("--ks-threshold", dict(type=float, default=DEFAULT_KS_THRESHOLD)),
+        ("--report", dict(default="report.json")))),
+    "pipeline": (_cmd_pipeline, "invert psi, sample V_n, verify the law", (
+        ("--psi", dict(required=True, choices=("gaussian", "cauchy"))),
+        ("--n", dict(type=int, default=1000)),
+        ("--count", dict(type=int, default=10000)),
+        ("--seed", dict(type=int, default=42)),
+        ("--ks-threshold", dict(type=float, default=DEFAULT_KS_THRESHOLD)),
+        ("--out-dir", dict(default=".")))),
+    "transform": (_cmd_transform, "evaluate H0 or the cosine Fourier "
+                                  "transform of a test function", (
+        ("--kind", dict(choices=("hankel0", "fourier1"), required=True)),
+        ("--g", dict(required=True,
+                     help="gaussian | exp:<rate> | lorentz:<a>")),
+        ("--t", dict(required=True)),
+        ("--tol", dict(type=float, default=1e-9)),
+        ("--out", {}))),
+    "selfcheck": (_cmd_selfcheck, "run the identity suite", ()),
+}
+
+
+@functools.cache  # per process, on the first call that runs the command
+def _command_parser(name):
+    fn, _, arguments = _COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"sinelaw {name}")
+    p.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+                   help="suppress progress output")
+    for flag, kw in arguments:
+        p.add_argument(flag, **kw)
+    p.set_defaults(fn=fn)
+    return p
+
+
+class _Deferred:
+    """Stands in for a command's parser in the top-level parser, which
+    hands it the command's arguments: only then is that parser built."""
+
+    def __init__(self, command, **_):
+        self.command = command
+
+    def parse_known_args(self, args, namespace):
+        return _command_parser(self.command).parse_known_args(args, namespace)
+
+
 @functools.cache  # on the first main call, not at import
-def _build_parser():
+def _parser():
     p = argparse.ArgumentParser(
         prog="sinelaw",
         description="Limit laws of f(U) sin(nU): direct and inverse "
                     "problems, sampling, verification.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="suppress progress output")
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress output")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    s = add_parser("sample", help="draw realizations of V_n[f]")
-    s.add_argument("--f", required=True,
-                   help="gaussian | cauchy | const:<c> | table:<path>")
-    s.add_argument("--n", type=int, default=1000)
-    s.add_argument("--count", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--out", default="samples.csv")
-    s.set_defaults(fn=_cmd_sample)
-
-    s = add_parser("charfn", help="limiting characteristic function")
-    s.add_argument("--f", required=True)
-    s.add_argument("--t", required=True, help="comma-separated t values")
-    s.add_argument("--tol", type=float, default=1e-7)
-    s.add_argument("--out")
-    s.set_defaults(fn=_cmd_charfn)
-
-    s = add_parser("density", help="limiting probability density")
-    s.add_argument("--f", required=True)
-    s.add_argument("--x", help="comma-separated x values")
-    s.add_argument("--x-grid", default="-8:8:161", help="lo:hi:n")
-    s.add_argument("--tol", type=float, default=1e-6)
-    s.add_argument("--out")
-    s.set_defaults(fn=_cmd_density)
-
-    s = add_parser("invert", help="solve the inverse problem for psi")
-    s.add_argument("--psi", required=True,
-                   help="gaussian | cauchy | table:<path>")
-    s.add_argument("--psi-decay",
-                   help="decay class for table targets: gaussian[:scale] | "
-                        "exponential:<rate> | algebraic:<p>")
-    s.add_argument("--table-points", type=int, default=2001)
-    s.add_argument("--override-checks", action="store_true",
-                   help="proceed even if the admissibility checks fail")
-    s.add_argument("--out", default="f_table.csv")
-    s.set_defaults(fn=_cmd_invert)
-
-    s = add_parser("verify", help="goodness of fit of a sample file")
-    s.add_argument("--samples", required=True)
-    s.add_argument("--target", required=True,
-                   help="std_normal | cauchy | cauchy_gamma:<g>")
-    s.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
-    s.add_argument("--report", default="report.json")
-    s.set_defaults(fn=_cmd_verify)
-
-    s = add_parser("pipeline",
-                       help="invert psi, sample V_n, verify the law")
-    s.add_argument("--psi", required=True, choices=("gaussian", "cauchy"))
-    s.add_argument("--n", type=int, default=1000)
-    s.add_argument("--count", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--ks-threshold", type=float, default=DEFAULT_KS_THRESHOLD)
-    s.add_argument("--out-dir", default=".")
-    s.set_defaults(fn=_cmd_pipeline)
-
-    s = add_parser("transform", help="evaluate H0 or the cosine "
-                                         "Fourier transform of a test function")
-    s.add_argument("--kind", choices=("hankel0", "fourier1"), required=True)
-    s.add_argument("--g", required=True,
-                   help="gaussian | exp:<rate> | lorentz:<a>")
-    s.add_argument("--t", required=True)
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.add_argument("--out")
-    s.set_defaults(fn=_cmd_transform)
-
-    s = add_parser("selfcheck", help="run the identity suite")
-    s.set_defaults(fn=_cmd_selfcheck)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_Deferred)
+    for name, (_, help_, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_, command=name)
     return p
 
 
+def _check_flags(args):
+    """Usage errors in sizes, seed and threshold, raised before any work."""
+    if min(getattr(args, "n", 1), getattr(args, "count", 1)) < 1:
+        raise ValueError("n and count must be >= 1")
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
+        raise ValueError(f"--seed must be in [0, 2^64), not {args.seed}")
+    if not 0.0 < getattr(args, "ks_threshold", 1.0) <= 1.0:
+        raise ValueError(
+            f"--ks-threshold must be in (0, 1], not {args.ks_threshold}")
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except (ValueError, ModelViolationError, BracketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,8 @@ def erf(x):
 
 @dataclass
 class TargetDistribution:
-    """A reference law to verify convergence against."""
+    """A reference law to verify convergence against; ks_statistic takes
+    its cdf to be nondecreasing within _KS_MARGIN."""
 
     name: str
     cdf: Callable[[np.ndarray], np.ndarray]
@@ -63,19 +64,39 @@ def target_library(name: str) -> TargetDistribution:
                      "use std_normal, cauchy or cauchy_gamma:<g>")
 
 
+_KS_BLOCK = 16
+# the few ulps by which a computed CDF may fail to be monotone, and more
+_KS_MARGIN = 1e-12
+
+
 def ks_statistic(batch: SampleBatch, target: TargetDistribution) -> float:
     """Exact sup |F_N - F| over the sample: max(i/N - F_(i), F_(i) - (i-1)/N).
 
     The one-sided gaps around every order statistic are both needed; a
-    grid-based sup systematically undershoots.
+    grid-based sup systematically undershoots. F is monotone, so its
+    values at the ends of a block of _KS_BLOCK order statistics bound the
+    gaps inside; F is taken inside only the blocks whose bound comes
+    within _KS_MARGIN of the largest gap at the ends, which keeps the
+    bits of the formula taken at every point.
     """
     x = np.sort(batch.values)
     if x.size == 0:
         raise ValueError("empty batch")
     n = x.size
-    fx = np.asarray(target.cdf(x), dtype=np.float64)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return float(max(np.max(i / n - fx), np.max(fx - (i - 1) / n)))
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise ValueError("non-finite values in the batch")
+    ends = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
+    fe = np.asarray(target.cdf(x[ends]), dtype=np.float64)
+    best = max(np.max((ends + 1) / n - fe), np.max(fe - ends / n))
+    lo = ends[:-1]
+    bound = np.maximum(ends[1:] / n - fe[:-1], fe[1:] - (lo + 1) / n)
+    inner = (lo[bound + _KS_MARGIN >= best, None]
+             + np.arange(1, _KS_BLOCK)).ravel()
+    inner = inner[inner < n - 1]
+    if inner.size:
+        fx = np.asarray(target.cdf(x[inner]), dtype=np.float64)
+        best = max(best, np.max((inner + 1) / n - fx), np.max(fx - inner / n))
+    return float(best)
 
 
 def ecf(batch: SampleBatch, t_grid) -> np.ndarray:
@@ -89,6 +110,8 @@ def ecf(batch: SampleBatch, t_grid) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     if batch.values.size == 0:
         raise ValueError("empty batch")
+    if not np.isfinite(batch.values).all():
+        raise ValueError("non-finite values in the batch")
     out = np.empty(t.shape, dtype=np.complex128)
     v = batch.values
     for j, tj in enumerate(t):

@@ -454,17 +454,46 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
      2, "error: --psi-decay exponential:1e300: decay parameter 1e+300 is "
         "outside [1e-100, 1e100]"),
     (["density", "--f", "gaussian", "--x-grid", "1:2"],
-     2, "error: --x-grid takes lo:hi:n, not '1:2'")],
+     2, "error: --x-grid takes lo:hi:n, not '1:2'"),
+    (["density", "--f", "gaussian", "--x-grid", "1:2:0"],
+     2, "error: --x-grid needs n >= 1, not '1:2:0'"),
+    (["pipeline", "--psi", "gaussian", "--ks-threshold", "nan",
+      "--out-dir", "{dir}/out"],
+     2, "error: --ks-threshold must be in (0, 1], not nan"),
+    (["verify", "--samples", "{dir}/psi.csv", "--target", "std_normal",
+      "--ks-threshold", "-1", "--report", "{dir}/r.json"],
+     2, "error: --ks-threshold must be in (0, 1], not -1.0"),
+    (["pipeline", "--psi", "gaussian", "--seed", "-1",
+      "--out-dir", "{dir}/out"],
+     2, "error: --seed must be in [0, 2^64), not -1"),
+    (["sample", "--f", "gaussian", "--seed", str(2 ** 64),
+      "--out", "{dir}/s.csv"],
+     2, f"error: --seed must be in [0, 2^64), not {2 ** 64}")],
     ids=["lorentz-0", "exp-tiny", "gaussian-tiny", "exponential-huge",
-         "x-grid"])
+         "x-grid", "x-grid-n0", "ks-nan", "ks-negative", "seed-negative",
+         "seed-2^64"])
 def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
     # decay scales whose float arithmetic would overflow and malformed
-    # values are usage errors: one line on stderr, no traceback
+    # or meaningless values are usage errors: one line on stderr, no
+    # traceback, and no file written
     _gaussian_psi_table(tmp_path / "psi.csv")
     out = _cli("--quiet", *(a.format(dir=tmp_path) for a in argv))
     assert out.returncode == rc
     assert out.stderr.splitlines() == [says], out.stderr
-    assert not (tmp_path / "f.csv").exists()
+    assert out.stdout == ""
+    assert os.listdir(tmp_path) == ["psi.csv"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_nonfinite_samples_are_a_usage_error(tmp_path, value):
+    samples = tmp_path / "s.csv"
+    samples.write_text(f"v\n-0.5\n{value}\n1.0\n")
+    out = _cli("--quiet", "verify", "--samples", str(samples), "--target",
+               "std_normal", "--report", str(tmp_path / "r.json"))
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        f"error: {samples}: non-finite values in the batch"], out.stderr
+    assert os.listdir(tmp_path) == ["s.csv"]
 
 
 def test_quiet_pipeline_prints_no_heuristic(tmp_path):
@@ -507,12 +536,16 @@ def test_main_calls_share_one_parser_and_no_state(tmp_path, capsys):
     import sinelaw.cli as cli
     argv = ["sample", "--f", "gaussian", "--n", "10", "--count", "20",
             "--out", str(tmp_path / "s.csv")]
+    cli._command_parser.cache_clear()
     assert run("--quiet", *argv) == 0
     assert capsys.readouterr().err == ""
     # the second call reuses the parser, but not the first call's --quiet
     assert run(*argv) == 0
     assert "wrote " in capsys.readouterr().err
-    assert cli._build_parser() is cli._build_parser()
+    # one parser per process for the command run, none for the others
+    assert cli._parser() is cli._parser()
+    info = cli._command_parser.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("flag", ["--n", "--count"])
@@ -529,3 +562,68 @@ def test_pipeline_rejects_bad_size_before_the_solve(tmp_path, capsys,
         "error: n and count must be >= 1"]
     assert solved == []
     assert not out_dir.exists()
+
+
+# the options of each command, as its --help lists them
+_OPTIONS = {
+    "sample": ["--f", "--n", "--count", "--seed", "--out"],
+    "charfn": ["--f", "--t", "--tol", "--out"],
+    "density": ["--f", "--x", "--x-grid", "--tol", "--out"],
+    "invert": ["--psi", "--psi-decay", "--table-points", "--override-checks",
+               "--out"],
+    "verify": ["--samples", "--target", "--ks-threshold", "--report"],
+    "pipeline": ["--psi", "--n", "--count", "--seed", "--ks-threshold",
+                 "--out-dir"],
+    "transform": ["--kind", "--g", "--t", "--tol", "--out"],
+    "selfcheck": [],
+}
+
+
+def _exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_command_help_lists_its_options(command, capsys):
+    rc, out, err = _exit_code([command, "--help"], capsys)
+    assert rc == 0 and err == ""
+    assert out.startswith(f"usage: sinelaw {command} [-h] [--quiet]")
+    listed = [line.split()[0].rstrip(",") for line in out.splitlines()
+              if line.startswith("  -")]
+    assert listed == ["-h", "--quiet"] + _OPTIONS[command]
+
+
+def test_top_level_help_lists_every_command(capsys):
+    from sinelaw.cli import _COMMANDS
+    rc, out, err = _exit_code(["--help"], capsys)
+    assert rc == 0 and err == ""
+    assert out.startswith("usage: sinelaw [-h] [--quiet]")
+    for name, (_, help_, _) in _COMMANDS.items():
+        assert f"    {name:<20}{help_.split()[0]}" in out
+    assert sorted(_COMMANDS) == sorted(_OPTIONS)
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_quiet_before_or_after_the_command(tmp_path, capsys, where):
+    argv = ["sample", "--f", "gaussian", "--n", "10", "--count", "20",
+            "--out", str(tmp_path / "s.csv")]
+    argv = ["--quiet", *argv] if where == "before" else [*argv, "--quiet"]
+    assert run(*argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,says", [
+    (["bogus"], "sinelaw: error: argument command: invalid choice: 'bogus'"),
+    (["selfcheck", "--bogus"], "sinelaw: error: unrecognized arguments: "
+                               "--bogus"),
+    (["verify", "--samples", "s.csv"],
+     "sinelaw verify: error: the following arguments are required: "
+     "--target")], ids=["command", "option", "required"])
+def test_bad_command_lines_exit_2_with_usage(argv, says, capsys):
+    rc, out, err = _exit_code(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("usage: sinelaw")
+    assert err.splitlines()[-1].startswith(says), err

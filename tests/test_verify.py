@@ -168,6 +168,94 @@ def test_ks_empty_batch_rejected():
         ks_statistic(b, t)
 
 
+def _ks_full(batch, target):
+    # the reference: the formula with F at every order statistic
+    x = np.sort(batch.values)
+    n = x.size
+    fx = np.asarray(target.cdf(x), dtype=np.float64)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return float(max(np.max(i / n - fx), np.max(fx - (i - 1) / n)))
+
+
+@given(st.integers(1, 20_000), st.sampled_from(["std_normal", "cauchy"]),
+       st.sampled_from(["target", "shifted", "ties"]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_ks_blocks_have_the_bits_of_the_full_sup(n, name, law, seed):
+    # sizes below one block and not a multiple of it; samples from the
+    # target, from a law shifted far off it (KS near 1), and with ties
+    t = target_library(name)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) if name == "std_normal" else \
+        rng.standard_cauchy(n) * math.sqrt(math.pi / 2.0)
+    if law == "shifted":
+        v = v + 8.0
+    elif law == "ties":
+        v = np.round(v, 1)
+    batch = make_batch(v)
+    assert ks_statistic(batch, t) == _ks_full(batch, t)
+
+
+def _cauchy_quantile(u):
+    return math.sqrt(math.pi / 2.0) * np.tan(math.pi * (u - 0.5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 64, 100])
+def test_ks_finds_a_sup_at_every_order_statistic(n):
+    # evenly spread quantiles with draw j moved by 0.3/n: the sup is its
+    # gap, up or down, and every block is taken whole
+    t = target_library("cauchy")
+    for j in range(n):
+        for shift in (-0.3, 0.3):
+            u = (np.arange(n) + 0.5) / n
+            u[j] += shift / n
+            batch = make_batch(_cauchy_quantile(u))
+            assert ks_statistic(batch, t) == _ks_full(batch, t)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ks_block_bound_reached_by_a_run_of_ties(sign):
+    # draws 0 .. q-1 tie at u = 0.5/n: the gap above draw q-1 is the sup,
+    # 0.5/n above the next draw's, and meets its block's bound when q
+    # ends a block. Negated, the draws reach the bound from below.
+    n = 100
+    t = target_library("cauchy")
+    for q in range(1, n - 1):
+        u = (np.arange(n) + 0.5) / n
+        u[:q] = 0.5 / n
+        u[q] = 2.0 / n
+        batch = make_batch(sign * _cauchy_quantile(u))
+        assert ks_statistic(batch, t) == _ks_full(batch, t)
+
+
+@pytest.mark.parametrize("name,target", [("gaussian", "std_normal"),
+                                         ("cauchy", "cauchy")])
+def test_ks_evaluates_the_cdf_on_few_of_the_pipeline_draws(name, target):
+    # the CLI's defaults: n = 1000, 10,000 draws, seed 42
+    t = target_library(target)
+    batch = sample_vn(builtin_f(name), 1000, 10_000, 42)
+    points = []
+    cdf = t.cdf
+
+    def counted(x):
+        points.append(np.size(x))
+        return cdf(x)
+
+    t.cdf = counted
+    assert ks_statistic(batch, t) == _ks_full(batch, target_library(target))
+    assert len(points) <= 2
+    assert sum(points) < 0.3 * 10_000
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_and_ecf_reject_nonfinite_values(bad):
+    batch = make_batch([0.5, bad, -1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        ks_statistic(batch, target_library("std_normal"))
+    with pytest.raises(ValueError, match="non-finite"):
+        ecf(batch, [0.5, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # empirical characteristic function
 
