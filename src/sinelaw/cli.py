@@ -78,8 +78,12 @@ def _write_meta(path, command, config, extra=None):
     return meta
 
 
-def _parse_floats(arg):
-    return [float(x) for x in arg.split(",") if x.strip() != ""]
+def _parse_floats(flag, arg):
+    try:  # an empty item, or an empty list, is a usage error
+        return [float(x) for x in arg.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated numbers, "
+                         f"not {arg!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +231,7 @@ def _read_samples(path):
 def _cmd_charfn(args):
     f = _load_f(args.f)
     cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol, max_panels=200_000)
-    ts = _parse_floats(args.t)
+    ts = _parse_floats("--t", args.t)
     vals = limit_char_fn(f, np.array(ts), cfg)
     if args.out:
         _write_csv(args.out, "t,phi", ts, vals)
@@ -241,7 +245,7 @@ def _cmd_charfn(args):
 def _cmd_density(args):
     f = _load_f(args.f)
     if args.x:
-        xs = np.array(_parse_floats(args.x))
+        xs = np.array(_parse_floats("--x", args.x))
     else:
         try:
             lo, hi, n = args.x_grid.split(":")
@@ -381,7 +385,7 @@ def _cmd_transform(args):
                          "use gaussian, exp:<rate> or lorentz:<a>")
     op = hankel0 if args.kind == "hankel0" else fourier1
     cfg = QuadConfig(abs_tol=args.tol, rel_tol=args.tol)
-    ts = _parse_floats(args.t)
+    ts = _parse_floats("--t", args.t)
     vals = op(g, np.array(ts), cfg)
     if args.out:
         _write_csv(args.out, "t,value", ts, vals)

@@ -19,7 +19,6 @@ costs one Horner sweep per u.
 import math
 import threading
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,19 +61,19 @@ _F_NODES = np.cos((np.arange(_F_DEG + 1) + 0.5) * np.pi / (_F_DEG + 1))
 _F_BETWEEN = np.cos(np.arange(1, _F_DEG + 1) * np.pi / (_F_DEG + 1))
 
 
-@dataclass(eq=False)
 class CharFn(RealFunction):
     """A candidate limit characteristic function psi: a RealFunction with
     a name. The transforms take it as it is, and H0(psi) is always their
     numerical Hankel transform."""
 
-    name: str = "psi"
+    def __init__(self, eval, decay, support=(0.0, math.inf), name="psi"):
+        super().__init__(eval, decay, support)
+        self.name = name
 
 
 # ---------------------------------------------------------------------------
 # conditions (L) report
 
-@dataclass
 class LReport:
     """Outcome of the admissibility checks for a target psi.
 
@@ -83,9 +82,8 @@ class LReport:
     check from an evaluator can only ever be a heuristic).
     """
 
-    hard: dict
-    warnings: list
-    details: dict
+    def __init__(self, hard: dict, warnings: list, details: dict):
+        self.hard, self.warnings, self.details = hard, warnings, details
 
     @property
     def passed(self):

@@ -43,7 +43,6 @@ floor below 1e-12 for x >= 12 and below 4e-16 for x >= 20.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,12 +50,13 @@ BACKEND = "pure"
 
 
 def _pq(four_nu_sq, n_terms):
-    a = [Fraction(1)]  # the Hankel symbols a_0 .. a_{2 n_terms + 1}
-    for m in range(1, 2 * n_terms + 2):
-        a.append(a[-1] * Fraction(four_nu_sq - (2 * m - 1) ** 2, 8 * m))
-    p = tuple(float((-1) ** k * a[2 * k]) for k in range(n_terms))
-    q = tuple(float((-1) ** k * a[2 * k + 1]) for k in range(n_terms))
-    return p, q
+    # the Hankel symbols a_m, m < 2 n_terms, signed (-1)^(m // 2), each an
+    # exact integer ratio, which int true division rounds correctly
+    a, num, den = [], 1, 1
+    for m in range(2 * n_terms):
+        a.append((-1) ** (m // 2) * num / den)
+        num, den = num * (four_nu_sq - (2 * m + 1) ** 2), den * 8 * (m + 1)
+    return tuple(a[0::2]), tuple(a[1::2])
 
 
 P0, Q0 = _pq(0, 11)

@@ -13,7 +13,6 @@ one smooth integral each when f is monotone with a known inverse.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
 _AMP_SAFETY = 1.02
 
 
-@dataclass
 class ParamFunction:
     """The sampler function f on (0,1), with the metadata the pipeline uses.
 
@@ -46,16 +44,15 @@ class ParamFunction:
         integrable), though the mixture integral does not read it.
     """
 
-    eval: Callable[[float], float]
-    epsilon_f: Optional[int] = None
-    inverse: Optional[Callable[[float], float]] = None
-    range_: tuple = (0.0, math.inf)
-    f_id: str = "custom"
-    char_decay: Optional[Decay] = None
-
-    def __post_init__(self):
-        if self.epsilon_f not in (None, 1, -1):
+    def __init__(self, eval: Callable[[float], float],
+                 epsilon_f: Optional[int] = None,
+                 inverse: Optional[Callable[[float], float]] = None,
+                 range_: tuple = (0.0, math.inf), f_id: str = "custom",
+                 char_decay: Optional[Decay] = None):
+        if epsilon_f not in (None, 1, -1):
             raise ValueError("epsilon_f must be +1, -1 or None")
+        self.eval, self.epsilon_f, self.inverse = eval, epsilon_f, inverse
+        self.range_, self.f_id, self.char_decay = range_, f_id, char_decay
 
     def eval_array(self, u):
         return _eval_array(self.eval, u)
@@ -77,13 +74,13 @@ class ParamFunction:
         return True
 
 
-@dataclass
 class LimitLaw:
     """Bundle of the limit distribution's callables."""
 
-    char_fn: Callable[[float], float]
-    density: Optional[Callable[[float], float]] = None
-    cdf: Optional[Callable[[float], float]] = None
+    def __init__(self, char_fn: Callable[[float], float],
+                 density: Optional[Callable[[float], float]] = None,
+                 cdf: Optional[Callable[[float], float]] = None):
+        self.char_fn, self.density, self.cdf = char_fn, density, cdf
 
 
 def _amplitude_truncation(f, t, lo, hi, budget):

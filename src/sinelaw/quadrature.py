@@ -13,7 +13,6 @@ checks them by integrating monomials up to the rule's exactness degree.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,21 +41,31 @@ _WG[1::2] = [0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
              0.1294849661688697]
 
 
-@dataclass(frozen=True)
-class QuadConfig:
+class _Value:
+    """A record frozen after __init__, equal and hashing alike by fields."""
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class QuadConfig(_Value):
     """Quadrature policy shared by the transform and limit-law routines."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_panels: int = 10_000
-    truncation_tail_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0
-                and self.truncation_tail_tol > 0):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
+                 max_panels: int = 10_000, truncation_tail_tol: float = 1e-12):
+        if not (abs_tol > 0 and rel_tol > 0 and truncation_tail_tol > 0):
             raise ValueError("tolerances must be strictly positive")
-        if self.max_panels < 1:
+        if max_panels < 1:
             raise ValueError("max_panels must be >= 1")
+        vars(self).update(abs_tol=abs_tol, rel_tol=rel_tol,
+                          max_panels=max_panels,
+                          truncation_tail_tol=truncation_tail_tol)
 
 
 def _gk_panels(f, a, b, rows):
@@ -184,10 +193,17 @@ def _tol(abs_tol, rel_tol, x):
 
 
 # row d: the Euler weights C(d, i) / 2^d, i = 0..d, in the last d + 1 of
-# 61 columns, one per partial sum of the window that ends at term d
-_EULER = np.array([[0.0] * (60 - d) + [math.comb(d, i) / 2 ** d
-                                        for i in range(d + 1)]
-                   for d in range(61)])
+# 61 columns, one per partial sum of the window that ends at term d; row d
+# of Pascal's triangle is exact in int64, and so is its scaling by 2^-d
+def _euler_weights():
+    c = np.zeros((61, 62), dtype=np.int64)
+    c[0, 60] = 1
+    for d in range(1, 61):
+        c[d, :61] = c[d - 1, :61] + c[d - 1, 1:]
+    return np.ldexp(c[:, :61], -np.arange(61)[:, None])
+
+
+_EULER = _euler_weights()
 
 # lobes integrated per open problem and round of _lobe_sums; 8 covers the
 # 7 terms every Euler sum takes before it may stop

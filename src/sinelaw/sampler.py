@@ -9,8 +9,6 @@ argument is n*u with u in (0,1), not n*pi*u.
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +22,16 @@ _CLAMP = 2.0 ** -53
 _CHUNK = 1 << 16
 
 
-@dataclass
 class SampleBatch:
     """Realizations of V_n with full provenance."""
 
-    values: np.ndarray
-    n: int
-    count: int
-    seed: int
-    f_id: str
-    resamples: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.count,):
+    def __init__(self, values: np.ndarray, n: int, count: int, seed: int,
+                 f_id: str, resamples: int = 0):
+        self.values = np.asarray(values, dtype=np.float64)
+        if self.values.shape != (count,):
             raise ValueError("values length must equal count")
+        self.n, self.count, self.seed = n, count, seed
+        self.f_id, self.resamples = f_id, resamples
 
 
 def uniform_stream(seed, start, n):
@@ -46,9 +39,11 @@ def uniform_stream(seed, start, n):
 
     Philox advances its 128-bit counter in blocks of four 64-bit words
     and each double consumes one word, so positioning needs the block
-    advance plus a word-level discard.
+    advance plus a word-level discard. The seed is the key, in [0, 2^64).
     """
-    bg = np.random.Philox(key=np.uint64(seed & (2**64 - 1)))
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed {seed!r} is not an integer in [0, 2^64)")
+    bg = np.random.Philox(key=np.uint64(seed))
     blocks, rem = divmod(start, 4)
     bg.advance(blocks)
     gen = np.random.Generator(bg)
@@ -76,35 +71,31 @@ def sample_vn(f: ParamFunction, n: int, count: int, seed: int,
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
 
-    spans = [(s, min(s + chunk_size, count)) for s in range(0, count, chunk_size)]
-
-    def one(span):
-        a, b = span
-        u = uniform_stream(seed, a, b - a)
+    def draw(start, size):
+        u = uniform_stream(seed, start, size)
         np.clip(u, _CLAMP, 1.0 - _CLAMP, out=u)
         return f.eval_array(u) * np.sin(n * u)
 
+    starts = range(0, count, chunk_size)
+    sizes = [min(chunk_size, count - s) for s in starts]
     nw = _workers()
-    if nw > 1 and len(spans) > 1:
+    if nw > 1 and len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(one, spans))
+            parts = list(pool.map(draw, starts, sizes))
     else:
-        parts = [one(s) for s in spans]
+        parts = list(map(draw, starts, sizes))
     values = np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     # deterministic resampling for non-finite f evaluations
     resamples = 0
-    offset = count
     bad = np.flatnonzero(~np.isfinite(values))
     while bad.size:
         if resamples > max(1000, count):
             raise ConvergenceError(
                 f"f failed to evaluate finitely after {resamples} resamples")
-        u = uniform_stream(seed, offset, bad.size)
-        offset += bad.size
+        values[bad] = draw(count + resamples, bad.size)
         resamples += bad.size
-        np.clip(u, _CLAMP, 1.0 - _CLAMP, out=u)
-        values[bad] = f.eval_array(u) * np.sin(n * u)
         bad = bad[~np.isfinite(values[bad])]
     if resamples > 0.001 * count:
         warnings.warn(f"{resamples} resamples for {count} draws; "

@@ -13,15 +13,14 @@ interval with a power substitution instead of being chopped.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
-from .quadrature import (_LOBE_BLOCK, QuadConfig, _integrate_rows, _lobe_sums,
-                         _one_row, integrate)
+from .quadrature import (_LOBE_BLOCK, QuadConfig, _Value, _integrate_rows,
+                         _lobe_sums, _one_row, integrate)
 
 __all__ = ["Decay", "RealFunction", "QuadConfig", "hankel0", "fourier1",
            "fourier2_radial_crosscheck"]
@@ -34,8 +33,7 @@ _T_BLOCK = 2048
 _LOBE_CUT = 4 * _LOBE_BLOCK
 
 
-@dataclass(frozen=True)
-class Decay:
+class Decay(_Value):
     """Tail envelope class of a function on (0, inf).
 
     kind 'gaussian'    : ~ exp(-r^2 / (2 scale^2))
@@ -46,15 +44,13 @@ class Decay:
     bounds of check_L, which square it, stay finite.
     """
 
-    kind: str
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "exponential", "algebraic"):
-            raise ValueError(f"unknown decay kind {self.kind!r}")
-        if not 1e-100 <= self.scale <= 1e100:
-            raise ValueError(f"decay parameter {self.scale!r} is outside "
+    def __init__(self, kind: str, scale: float = 1.0):
+        if kind not in ("gaussian", "exponential", "algebraic"):
+            raise ValueError(f"unknown decay kind {kind!r}")
+        if not 1e-100 <= scale <= 1e100:
+            raise ValueError(f"decay parameter {scale!r} is outside "
                              "[1e-100, 1e100]")
+        vars(self).update(kind=kind, scale=scale)
 
     def envelope(self, r):
         if self.kind == "gaussian":
@@ -81,13 +77,12 @@ def _eval_array(fn, x):
                     dtype=np.float64).reshape(x.shape)
 
 
-@dataclass(eq=False)
 class RealFunction:
     """A real function on (0, inf) with the metadata the transforms need."""
 
-    eval: Callable[[float], float]
-    decay: Decay
-    support: tuple = (0.0, math.inf)
+    def __init__(self, eval: Callable[[float], float], decay: Decay,
+                 support: tuple = (0.0, math.inf)):
+        self.eval, self.decay, self.support = eval, decay, support
 
     def eval_array(self, r):
         return _eval_array(self.eval, r)

@@ -6,7 +6,6 @@ the values, so the package carries no special-function dependency.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,15 +25,15 @@ def erf(x):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-@dataclass
 class TargetDistribution:
     """A reference law to verify convergence against; ks_statistic takes
     its cdf to be nondecreasing within _KS_MARGIN."""
 
-    name: str
-    cdf: Callable[[np.ndarray], np.ndarray]
-    char_fn: Callable[[float], float]
-    density: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    def __init__(self, name: str, cdf: Callable[[np.ndarray], np.ndarray],
+                 char_fn: Callable[[float], float],
+                 density: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        self.name, self.cdf, self.char_fn = name, cdf, char_fn
+        self.density = density
 
 
 def target_library(name: str) -> TargetDistribution:

@@ -198,6 +198,17 @@ def _cli(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
+def test_import_loads_no_dataclasses_fractions_or_thread_pool():
+    # every CLI run is a fresh process that pays for each module imported;
+    # the thread pool is imported only when sampling runs threaded
+    code = ("import sys, sinelaw.cli; print(sorted({'dataclasses', "
+            "'fractions', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("const", ["const:nan", "const:inf"])
 def test_nonfinite_constant_f_is_a_usage_error(tmp_path, const):
     out = _cli("--quiet", "sample", "--f", const, "--n", "10",
@@ -457,6 +468,10 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
      2, "error: --x-grid takes lo:hi:n, not '1:2'"),
     (["density", "--f", "gaussian", "--x-grid", "1:2:0"],
      2, "error: --x-grid needs n >= 1, not '1:2:0'"),
+    (["density", "--f", "gaussian", "--x", ","],
+     2, "error: --x takes comma-separated numbers, not ','"),
+    (["charfn", "--f", "gaussian", "--t", "1,,2"],
+     2, "error: --t takes comma-separated numbers, not '1,,2'"),
     (["pipeline", "--psi", "gaussian", "--ks-threshold", "nan",
       "--out-dir", "{dir}/out"],
      2, "error: --ks-threshold must be in (0, 1], not nan"),
@@ -470,8 +485,8 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
       "--out", "{dir}/s.csv"],
      2, f"error: --seed must be in [0, 2^64), not {2 ** 64}")],
     ids=["lorentz-0", "exp-tiny", "gaussian-tiny", "exponential-huge",
-         "x-grid", "x-grid-n0", "ks-nan", "ks-negative", "seed-negative",
-         "seed-2^64"])
+         "x-grid", "x-grid-n0", "x-empty", "t-empty-item", "ks-nan",
+         "ks-negative", "seed-negative", "seed-2^64"])
 def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
     # decay scales whose float arithmetic would overflow and malformed
     # or meaningless values are usage errors: one line on stderr, no

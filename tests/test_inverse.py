@@ -687,6 +687,21 @@ def test_sample_vn_on_a_fresh_f_from_four_workers_equals_one(monkeypatch):
     assert np.array_equal(draws[0], draws[1])
 
 
+def test_equal_configs_share_one_k_table():
+    # a CharFn keeps its k tables in its own __dict__, one per distinct
+    # QuadConfig: two equal configs built apart find the same table
+    ev = lambda t: np.exp(-0.5 * np.square(t))
+    psi = CharFn(ev, Decay("gaussian", 1.0), (0.0, math.inf), "gaussian")
+    assert (psi.eval, psi.decay, psi.support, psi.name) == (
+        ev, Decay("gaussian", 1.0), (0.0, math.inf), "gaussian")
+    assert CharFn(eval=ev, decay=Decay("gaussian", 1.0)).name == "psi"
+    kp = inverse._get_kpsi(psi, QuadConfig())
+    assert inverse._get_kpsi(psi, QuadConfig()) is kp
+    assert psi.__dict__["_kpsi_cache"] == {QuadConfig(): kp}
+    assert k_psi(psi, 1.0) == kp.k(1.0)
+    assert "_kpsi_cache" not in CharFn(ev, Decay("gaussian", 1.0)).__dict__
+
+
 def test_kpsi_constants_against_numpy_polynomial():
     # the Clenshaw-Curtis weights and the integral over s + 1
     cheb = np.polynomial.chebyshev

@@ -3,6 +3,7 @@ against mpmath."""
 
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +34,19 @@ def chebyshev_table(pieces=25, degree=10):
                 float(mp.fsum(c[m] * to_monomial[m][p] for m in range(n)))
                 for p in range(n)))
     return tuple(table)
+
+
+def test_hankel_symbols_are_their_exact_fractions_rounded():
+    # the asymptotic coefficients as float(Fraction) of the exact symbols
+    for four_nu_sq, p, q in ((0, kernels.P0, kernels.Q0),
+                             (4, kernels.P1, kernels.Q1)):
+        a = [Fraction(1)]
+        for m in range(1, 24):
+            a.append(a[-1] * Fraction(four_nu_sq - (2 * m - 1) ** 2, 8 * m))
+        want = [float((-1) ** (m // 2) * a[m]) for m in range(22)]
+        got = [x for pair in zip(p, q) for x in pair]
+        assert np.array_equal(np.array(got).view(np.int64),
+                              np.array(want).view(np.int64))
 
 
 def test_backend_selected():

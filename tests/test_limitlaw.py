@@ -47,6 +47,18 @@ def test_param_function_spot_checks():
         broken.spot_check()
 
 
+def test_param_function_construction():
+    ev = lambda u: 1.0 - u
+    f = ParamFunction(ev, 1, None, (0.0, 1.0), "line")
+    assert (f.eval, f.epsilon_f, f.inverse, f.range_, f.f_id,
+            f.char_decay) == (ev, 1, None, (0.0, 1.0), "line", None)
+    g = ParamFunction(eval=ev)
+    assert (g.epsilon_f, g.range_, g.f_id) == (None, (0.0, math.inf), "custom")
+    for bad in (0, 2, -2, "up"):
+        with pytest.raises(ValueError, match="epsilon_f"):
+            ParamFunction(eval=ev, epsilon_f=bad)
+
+
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 3.0])
 def test_charfn_gaussian_example(t):
     assert limit_char_fn(f_gauss(), t, CFG) == pytest.approx(

@@ -1,6 +1,8 @@
 """Checks of the Gauss-Kronrod constants and the adaptive/Euler drivers."""
 
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sinelaw.errors import ConvergenceError
-from sinelaw.quadrature import (QuadConfig, _gk_panels, _integrate_rows,
-                                _lobe_sums, integrate)
+from sinelaw.quadrature import (_EULER, QuadConfig, _gk_panels,
+                                _integrate_rows, _lobe_sums, integrate)
 
 
 def test_gk15_exact_for_monomials():
@@ -246,10 +248,37 @@ def test_lobe_sums_unsettled_at_max_terms():
 
 
 def test_quadconfig_validation():
-    with pytest.raises(ValueError):
-        QuadConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_panels=0)
+    for bad in (dict(abs_tol=0.0), dict(rel_tol=-1e-9),
+                dict(truncation_tail_tol=0.0), dict(abs_tol=math.nan),
+                dict(max_panels=0)):
+        with pytest.raises(ValueError):
+            QuadConfig(**bad)
     cfg = QuadConfig()
     assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-10
     assert cfg.max_panels == 10_000 and cfg.truncation_tail_tol == 1e-12
+
+
+def test_quadconfig_is_an_immutable_value():
+    # equal configs are one key of the k table cache; positional and
+    # keyword construction name the same fields, in the README's order
+    a, b = QuadConfig(), QuadConfig()
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    c = QuadConfig(1e-8, 1e-9, 200, 1e-13)
+    assert c == QuadConfig(abs_tol=1e-8, rel_tol=1e-9, max_panels=200,
+                           truncation_tail_tol=1e-13)
+    assert (c.abs_tol, c.rel_tol, c.max_panels, c.truncation_tail_tol) == (
+        1e-8, 1e-9, 200, 1e-13)
+    assert c != a and c != (1e-8, 1e-9, 200, 1e-13)
+    for field in ("abs_tol", "max_panels", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 1.0)
+    assert a == QuadConfig()
+    assert copy.copy(c) == c and pickle.loads(pickle.dumps(c)) == c
+
+
+def test_euler_weights_are_the_binomials_correctly_rounded():
+    want = np.array([[0.0] * (60 - d) + [math.comb(d, i) / 2 ** d
+                                         for i in range(d + 1)]
+                     for d in range(61)])
+    assert _EULER.dtype == np.float64
+    assert np.array_equal(_EULER.view(np.int64), want.view(np.int64))

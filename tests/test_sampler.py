@@ -70,6 +70,30 @@ def test_batch_invariants():
         SampleBatch(values=np.zeros(3), n=1, count=4, seed=0, f_id="x")
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # a masked -1 would draw the stream of 2^64 - 1
+    with pytest.raises(ValueError, match="seed"):
+        uniform_stream(seed, 0, 5)
+    with pytest.raises(ValueError, match="seed"):
+        sample_vn(builtin_f("gaussian"), 10, 5, seed)
+
+
+def test_largest_seed_draws_its_own_stream():
+    top = sample_vn(builtin_f("gaussian"), 10, 5, 2 ** 64 - 1)
+    assert top.seed == 2 ** 64 - 1 and np.all(np.isfinite(top.values))
+    assert not np.array_equal(top.values, sample_vn(builtin_f("gaussian"),
+                                                    10, 5, 0).values)
+
+
+def test_sample_batch_construction():
+    b = SampleBatch([1, 2], 3, 2, 4, "x", 5)
+    assert b.values.dtype == np.float64 and list(b.values) == [1.0, 2.0]
+    assert (b.n, b.count, b.seed, b.f_id, b.resamples) == (3, 2, 4, "x", 5)
+    assert SampleBatch(values=[0.5], n=1, count=1, seed=0,
+                       f_id="y").resamples == 0
+
+
 def test_validation_errors():
     f = builtin_f("gaussian")
     with pytest.raises(ValueError):

@@ -102,6 +102,18 @@ def test_decay_scales_at_the_range_ends_do_not_overflow(kind):
             Decay(kind, scale)
 
 
+def test_decay_is_an_immutable_value():
+    d = Decay("exponential", 2.0)
+    assert d == Decay(kind="exponential", scale=2.0)
+    assert hash(d) == hash(Decay("exponential", 2.0))
+    assert Decay("gaussian") == Decay("gaussian", 1.0) != d
+    with pytest.raises(AttributeError):
+        d.scale = 3.0
+    assert d.scale == 2.0
+    with pytest.raises(ValueError, match="unknown decay kind"):
+        Decay("stretched", 1.0)
+
+
 def test_hankel_error_bound_honest_on_goldens():
     for g, exact in [(gauss_fn(), lambda t: math.exp(-0.5 * t * t)),
                      (exp_fn(), lambda t: A / (t * t + math.pi / 2) ** 1.5)]:
