@@ -20,7 +20,7 @@ import numpy as np
 from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
 from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
-from .transforms import Decay, _T_BLOCK, _eval_array
+from .transforms import Decay, _eval_array
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
            "density_profile", "build_limit_law"]
@@ -148,6 +148,17 @@ def _first_zero_above(a, t):
     return m
 
 
+def _crossing(f, w):
+    """The u where the monotone f crosses w, at each w of an array: f^-1(w)
+    in [0, 1], or the end of (0, 1) where f is smallest for w <= a, where
+    it is largest for w >= b, f.range_ being (a, b)."""
+    (a, b), far = f.range_, (1.0 + f.epsilon_f) / 2.0
+    u, mid = np.where(w <= a, 1.0 - far, far), (w > a) & (w < b)
+    with np.errstate(all="ignore"):
+        u[mid] = np.clip(_eval_array(f.inverse, w[mid]), 0.0, 1.0)
+    return u
+
+
 def _charfn_zero_split(f, t, cfg):
     """phi at each t via lobes of u -> J0(t f(u)), cut at u_m = f_inv(j0_m / t).
 
@@ -156,42 +167,25 @@ def _charfn_zero_split(f, t, cfg):
     raw oscillation count (for f diverging like 1/u) runs to millions.
     Returns (values, error_bounds, failed).
     """
-    eps = f.epsilon_f
-    a_rng, b_rng = f.range_
     delta = min(cfg.abs_tol / 4.0, 1e-3)
-
-    m0 = _first_zero_above(a_rng, t)
-
-    def edge(p, m):
-        # u-coordinate of the m-th kernel zero; clamps to the truncation
-        # cut once the zero leaves the range of f
-        w = _j0_zeros(m) / t[p]
-        u = np.full(w.shape, delta if eps == -1 else 1.0 - delta)
-        inside = w < b_rng
-        u[inside] = np.clip(_eval_array(f.inverse, w[inside]), 0.0, 1.0)
-        return u
+    m0 = _first_zero_above(f.range_[0], t)
 
     def lobes(p, k):
-        # lobe k lies between zeros m - 1 and m; lobe 0 starts instead at
-        # the end of (0, 1) where f is smallest
+        # lobe k spans the u where f crosses zeros m - 1 and m, clamped
+        # to the truncation cut; zero m0 - 1 (0 if m0 = 1) is not above
+        # f's range, so lobe 0 starts at the end where f is smallest
         m = m0[p] + k
-        both = edge(np.concatenate([p, p]),
-                    np.concatenate([np.maximum(m - 1, 1), m]))
-        prev, cur = both[:p.size], both[p.size:]
-        if eps == -1:
+        w = np.stack([np.where(m > 1, _j0_zeros(np.maximum(m - 1, 1)), 0.0),
+                      _j0_zeros(m)]) / t[p]
+        prev, cur = _crossing(f, w)
+        if f.epsilon_f == -1:
             # f large near u=0: lobes march from u=1 down toward delta
-            lo = np.maximum(cur, delta)
-            hi = np.where(k == 0, 1.0, np.maximum(prev, delta))
-        else:
-            lo = np.where(k == 0, 0.0, np.minimum(prev, 1.0 - delta))
-            hi = np.minimum(cur, 1.0 - delta)
-        return lo, hi
+            return np.maximum(cur, delta), np.maximum(prev, delta)
+        return np.minimum(prev, 1.0 - delta), np.minimum(cur, 1.0 - delta)
 
-    panel_tol = max(cfg.truncation_tail_tol, cfg.abs_tol * 0.01, 1e-16)
     val, err, _ = _lobe_sums(
-        _j0_of_tf(f, t), lobes, t.size, panel_tol,
-        max(cfg.truncation_tail_tol, cfg.abs_tol * 0.05), 1e-12,
-        cfg.max_panels)
+        _j0_of_tf(f, t), lobes, t.size, max(cfg.abs_tol * 0.01, 1e-16),
+        cfg.abs_tol * 0.05, 1e-12, cfg.max_panels)
     err = err + delta
     return val, err, err > cfg.abs_tol
 
@@ -217,7 +211,7 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
 
     t is a scalar or an array; an array gives an array of its shape, and
     every element has the same bits as a scalar call at that t. The t
-    share one batched quadrature per path, up to 2048 t per batch.
+    share one batched quadrature per path.
 
     The interval is clipped to (delta, 1-delta) with delta = abs_tol/4;
     |J0| <= 1 bounds the discarded contribution by its length. Where f
@@ -239,14 +233,9 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     if f.epsilon_f is not None and f.inverse is not None:
         split = (ta != 0.0) & (_oscillation_estimate(f, ta, cfg) > 8.0)
     clip = (ta != 0.0) & ~split
-    for i in range(0, ta.size, _T_BLOCK):
-        part = slice(i, i + _T_BLOCK)
-        for mask, path in ((split[part], _charfn_zero_split),
-                           (clip[part], _charfn_clipped)):
-            if mask.any():
-                v, e, fail = path(f, ta[part][mask], cfg)
-                val[part][mask], err[part][mask] = v, e
-                failed[part][mask] = fail
+    for mask, path in ((split, _charfn_zero_split), (clip, _charfn_clipped)):
+        if mask.any():
+            val[mask], err[mask], failed[mask] = path(f, ta[mask], cfg)
     if failed.any():
         i = int(np.argmax(failed))
         raise ConvergenceError(
@@ -269,7 +258,7 @@ def _density_preconditions(f):
 
 def _arcsine_mixture(f, xs, cfg, cdf=False):
     """(values, error_bounds) of the density, or the CDF, at every x of
-    xs, one row per x of one batched quadrature per _T_BLOCK x.
+    xs, one row per x of one batched quadrature.
 
     f > |x| on the stretch from u* = f^-1(|x|) to the far end
     u_far = (1 + epsilon_f) / 2 of (0, 1), where f is largest. The graded
@@ -293,17 +282,9 @@ def _arcsine_mixture(f, xs, cfg, cdf=False):
     x = xs.ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    y, eps, (a, b) = np.abs(x), f.epsilon_f, f.range_
+    y, eps = np.abs(x), f.epsilon_f
     far = (1.0 + eps) / 2.0
-
-    def f_inv(w):
-        # f > w on all of (0, 1) when w <= a, nowhere when w >= b
-        u, mid = np.where(w <= a, 1.0 - far, far), (w > a) & (w < b)
-        with np.errstate(all="ignore"):
-            u[mid] = np.clip(_eval_array(f.inverse, w[mid]), 0.0, 1.0)
-        return u
-
-    span = np.abs(far - f_inv(y))
+    span = np.abs(far - _crossing(f, y))
     # a node whose u rounds onto or past u* has f(u) <= |x|: the density
     # zeroes it, and the bound takes 2 (largest such s) (largest value)
     reach, peak, low = np.zeros(x.shape), np.zeros(x.shape), np.ones(x.shape)
@@ -326,7 +307,7 @@ def _arcsine_mixture(f, xs, cfg, cdf=False):
         # M(|x| cosh t) / cosh t
         with np.errstate(all="ignore"):
             ch = np.cosh(t)
-            return np.abs(1.0 - far - f_inv(y[p, None] * ch)) / ch
+            return np.abs(1.0 - far - _crossing(f, y[p, None] * ch)) / ch
 
     # f <= |x| on all of (0, 1) puts M = 1 at every t: F = 1/2 +/- 1/2
     val = np.where(cdf & (span == 0.0), 0.5 * math.pi, 0.0)
@@ -345,12 +326,11 @@ def _arcsine_mixture(f, xs, cfg, cdf=False):
 
     def integrate(rows, goal, rel_tol):
         # goal: the target of every row, or an array of one per x
-        for i in range(0, rows.size, _T_BLOCK):
-            part = rows[i:i + _T_BLOCK]
-            val[part], err[part], _ = _integrate_rows(
-                lambda s, p: fn(s, part[p]), np.zeros(part.size),
-                np.full(part.size, hi), goal if np.isscalar(goal)
-                else goal[part], rel_tol, cfg.max_panels, panels)
+        if rows.size:
+            val[rows], err[rows], _ = _integrate_rows(
+                lambda s, p: fn(s, rows[p]), np.zeros(rows.size),
+                np.full(rows.size, hi), goal if np.isscalar(goal)
+                else goal[rows], rel_tol, cfg.max_panels, panels)
 
     def bound():
         # the density's terms outside the quadrature: 2 reach peak, and
@@ -364,7 +344,7 @@ def _arcsine_mixture(f, xs, cfg, cdf=False):
     integrate(rows, target, rel_tol)
     if cdf:
         with np.errstate(over="ignore"):
-            m = np.abs(1.0 - far - f_inv(y[rows] * math.cosh(T)))
+            m = np.abs(1.0 - far - _crossing(f, y[rows] * math.cosh(T)))
         val[rows] += tail * m
         err[rows] += tail * (1.0 - m)
     total = err if cdf else bound()

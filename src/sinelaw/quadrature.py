@@ -55,17 +55,31 @@ class _Value:
 
 
 class QuadConfig(_Value):
-    """Quadrature policy shared by the transform and limit-law routines."""
+    """Quadrature policy shared by the transform and limit-law routines,
+    which split abs_tol themselves (the transforms give 1% to the tail)."""
 
     def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
-                 max_panels: int = 10_000, truncation_tail_tol: float = 1e-12):
-        if not (abs_tol > 0 and rel_tol > 0 and truncation_tail_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+                 max_panels: int = 10_000):
+        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if max_panels < 1:
             raise ValueError("max_panels must be >= 1")
         vars(self).update(abs_tol=abs_tol, rel_tol=rel_tol,
-                          max_panels=max_panels,
-                          truncation_tail_tol=truncation_tail_tol)
+                          max_panels=max_panels)
+
+
+# most rows (intervals or lobe sums) one batched call takes, which bounds
+# the panel arrays' memory; a row's result is the same in any batch
+_T_BLOCK = 2048
+
+
+def _blocks(n, solve, *per_row):
+    # solve(i, *args) on rows i to i + _T_BLOCK of n, args the per_row
+    # arguments there (a scalar or None is every row's), results joined
+    out = [solve(i, *(x if np.ndim(x) == 0 else np.broadcast_to(
+        x, (n,))[i:i + _T_BLOCK] for x in per_row))
+        for i in range(0, n, _T_BLOCK)]
+    return tuple(np.concatenate(z) for z in zip(*out))
 
 
 def _gk_panels(f, a, b, rows):
@@ -113,13 +127,18 @@ def _integrate_rows(f, a, b, abs_tol, rel_tol, max_panels, panels=None):
     largest errors are split first when the budget is short). A panel
     too narrow to split keeps its error in the bound. The panels of an
     interval are summed in an order that depends on that interval alone,
-    so its result is the same bits whichever intervals share the call.
+    so its result is the same bits whichever intervals share the call;
+    more than _T_BLOCK intervals are integrated _T_BLOCK at a time.
 
     Returns (values, error_bounds, panels_used), each of shape (P,).
     """
     pa = np.array(a, dtype=np.float64, ndmin=1)
     pb = np.array(b, dtype=np.float64, ndmin=1)
     n_rows = pa.size
+    if n_rows > _T_BLOCK:
+        return _blocks(n_rows, lambda i, *args: _integrate_rows(
+            lambda x, rows: f(x, rows + i), *args), pa, pb, abs_tol,
+            rel_tol, max_panels, panels)
     prow = np.arange(n_rows)
     used = np.ones(n_rows, dtype=np.intp)
     if panels is not None:
@@ -230,7 +249,8 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
     (one can be a chance settling), is within max(tail_tol, rel_tol
     |top|), or two raw terms in a row are within a quarter of that, when
     the plain sum is the value.
-    panel_tol and tail_tol are per problem or one scalar for all.
+    panel_tol and tail_tol are per problem or one scalar for all. More
+    than _T_BLOCK problems are summed _T_BLOCK at a time.
 
     Returns (values, error_bounds, lobes_used): each bound is the
     quadrature errors of the lobes the sum used plus 10 times the larger
@@ -238,6 +258,11 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
     stop). A sum still open after max_terms lobes returns its last top
     with the bound inf.
     """
+    if n > _T_BLOCK:
+        return _blocks(n, lambda i, *tols: _lobe_sums(
+            lambda x, p: f(x, p + i), lambda p, m: edges(p + i, m),
+            min(_T_BLOCK, n - i), *tols, rel_tol, max_terms),
+            panel_tol, tail_tol)
     panel_tol = np.broadcast_to(panel_tol, (n,))
     tail_tol = np.broadcast_to(tail_tol, (n,))
     scale = np.zeros(n)

@@ -25,9 +25,6 @@ from .quadrature import (_LOBE_BLOCK, QuadConfig, _Value, _integrate_rows,
 __all__ = ["Decay", "RealFunction", "QuadConfig", "hankel0", "fourier1",
            "fourier2_radial_crosscheck"]
 
-# most t that one batched quadrature takes: bounds the panel arrays'
-# memory; a t's result does not depend on its batch
-_T_BLOCK = 2048
 # kernel zeros inside the truncated support at which the lobe sums take
 # over from one adaptive integral: there the two cost about the same per t
 _LOBE_CUT = 4 * _LOBE_BLOCK
@@ -184,7 +181,7 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
     an algebraic tail is instead integrated up to a fixed cut and folded
     beyond it with the kernel taken as 1 (the neglected kernel curvature
     contributes O(t), below tolerance). Each branch takes one batched
-    call per 2048 t, and every element has the bits of a one-element
+    call for all its t, and every element has the bits of a one-element
     call.
     """
     name, weight_power, zeros, integrand = kind
@@ -212,25 +209,22 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
         # lobes once the cut holds _LOBE_CUT kernel zeros
         lobe = np.divide(zeros(_LOBE_CUT), t, out=np.full(t.shape, math.inf),
                          where=t > 0) < cut
-    # keep per-lobe refinement above both the tail target and any noise
-    # floor implied by the overall tolerance
-    panel_tol = np.maximum(np.maximum(tail_tol * 0.05, abs_tol * 0.02), 1e-16)
+    # each lobe to 2% of abs_tol, kept above the rounding noise
+    panel_tol = np.maximum(abs_tol * 0.02, 1e-16)
     val, err = np.zeros(t.shape), np.zeros(t.shape)
-    for i in range(0, t.size, _T_BLOCK):
-        part = np.arange(i, min(i + _T_BLOCK, t.size))
-        j = part[lobe[part]]
-        if j.size:
-            val[j], err[j], _ = _lobe_sums(
-                lambda x, q: f(x, j[q]), lambda q, m: edges(j[q], m), j.size,
-                panel_tol[j], tail_tol[j], min(rel_tol, 1e-11), max_panels)
-        j = part[~lobe[part]]
-        if j.size:
-            # one panel per half period of the kernel to start with
-            v, e, _ = _integrate_rows(lambda x, q: f(x, j[q]), np.zeros(j.size),
-                                      cut[j], abs_tol[j] * 0.5, rel_tol,
-                                      max_panels, np.maximum(
-                                          np.ceil(t[j] * cut[j] / math.pi), 1))
-            val[j], err[j] = v, e + tail[j]
+    j = np.flatnonzero(lobe)
+    if j.size:
+        val[j], err[j], _ = _lobe_sums(
+            lambda x, q: f(x, j[q]), lambda q, m: edges(j[q], m), j.size,
+            panel_tol[j], tail_tol[j], min(rel_tol, 1e-11), max_panels)
+    j = np.flatnonzero(~lobe)
+    if j.size:
+        # one panel per half period of the kernel to start with
+        v, e, _ = _integrate_rows(lambda x, q: f(x, j[q]), np.zeros(j.size),
+                                  cut[j], abs_tol[j] * 0.5, rel_tol,
+                                  max_panels, np.maximum(
+                                      np.ceil(t[j] * cut[j] / math.pi), 1))
+        val[j], err[j] = v, e + tail[j]
     if algebraic and near0.any():
         tv, te = _folded_tail(g, cut[0], weight_power, abs_tol[near0] * 0.25,
                               max_panels)
@@ -261,7 +255,7 @@ def _transform(kind, g, t, cfg, full_output, scale=1.0):
     # a g that overflows makes the sums inf or NaN, which _checked rejects
     with np.errstate(all="ignore"):
         val, err = _transform_rows(kind, g, ta, np.full(ta.shape, cfg.abs_tol),
-                                   np.full(ta.shape, cfg.truncation_tail_tol),
+                                   np.full(ta.shape, 0.01 * cfg.abs_tol),
                                    cfg.rel_tol, cfg.max_panels)
     val, err = val * scale, err * scale
     _checked(kind[0], ta, val, err, cfg.abs_tol, cfg.rel_tol)
@@ -309,7 +303,7 @@ def fourier2_radial_crosscheck(G: RealFunction, t: float,
         radius = 8.0 * (1.0 + G.decay.scale)
     else:
         radius, _ = _truncation_radius(
-            G, np.array([min(cfg.truncation_tail_tol, 1e-12)]), 1, _amplitude(G))
+            G, np.array([min(0.01 * cfg.abs_tol, 1e-12)]), 1, _amplitude(G))
         radius = float(radius[0])
     n_theta = max(64, 4 * (int(t * radius) // 4 + 12))
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)

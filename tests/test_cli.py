@@ -152,6 +152,17 @@ def test_transform_command(capsys):
     assert got == pytest.approx(want, abs=1e-8)
 
 
+def test_transform_meets_a_tight_tolerance(capsys):
+    # exited 3 while the tail was held to 1e-12 whatever --tol:
+    # "hankel0 error bound 1.11e-12 exceeds tolerance at t=0.5"
+    rc = run("--quiet", "transform", "--kind", "hankel0", "--g", "gaussian",
+             "--t", "0.5,1,2,3", "--tol", "1e-12")
+    assert rc == 0
+    got = [float(v) for v in capsys.readouterr().out.split()]
+    want = [math.exp(-0.5 * t * t) for t in (0.5, 1.0, 2.0, 3.0)]
+    assert got == pytest.approx(want, abs=1e-9)
+
+
 def test_selfcheck_passes(capsys):
     assert run("--quiet", "selfcheck") == 0
     out = capsys.readouterr().out
@@ -483,10 +494,13 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
      2, "error: --seed must be in [0, 2^64), not -1"),
     (["sample", "--f", "gaussian", "--seed", str(2 ** 64),
       "--out", "{dir}/s.csv"],
-     2, f"error: --seed must be in [0, 2^64), not {2 ** 64}")],
+     2, f"error: --seed must be in [0, 2^64), not {2 ** 64}"),
+    (["charfn", "--f", "gaussian", "--t", "1", "--tol", "inf",
+      "--out", "{dir}/c.csv"],
+     2, "error: tolerances must be finite and positive")],
     ids=["lorentz-0", "exp-tiny", "gaussian-tiny", "exponential-huge",
          "x-grid", "x-grid-n0", "x-empty", "t-empty-item", "ks-nan",
-         "ks-negative", "seed-negative", "seed-2^64"])
+         "ks-negative", "seed-negative", "seed-2^64", "tol-inf"])
 def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
     # decay scales whose float arithmetic would overflow and malformed
     # or meaningless values are usage errors: one line on stderr, no

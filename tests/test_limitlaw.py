@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sinelaw import limitlaw
+from sinelaw import limitlaw, quadrature
 from sinelaw.bessel import _j0_zeros, j0
 from sinelaw.errors import ConvergenceError
 from sinelaw.limitlaw import (ParamFunction, build_limit_law, density_profile,
@@ -131,8 +131,8 @@ def test_charfn_array_is_bitwise_the_scalar_calls(make, monkeypatch):
     assert got.shape == ts.shape
     for t, v in zip(ts.ravel(), got.ravel()):
         assert v == limit_char_fn(f, float(t), CFG)
-    # split into batches of 3 t, the same bits again
-    monkeypatch.setattr(limitlaw, "_T_BLOCK", 3)
+    # with the quadrature's blocks of 3 rows or problems, the same bits
+    monkeypatch.setattr(quadrature, "_T_BLOCK", 3)
     assert np.array_equal(limit_char_fn(f, ts, CFG), got)
 
 
@@ -153,11 +153,12 @@ def test_charfn_error_bounds_cover_closed_forms(make, exact):
 
 
 @pytest.mark.parametrize("target", ["gaussian", "cauchy"])
-@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-12])
 def test_charfn_sweep_within_tolerance(target, tol):
     # 500 t across both paths: phi never misses its closed form by more
     # than abs_tol (a lone small Euler increment used to stop lobe sums
-    # early, by up to 2e-6)
+    # early, by up to 2e-6). At 1e-12 the lobe sums, their tail and
+    # panels held to 1e-12 whatever abs_tol, raised at many t
     from sinelaw.sampler import builtin_f
     ts = np.linspace(0.05, 25.0, 500)
     want = np.exp(-0.5 * ts * ts) if target == "gaussian" else np.exp(-A * ts)
@@ -352,8 +353,7 @@ def h_kernel(f, decay):
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_h_route_matches_charfn_gaussian(t):
     h = h_kernel(f_gauss(), Decay("gaussian", 1.0))
-    via_hankel = hankel0(h, t, QuadConfig(abs_tol=1e-8, rel_tol=1e-8,
-                                          truncation_tail_tol=1e-9))
+    via_hankel = hankel0(h, t, QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
     direct = limit_char_fn(f_gauss(), t, CFG)
     assert via_hankel == pytest.approx(direct, abs=1e-6)
 
@@ -363,7 +363,7 @@ def test_radial_route_matches_charfn_gaussian():
     h = h_kernel(f_gauss(), Decay("gaussian", 1.0))
     t = 1.0
     direct2d, via_hankel = fourier2_radial_crosscheck(
-        h, t, QuadConfig(abs_tol=1e-7, rel_tol=1e-7, truncation_tail_tol=1e-9))
+        h, t, QuadConfig(abs_tol=1e-7, rel_tol=1e-7))
     phi = limit_char_fn(f_gauss(), t, CFG)
     assert direct2d == pytest.approx(phi, abs=1e-5)
     assert via_hankel == pytest.approx(phi, abs=1e-5)
@@ -404,7 +404,7 @@ def fourier_oracle(f, xs, decay=None):
                        decay=decay or f.char_decay)
     scale = math.sqrt(2.0 * math.pi)
     outer = QuadConfig(abs_tol=1e-7 * scale, rel_tol=1e-7,
-                       max_panels=200_000, truncation_tail_tol=1e-9)
+                       max_panels=200_000)
     return fourier1(phi, np.asarray(xs, dtype=np.float64), outer) / scale
 
 
@@ -619,13 +619,27 @@ def test_density_rows_short_by_the_added_terms_are_integrated_again(x, tol):
     assert np.all(err <= tol * np.maximum(1.0, val))
 
 
+@pytest.mark.parametrize("cdf", [False, True], ids=["density", "cdf"])
+def test_mixture_blocks_keep_the_bits(cdf, monkeypatch):
+    # x = 0, both signs, and at 1e-11 four density rows integrated again
+    # to per-x goals, in one block and in blocks of 3 rows
+    f = f_gauss_increasing()
+    cfg = QuadConfig(abs_tol=1e-11, rel_tol=1e-11, max_panels=200_000)
+    xs = np.array([0.0, 0.12, -0.14, 0.16, 1.0, 4.34, -2.5])
+    got = limitlaw._arcsine_mixture(f, xs, cfg, cdf)
+    if not cdf:
+        assert np.array_equal(density_profile(f, xs, cfg), got[0])
+    monkeypatch.setattr(quadrature, "_T_BLOCK", 3)
+    again = limitlaw._arcsine_mixture(f, xs, cfg, cdf)
+    assert all(np.array_equal(x, y) for x, y in zip(again, got))
+
+
 @pytest.mark.parametrize("target, cdf, most", [
     ("gaussian", False, 2), ("gaussian", True, 5), ("cauchy", False, 1),
     ("cauchy", True, 2)])
 def test_mixture_rounds_on_the_cli_grid(monkeypatch, target, cdf, most):
     # the graded map keeps the gaussian's log end from driving bisection;
     # CDF rows start on 3 panels (the cauchy CDF took 4 rounds on one)
-    from sinelaw import quadrature
     from sinelaw.sampler import builtin_f
     calls = []
     gk = quadrature._gk_panels

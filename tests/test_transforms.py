@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sinelaw import transforms
+from sinelaw import quadrature, transforms
 from sinelaw.errors import ConvergenceError
 from sinelaw.inverse import CharFn, KPsi
 from sinelaw.quadrature import QuadConfig
@@ -165,7 +165,7 @@ def test_hankel_self_inversion_numeric_nested():
     # inner transform at default accuracy, outer relaxed so its panels
     # do not chase the inner noise; both golden shapes
     cfg_in = QuadConfig()
-    cfg_out = QuadConfig(abs_tol=1e-8, rel_tol=1e-8, truncation_tail_tol=1e-9)
+    cfg_out = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
 
     def nest(g, decay):
         def ev(t):
@@ -227,7 +227,8 @@ BATCH_T = np.array([0.0, 1e-15, 0.05, 0.3, 1.0, 2.0, 4.0, 7.0, 12.0, 30.0])
 @pytest.mark.parametrize("op, make_g", [
     (hankel0, gauss_fn), (hankel0, exp_fn), (hankel0, h0_of_exp_fn),
     (fourier1, gauss_fn), (fourier1, exp_fn), (fourier1, lorentz_fn)])
-def test_array_transform_equals_scalar_calls_bitwise(op, make_g):
+def test_array_transform_equals_scalar_calls_bitwise(op, make_g,
+                                                    monkeypatch):
     g = make_g()
     v, e = op(g, BATCH_T, full_output=True)
     single = [op(g, float(t), full_output=True) for t in BATCH_T]
@@ -237,6 +238,10 @@ def test_array_transform_equals_scalar_calls_bitwise(op, make_g):
     grid = op(g, -BATCH_T[::-1].reshape(2, 5))
     assert grid.shape == (2, 5)
     assert np.array_equal(grid.ravel(), v[::-1])
+    # with the quadrature's blocks of 3 rows or problems, the same bits
+    monkeypatch.setattr(quadrature, "_T_BLOCK", 3)
+    blocked = op(g, BATCH_T, full_output=True)
+    assert np.array_equal(blocked[0], v) and np.array_equal(blocked[1], e)
 
 
 @pytest.mark.parametrize("kernel, op, make_g", [
@@ -248,21 +253,19 @@ def test_transform_rows_mixed_tolerances_equal_scalar_calls(kernel, op,
     g = make_g()
     rng = np.random.default_rng(7)
     abs_tol = 10.0 ** rng.uniform(-11.0, -7.0, BATCH_T.size)
-    tail_tol = abs_tol * 10.0 ** rng.uniform(-4.0, -2.0, BATCH_T.size)
-    v, e = _transform_rows(kernel, g, BATCH_T, abs_tol, tail_tol, 1e-9,
-                           10_000)
+    v, e = _transform_rows(kernel, g, BATCH_T, abs_tol, 0.01 * abs_tol,
+                           1e-9, 10_000)
     scale = 1.0 if op is hankel0 else math.sqrt(2.0 / math.pi)
     for i, t in enumerate(BATCH_T):
-        cfg = QuadConfig(abs_tol=abs_tol[i], rel_tol=1e-9,
-                         truncation_tail_tol=tail_tol[i])
+        cfg = QuadConfig(abs_tol=abs_tol[i], rel_tol=1e-9)
         assert op(g, float(t), cfg, full_output=True) == (v[i] * scale,
                                                           e[i] * scale)
 
 
 def test_array_transform_error_names_first_failing_t():
-    # four panels leave errors of 4.5e-11 (t=0), 4.8e-11 (0.1), 5.6e-11
-    # (0.2) and 7.2e-11 (0.3) on the truncated integral
-    cfg = QuadConfig(abs_tol=5e-11, rel_tol=1e-14, max_panels=4)
+    # four panels leave errors of 5.4e-11 (t=0), 5.8e-11 (0.1), 6.8e-11
+    # (0.2) and 8.7e-11 (0.3) on the truncated integral
+    cfg = QuadConfig(abs_tol=6e-11, rel_tol=1e-14, max_panels=4)
     with pytest.raises(ConvergenceError, match=r"at t=0\.3$") as batch:
         hankel0(gauss_fn(), np.array([0.0, 0.1, 0.3, 0.2]), cfg)
     with pytest.raises(ConvergenceError) as single:
@@ -301,7 +304,7 @@ def _counting_lobe_sums(monkeypatch):
 def _t_holding(kernel, g, cfg, zeros_held):
     # t at which [0, cut] holds zeros_held kernel zeros, halfway between
     # the last zero inside and the first outside
-    cut, _ = _truncation_radius(g, np.array([cfg.truncation_tail_tol]),
+    cut, _ = _truncation_radius(g, np.array([0.01 * cfg.abs_tol]),
                                 kernel[1], _amplitude(g))
     z = kernel[2]
     return 0.5 * (z(zeros_held) + z(zeros_held + 1)) / float(cut[0])
@@ -319,7 +322,7 @@ CROSSOVER_CASES = [
 def test_bounds_cover_errors_across_the_crossover(kernel, op, make_g, exact,
                                                   tol, monkeypatch):
     g = make_g()
-    cfg = QuadConfig(abs_tol=tol, truncation_tail_tol=0.01 * tol)
+    cfg = QuadConfig(abs_tol=tol)
     ts = np.array([_t_holding(kernel, g, cfg, n) for n in HELD])
     calls = _counting_lobe_sums(monkeypatch)
     single = [op(g, float(t), cfg, full_output=True) for t in ts]
@@ -404,11 +407,23 @@ def test_truncation_tail_meets_its_target(g, weight_power):
 def test_lobe_sums_take_a_tighter_rel_tol():
     # past the crossover, a fixed Euler rel_tol of 1e-11 left a bound of
     # 1.70e-12 against abs_tol = rel_tol = 1e-12 here
-    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, truncation_tail_tol=1e-14)
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
     t = 3.687
     v, e = hankel0(exp_fn(), t, cfg, full_output=True)
     assert e <= 1e-12
     assert abs(v - A / (A * A + t * t) ** 1.5) <= e
+
+
+@pytest.mark.parametrize("make_g, exact", [
+    (gauss_fn, lambda t: np.exp(-0.5 * t * t)),
+    (exp_fn, lambda t: A / (A * A + t * t) ** 1.5)])
+def test_hankel0_meets_a_tight_tolerance(make_g, exact):
+    # a tail fixed at 1e-12, whatever abs_tol, took all of a 1e-12 budget:
+    # 27 (gaussian) and 22 (exponential) of these t raised ConvergenceError
+    t = np.geomspace(0.05, 200.0, 40)
+    v, e = hankel0(make_g(), t, QuadConfig(abs_tol=1e-12, rel_tol=1e-12),
+                   full_output=True)
+    assert np.all(np.abs(v - exact(t)) <= e)
 
 
 def _closed_form_families(a):
