@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 numeric convergence failure. All file outputs are written atomically
-(temp file + rename) and each file-producing run writes a metadata JSON
+(temp file + rename), with the permissions the umask gives a new file,
+and each file-producing run writes a metadata JSON
 with versions and a hash of the effective configuration; reruns with the
 same hash produce byte-identical CSVs.
 """
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import sys
-import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -38,13 +39,15 @@ def _say(args, msg):
         print(msg, file=sys.stderr)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, data):
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
+    # a name of this process and thread, made 0o666 less the umask
+    tmp = os.path.join(d, f".tmp_{os.getpid()}_{threading.get_ident()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -74,7 +77,8 @@ def _write_meta(path, command, config, extra=None):
     }
     if extra:
         meta.update(extra)
-    _atomic_write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, (json.dumps(meta, indent=2, sort_keys=True)
+                         + "\n").encode())
     return meta
 
 
@@ -188,6 +192,85 @@ def _load_f(arg):
 
 
 # ---------------------------------------------------------------------------
+# CSV output: "%.17g" text, byte for byte, in numpy blocks. A v of decimal
+# exponent e in [-4, 15] has the 17 digits hi + rint(lo), hi + lo being
+# |v| 10^(16-e) by Dekker's exact product and hi an even integer (so ties
+# go to even); a layout per e and number of significant digits picks its
+# text's bytes from its source row. Python formats the rest one by one: 0,
+# subnormals, inf, nan, exponent forms, and a log10 in the wrong decade.
+
+# source bytes (digit k at 3 + k); row bytes; longest text and separator
+_DOT, _ZERO, _NUL, _SIGN, _SEP, _ROW, _CELL = 0, 1, 2, 20, 21, 24, 25
+_CSV_BLOCK = 8192  # rows per block, so memory stays bounded
+
+
+def _csv_layouts():
+    """Row 17 (e + 4) + s - 1: the source byte of each output byte."""
+    e = np.arange(-4, 16)[:, None, None]
+    q = np.arange(-1, _CELL - 2)  # output position after the sign
+    point = np.maximum(e, 0) + 1
+    k = q - (q > point) - np.maximum(-e, 0)  # the digit at q, if k >= 0
+    at = np.select([q < 0, q == point, k < 0, k < 17],
+                   [_SIGN, _DOT, _ZERO, k + 3], _NUL)
+    # the integer part, and of the rest the first s digits
+    at = np.where((q < point) | (k < np.arange(1, 18)[:, None]), at, _NUL)
+    return np.concatenate([at, np.full((20, 17, 1), _SEP)],
+                          axis=2).reshape(-1, _CELL)
+
+
+def _split(x):  # Veltkamp's: x = hi + lo, 26 significant bits each
+    hi = 134217729.0 * x - (134217729.0 * x - x)
+    return hi, x - hi
+
+
+_CSV_AT = _csv_layouts()
+_P10 = 10.0 ** np.arange(20, 0, -1)  # 10^(16-e), exact for e = -4 .. 15
+_P10_HI, _P10_LO = _split(_P10)
+_QUAD = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                             indexing="ij", copy=False),
+                 axis=-1).view(np.uint32).ravel()  # "0000" .. "9999"
+
+
+def _csv_block(block, seps):
+    """A 2-D block's text, each value ended by its column's byte in seps."""
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    e4 = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 15) + 4
+    hi = a * _P10[e4]  # below 1e18: e is off by at most one
+    (ah, al), bh, bl = _split(a), _P10_HI[e4], _P10_LO[e4]
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    n17 = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & (n17 < 10 ** 17)
+    lead, low = np.divmod(n17, 10 ** 16)
+    src = np.empty((v.size, _ROW), np.uint8)
+    src[:, :3] = 46, 48, 0
+    src[:, 3] = lead + 48
+    for word, step in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1), 1):
+        src.view(np.uint32)[:, word] = _QUAD[low // step % 10000]
+    src[:, _SIGN] = np.signbit(v) * 45
+    src.reshape(block.shape + (_ROW,))[..., _SEP] = seps
+    zeros = np.argmax(src[:, 19:2:-1] != 48, axis=1)  # trailing "0"s
+    at = np.take(_CSV_AT, 17 * e4 + 16 - zeros, axis=0)
+    at += np.arange(0, src.size, _ROW)[:, None]
+    cells = np.take(src, at)
+    for i in np.flatnonzero(~fast).tolist():
+        cells[i, :-1] = np.frombuffer(
+            (b"%.17g" % v[i]).ljust(_CELL - 1, b"\0"), np.uint8)
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _write_csv(path, header, *columns):
+    # 17 significant digits, so every float reads back exactly
+    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    seps = np.frombuffer(b"," * (data.shape[1] - 1) + b"\n", np.uint8)
+    _atomic_write(path, b"".join([header.encode() + b"\n"] + [
+        _csv_block(data[r:r + _CSV_BLOCK], seps)
+        for r in range(0, len(data), _CSV_BLOCK)]))
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_sample(args):
@@ -203,13 +286,6 @@ def _cmd_sample(args):
         "seed": batch.seed, "resamples": batch.resamples})
     _say(args, f"wrote {args.out}")
     return 0
-
-
-def _write_csv(path, header, *columns):
-    # 17 significant digits, so every float reads back exactly
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    text = (",".join(["%.17g"] * len(columns)) + "\n") * len(data)
-    _atomic_write(path, f"{header}\n" + text % tuple(data.ravel().tolist()))
 
 
 def _read_samples(path):
@@ -316,7 +392,7 @@ def _ks_report(batch, target, path, threshold):
         "count": batch.count,
         "seed": batch.seed,
     }
-    _atomic_write(path, json.dumps(report, indent=2) + "\n")
+    _atomic_write(path, (json.dumps(report, indent=2) + "\n").encode())
     return ks, passed
 
 

@@ -3,13 +3,19 @@
 import json
 import math
 import os
+import stat
+import struct
 import subprocess
 import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sinelaw.cli import _load_f_table, _load_psi, _write_csv, main
+from sinelaw.cli import (_atomic_write, _load_f_table, _load_psi, _loadtxt,
+                         _write_csv, main)
 from sinelaw.quadrature import QuadConfig
 from sinelaw.transforms import Decay, RealFunction
 
@@ -340,19 +346,133 @@ def test_transform_evaluates_all_t_in_one_call(monkeypatch, capsys, tmp_path):
             f"{t:.17g},{v:.17g}\n" for t, v in zip(ts, single))
 
 
+def _hard_values():
+    # zeros, subnormals, non-finite and exponent forms (formatted one by
+    # one), ties at the 17th digit, every power of ten from 1e-6 to 1e17
+    # and the fast path's edges 1e-4 and 1e16 with the floats next to them
+    vals = [0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 1e-310, 3, 7,
+            2**60, math.inf, math.nan, 0.1, 1.0 / 3.0, 1e17,
+            123456789012345.25, 123456789012345.75, 1e15 + 0.5]
+    for x in [float(f"1e{k}") for k in range(-6, 18)]:
+        vals += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return vals + [-v for v in vals]
+
+
+def _csv_text(header, *columns):
+    cols = ([f"{v:.17g}" for v in np.asarray(c, dtype=float).tolist()]
+            for c in columns)
+    return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
+
+
 def test_write_csv_formats_every_value_as_a_17_digit_float(tmp_path):
     # byte for byte the join of one "{:.17g}" format per value, for one
-    # or two columns, lists (as charfn passes) or arrays, and no rows
-    vals = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3, 3, -7,
-            2**60, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, 1e16, 1e17]
+    # or two columns, lists (as charfn passes) or arrays, no rows, and
+    # 20,001 rows (past a block of 8,192)
+    vals = _hard_values()
+    rng = np.random.default_rng(7)
+    many = rng.standard_normal(20_001) * 10.0 ** rng.integers(-6, 18, 20_001)
     out = tmp_path / "v.csv"
     for columns in ([vals, np.arange(len(vals))], [np.array(vals)],
-                    [np.array(vals), vals[::-1]], [np.empty(0)], [[], []]):
+                    [np.array(vals), vals[::-1]], [np.empty(0)], [[], []],
+                    [many, many[::-1]]):
         _write_csv(str(out), "a,b", *columns)
-        cols = ([f"{v:.17g}" for v in np.asarray(c, dtype=float).tolist()]
-                for c in columns)
-        want = "\n".join(["a,b", *map(",".join, zip(*cols))]) + "\n"
-        assert read_bytes(out) == want.encode()
+        assert read_bytes(out) == _csv_text("a,b", *columns).encode()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path, monkeypatch,
+                                                     capsys):
+    import sinelaw.cli as cli
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "v.csv"), "a,b", [1.0, 2.0], [1.0])
+    real = cli.limit_char_fn
+    monkeypatch.setattr(cli, "limit_char_fn",
+                        lambda f, t, cfg: np.append(real(f, t, cfg), 0.0))
+    out = tmp_path / "phi.csv"
+    assert run("--quiet", "charfn", "--f", "gaussian", "--t", "0.5,1",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
+_bits = st.one_of(
+    st.integers(0, 2**64 - 1),  # any float64, nan and inf included
+    # or one of binary exponent -20..60, around the fixed-notation range
+    st.tuples(st.integers(0, 1), st.integers(1003, 1083),
+              st.integers(0, 2**52 - 1)).map(
+        lambda t: t[0] << 63 | t[1] << 52 | t[2]))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(_bits, min_size=k, max_size=k),
+                       max_size=30)))
+@settings(max_examples=150, deadline=None)
+def test_write_csv_equals_python_format_on_any_float64(rows):
+    columns = [[struct.unpack("<d", struct.pack("<Q", b))[0] for b in col]
+               for col in zip(*rows)] or [[]]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "v.csv")
+        _write_csv(path, "h", *columns)
+        assert read_bytes(path) == _csv_text("h", *columns).encode()
+
+
+def test_write_csv_reads_back_bit_for_bit(tmp_path):
+    vals = np.array(_hard_values())
+    out = str(tmp_path / "v.csv")
+    _write_csv(out, "u,f_of_u", np.arange(vals.size), vals)
+    back = _loadtxt(out, delimiter=",", ndmin=2)[:, 1]
+    assert np.isnan(back).tolist() == np.isnan(vals).tolist()
+    keep = ~np.isnan(vals)
+    assert back[keep].view(np.uint64).tolist() == \
+        vals[keep].view(np.uint64).tolist()
+    assert np.signbit(back[vals == 0]).tolist() == [False, True]
+    # an f table holding no nan evaluates to its values at its nodes
+    us = np.linspace(0.0, 1.0, int(keep.sum()))
+    _write_csv(out, "u,f_of_u", us, vals[keep])
+    got = _load_f_table(out).eval(us)
+    assert got.view(np.uint64).tolist() == vals[keep].view(np.uint64).tolist()
+
+
+def test_outputs_get_the_umask_permissions(tmp_path):
+    d = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert run("--quiet", "pipeline", "--psi", "gaussian", "--n", "100",
+                   "--count", "500", "--ks-threshold", "1",
+                   "--out-dir", str(d)) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in d.iterdir()}
+    assert modes == {name: 0o644 for name in (
+        "f_table.csv", "samples.csv", "samples.csv.meta.json",
+        "report.json", "report.json.meta.json")}
+
+
+def test_atomic_writes_from_threads_leave_only_their_files(tmp_path):
+    # each thread writes through its own temp name; a failed write (a
+    # directory in the way) leaves no temp file behind
+    def write(k):
+        for j in range(20):
+            _atomic_write(str(tmp_path / f"{k}-{j}"), f"{k} {j}".encode())
+
+    threads = [threading.Thread(target=write, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        _atomic_write(str(tmp_path / "dir"), b"x")
+    names = sorted(os.listdir(tmp_path))
+    assert names == sorted([f"{k}-{j}" for k in range(6) for j in range(20)]
+                           + ["dir"])
+    assert all(read_bytes(tmp_path / n) == n.replace("-", " ").encode()
+               for n in names if n != "dir")
 
 
 def _gaussian_psi_table(path):
