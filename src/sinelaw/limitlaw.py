@@ -20,24 +20,20 @@ import numpy as np
 from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
 from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
-from .transforms import Decay, _eval_array
+from .transforms import Decay, _checked, _eval_array
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
            "density_profile", "build_limit_law"]
-
-# |J0(z)| <= AMP_SAFETY * sqrt(2/(pi z)) for z > 0; the constant 1 is
-# empirically tight (max observed ratio 0.99999992 on (0, 2000]), the
-# margin covers the kernel's own 1e-12 evaluation error
-_AMP_SAFETY = 1.02
 
 
 class ParamFunction:
     """The sampler function f on (0,1), with the metadata the pipeline uses.
 
     epsilon_f: +1 if strictly increasing, -1 if strictly decreasing,
-        None when monotonicity is unknown (disables the sharper
-        oscillatory truncation and the density path).
-    inverse: exact or numeric inverse of f, when available.
+        None when monotonicity is unknown (phi then takes one adaptive
+        integral, and there is no density path).
+    inverse: exact or numeric inverse of f, when available. The density
+        needs it; phi bisects a monotone f that has none.
     range_: image interval (a, b), a >= 0.
     char_decay: decay class of the limiting characteristic function.
         The density routines require a gaussian or exponential one (phi
@@ -83,62 +79,6 @@ class LimitLaw:
         self.char_fn, self.density, self.cdf = char_fn, density, cdf
 
 
-def _amplitude_truncation(f, t, lo, hi, budget):
-    """Extend the truncated region from the diverging endpoint, per t.
-
-    Uses |J0(z)| <= min(1, c/sqrt(z)) on the monotone stretch where
-    t*f(u) is large; the envelope is monotone there, so a right/left
-    Riemann sum over geometric steps is a rigorous overestimate of the
-    discarded mass. Returns arrays (new_lo, new_hi, bound_used).
-    """
-    lo, hi = np.full(t.shape, lo), np.full(t.shape, hi)
-    used = np.zeros(t.shape)
-    if f.epsilon_f is None or budget <= 0:
-        return lo, hi, used
-    c = _AMP_SAFETY * np.sqrt(2.0 / (math.pi * t))
-    # f biggest near u=0 (decreasing f): march the lower cut upward;
-    # otherwise march the upper cut downward
-    up = f.epsilon_f == -1
-    u = lo if up else hi
-    j = np.arange(t.size)
-    while True:
-        j = j[u[j] < 0.25] if up else j[u[j] > 0.75]
-        if not j.size:
-            return lo, hi, used
-        step = (u[j] if up else 1.0 - u[j]) * 0.25
-        nxt = u[j] + step if up else u[j] - step
-        fu = np.abs(f.eval_array(nxt))
-        # a zero or non-finite f gets the conservative envelope 1, which
-        # stops the march
-        ok = (fu > 0.0) & np.isfinite(fu)
-        env = np.ones_like(fu)
-        env[ok] = np.minimum(1.0, c[j][ok] / np.sqrt(fu[ok]))
-        bound = step * env
-        go = (used[j] + bound <= budget) & (env <= 0.5)
-        j = j[go]
-        used[j] += bound[go]
-        u[j] = nxt[go]
-
-
-def _oscillation_estimate(f, t, cfg):
-    # total phase swept by t*f over (0,1), probed at the clip delta near
-    # the wilder endpoint, where both phi paths start
-    delta = min(cfg.abs_tol / 4.0, 1e-3)
-    probe = delta if f.epsilon_f in (None, -1) else 1.0 - delta
-    try:
-        fu = abs(float(f.eval(probe)))
-    except Exception:
-        return np.zeros_like(t)
-    if not math.isfinite(fu):
-        return np.full_like(t, math.inf)
-    return t * fu / math.pi
-
-
-def _j0_of_tf(f, t):
-    # the integrand J0(t f(u)) of every t at once: panel rows name their t
-    return lambda u, p: j0_array(t[p][:, None] * f.eval_array(u))
-
-
 def _first_zero_above(a, t):
     """The least m >= 1 with j0_m / t > a, at each t: McMahon's j0_m ~
     (m - 1/4) pi puts it at floor(a t / pi + 1/4) or one above."""
@@ -151,8 +91,18 @@ def _first_zero_above(a, t):
 def _crossing(f, w):
     """The u where the monotone f crosses w, at each w of an array: f^-1(w)
     in [0, 1], or the end of (0, 1) where f is smallest for w <= a, where
-    it is largest for w >= b, f.range_ being (a, b)."""
+    it is largest for w >= b, f.range_ being (a, b). An f without an
+    inverse is bisected on (0, 1), 64 halvings for the whole array."""
     (a, b), far = f.range_, (1.0 + f.epsilon_f) / 2.0
+    if f.inverse is None:
+        lo, hi = np.zeros(w.shape), np.ones(w.shape)
+        with np.errstate(all="ignore"):
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                # f(mid) < w puts the crossing on the side where f is largest
+                up = (f.eval_array(mid) < w) == (far == 1.0)
+                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        return 0.5 * (lo + hi)
     u, mid = np.where(w <= a, 1.0 - far, far), (w > a) & (w < b)
     with np.errstate(all="ignore"):
         u[mid] = np.clip(_eval_array(f.inverse, w[mid]), 0.0, 1.0)
@@ -160,50 +110,60 @@ def _crossing(f, w):
 
 
 def _charfn_zero_split(f, t, cfg):
-    """phi at each t via lobes of u -> J0(t f(u)), cut at u_m = f_inv(j0_m / t).
+    """phi at each t via lobes of u -> J0(t f(u)), cut where f crosses the
+    kernel zeros j0_m / t, each lobe integrated in x = ln d, d being the
+    distance of u from the end where f is largest.
 
-    Needs a monotone f with an inverse. The lobe integrals alternate, so
-    the Euler-accelerated tail converges in tens of lobes even when the
-    raw oscillation count (for f diverging like 1/u) runs to millions.
-    Returns (values, error_bounds, failed).
+    Needs a monotone f. The lobes crowd toward that end, geometrically
+    when f diverges like 1/d, and lobe 0 reaches from the first crossing
+    to the other end: in x each lobe spans a few units, where in u the
+    panels of a lobe 0 from d = 1e-7 to 1 missed the change of J0 near
+    its crossing. The lobe integrals alternate, so the Euler-accelerated
+    tail converges in tens of lobes even when the raw oscillation count
+    runs to millions. Returns (values, error_bounds).
     """
     delta = min(cfg.abs_tol / 4.0, 1e-3)
-    m0 = _first_zero_above(f.range_[0], t)
+    far = (1.0 + f.epsilon_f) / 2.0
+    # the lobes start at the first zero above f's least value on the clip
+    low = f.eval_array(np.array([delta if far else 1.0 - delta]))[0]
+    m0 = _first_zero_above(low, t)
 
     def lobes(p, k):
-        # lobe k spans the u where f crosses zeros m - 1 and m, clamped
-        # to the truncation cut; zero m0 - 1 (0 if m0 = 1) is not above
-        # f's range, so lobe 0 starts at the end where f is smallest
+        # lobe k spans the x where f crosses zeros m - 1 and m, clamped to
+        # the clip d >= delta; zero m0 - 1 is not above f's least value,
+        # so lobe 0 starts at the end where f is smallest, x = 0
         m = m0[p] + k
-        w = np.stack([np.where(m > 1, _j0_zeros(np.maximum(m - 1, 1)), 0.0),
+        w = np.stack([np.where(k > 0, _j0_zeros(np.maximum(m - 1, 1)), 0.0),
                       _j0_zeros(m)]) / t[p]
-        prev, cur = _crossing(f, w)
-        if f.epsilon_f == -1:
-            # f large near u=0: lobes march from u=1 down toward delta
-            return np.maximum(cur, delta), np.maximum(prev, delta)
-        return np.minimum(prev, 1.0 - delta), np.minimum(cur, 1.0 - delta)
+        u = _crossing(f, w)
+        u[0, k == 0] = 1.0 - far
+        with np.errstate(divide="ignore"):
+            x = np.maximum(np.log(np.abs(far - u)), math.log(delta))
+        return x[1], x[0]
+
+    def integrand(x, p):
+        # J0(t f(u)) du/dx, u = far - epsilon_f e^x
+        d = np.exp(x)
+        fu = f.eval_array(far - f.epsilon_f * d)
+        return j0_array(t[p][:, None] * fu) * d
 
     val, err, _ = _lobe_sums(
-        _j0_of_tf(f, t), lobes, t.size, max(cfg.abs_tol * 0.01, 1e-16),
+        integrand, lobes, t.size, max(cfg.abs_tol * 0.01, 1e-16),
         cfg.abs_tol * 0.05, 1e-12, cfg.max_panels)
-    err = err + delta
-    return val, err, err > cfg.abs_tol
+    return val, err + delta
 
 
 def _charfn_clipped(f, t, cfg):
-    """phi at each t by adaptive panels on the clipped interval.
-    Returns (values, error_bounds, failed)."""
+    """phi at each t by adaptive panels on (delta, 1 - delta).
+    Returns (values, error_bounds)."""
     delta = min(cfg.abs_tol / 4.0, 1e-3)
-    trunc_err = 2.0 * delta
-    lo, hi, amp_err = _amplitude_truncation(f, t, delta, 1.0 - delta,
-                                            cfg.abs_tol / 4.0)
     # |phi| <= 1, so a relative criterion would just duplicate the
     # absolute one; run the panels on the absolute budget alone
-    budget = cfg.abs_tol - trunc_err - amp_err
-    val, err, _ = _integrate_rows(_j0_of_tf(f, t), lo, hi, budget * 0.9,
-                                  1e-15, cfg.max_panels)
-    total_err = err + trunc_err + amp_err
-    return val, total_err, (total_err > cfg.abs_tol) & (err > budget)
+    val, err, _ = _integrate_rows(
+        lambda u, p: j0_array(t[p][:, None] * f.eval_array(u)),
+        np.full(t.shape, delta), np.full(t.shape, 1.0 - delta),
+        (cfg.abs_tol - 2.0 * delta) * 0.9, 1e-15, cfg.max_panels)
+    return val, err + 2.0 * delta
 
 
 def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
@@ -211,16 +171,18 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
 
     t is a scalar or an array; an array gives an array of its shape, and
     every element has the same bits as a scalar call at that t. The t
-    share one batched quadrature per path.
+    share one batched quadrature.
 
-    The interval is clipped to (delta, 1-delta) with delta = abs_tol/4;
-    |J0| <= 1 bounds the discarded contribution by its length. Where f
-    is declared monotone and t*f is large the clip is pushed further
-    using the J0 amplitude envelope. When f also carries an inverse and
-    the integrand oscillates heavily, the integral is instead split at
-    the kernel zeros pulled back through the inverse and the alternating
-    lobe sums are Euler-accelerated. Raises ConvergenceError, naming the
-    first t whose error bound exceeds the tolerance.
+    The interval is clipped to (delta, 1-delta) with delta =
+    min(abs_tol/4, 1e-3); |J0| <= 1 bounds the discarded contribution by
+    its length. At every t != 0, a monotone f (epsilon_f set) is split
+    at the kernel zeros pulled back through its inverse, or by bisection
+    where it has none, the lobes are integrated in the log of the
+    distance to the end where f is largest, and their alternating sums
+    are Euler-accelerated; the clip then cuts only that end. Any other
+    f takes one adaptive integral over the clip. Raises
+    ConvergenceError, naming the first t whose error bound exceeds the
+    tolerance.
     """
     tt = np.asarray(t, dtype=np.float64)
     ta = np.abs(tt).ravel()
@@ -228,20 +190,11 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
         raise ValueError("t must be finite")
     val = np.ones(ta.shape)  # phi(0) = 1 exactly
     err = np.zeros(ta.shape)
-    failed = np.zeros(ta.shape, dtype=bool)
-    split = np.zeros(ta.shape, dtype=bool)
-    if f.epsilon_f is not None and f.inverse is not None:
-        split = (ta != 0.0) & (_oscillation_estimate(f, ta, cfg) > 8.0)
-    clip = (ta != 0.0) & ~split
-    for mask, path in ((split, _charfn_zero_split), (clip, _charfn_clipped)):
-        if mask.any():
-            val[mask], err[mask], failed[mask] = path(f, ta[mask], cfg)
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise ConvergenceError(
-            f"limit_char_fn error bound {err[i]:.2e} exceeds "
-            f"{cfg.abs_tol:.2e} at t={ta[i]}", best=float(val[i]),
-            error_bound=float(err[i]))
+    on = ta != 0.0
+    if on.any():
+        path = _charfn_clipped if f.epsilon_f is None else _charfn_zero_split
+        val[on], err[on] = path(f, ta[on], cfg)
+    _checked("limit_char_fn", ta, val, err, cfg.abs_tol, 0.0)
     val = np.clip(val, -1.0, 1.0)
     return float(val[0]) if tt.ndim == 0 else val.reshape(tt.shape)
 

@@ -123,8 +123,8 @@ def f_cauchy_mirror():
 
 @pytest.mark.parametrize("make", [f_gauss, f_cauchy, f_const, f_cauchy_mirror])
 def test_charfn_array_is_bitwise_the_scalar_calls(make, monkeypatch):
-    # both paths (clipped panels at small t, zero split at large t), t = 0
-    # and a negative t, in one batch
+    # the zero split (monotone f) or the clipped panels (const) at small
+    # and large t, t = 0 and a negative t, in one batch
     f = make()
     ts = np.array([[0.0, 0.01, 0.3, -1.0], [2.5, 6.0, 9.0, 30.0]])
     got = limit_char_fn(f, ts, CFG)
@@ -145,17 +145,17 @@ def test_charfn_error_bounds_cover_closed_forms(make, exact):
     from sinelaw.limitlaw import _charfn_clipped, _charfn_zero_split
     f = make()
     cfg = QuadConfig(abs_tol=1e-9, rel_tol=1e-9)
-    ts = np.array([0.01, 0.3, 1.0, 2.0, 4.0, 8.0])
+    ts = np.array([1e-6, 1e-3, 0.01, 0.3, 1.0, 2.0, 4.0, 8.0])
     want = np.array([exact(t) for t in ts])
     for path in (_charfn_clipped, _charfn_zero_split):
-        val, err, _ = path(f, ts, cfg)
+        val, err = path(f, ts, cfg)
         assert np.all(np.abs(val - want) <= err), path.__name__
 
 
 @pytest.mark.parametrize("target", ["gaussian", "cauchy"])
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-12])
 def test_charfn_sweep_within_tolerance(target, tol):
-    # 500 t across both paths: phi never misses its closed form by more
+    # 500 t on the zero split: phi never misses its closed form by more
     # than abs_tol (a lone small Euler increment used to stop lobe sums
     # early, by up to 2e-6). At 1e-12 the lobe sums, their tail and
     # panels held to 1e-12 whatever abs_tol, raised at many t
@@ -196,30 +196,68 @@ def test_charfn_zero_split_starts_at_mcmahons_estimate(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(got, ref))
 
 
-def test_oscillation_probed_at_the_clip():
-    # the cauchy f diverges like 1/u, so below t = 0.02 the phase swept
-    # down to the clip delta = abs_tol / 4 still sends phi to the zero
-    # split, which needs far fewer panels than the clipped interval
-    from sinelaw.limitlaw import _oscillation_estimate
+def test_charfn_cauchy_small_t_at_the_clip():
+    # the cauchy f diverges like 1/u, so at these t the lobes reach down
+    # to the clip delta = abs_tol / 4
     f, cfg = f_cauchy(), QuadConfig(abs_tol=1e-9, rel_tol=1e-9)
     ts = np.array([1e-4, 0.0151])
-    assert np.all(_oscillation_estimate(f, ts, cfg) > 8.0)
     assert np.allclose(limit_char_fn(f, ts, cfg), np.exp(-A * ts),
                        rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [f_cauchy, f_cauchy_mirror])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_charfn_first_lobe_change_is_resolved(make, tol):
+    # at t near abs_tol the first crossing of a 1/u-like f lies near
+    # u = 0.52 t, and lobe 0 reaches from there to the other end; in u
+    # its first panels miss the change of J0 near the crossing, by up to
+    # 8e3 abs_tol at 1e-12
+    from sinelaw.limitlaw import _charfn_zero_split
+    ts = np.geomspace(tol / 30.0, 1e4 * math.sqrt(tol), 40)
+    val, err = _charfn_zero_split(make(), ts,
+                                  QuadConfig(abs_tol=tol, rel_tol=tol))
+    miss = np.abs(val - np.exp(-A * ts))
+    assert np.all(miss <= err)
+    assert np.max(miss) <= tol
 
 
 def test_charfn_array_failure_names_the_failing_t():
     from sinelaw.errors import ConvergenceError
     f = f_gauss()
-    # on 16 panels t = 3 converges and t = 4 does not (both take the
-    # clipped path; from t = 4.26 on, the zero split takes over)
-    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=16)
+    # on 9 lobes t = 3 converges and t = 4 does not
+    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=9)
     assert limit_char_fn(f, 3.0, cfg) == pytest.approx(math.exp(-4.5),
                                                        abs=1e-7)
     with pytest.raises(ConvergenceError) as ei:
         limit_char_fn(f, np.array([0.0, 3.0, 4.0, 3.0]), cfg)
     assert "at t=4.0" in str(ei.value)
     assert ei.value.best is not None and ei.value.error_bound > 1e-7
+
+
+def test_charfn_lobes_start_from_f_not_its_declared_range():
+    # f >= 0.5, though range_ declares (0, inf): the lobes below f's
+    # least value are empty, and a sum started there stops on them at
+    # 0.0. mpmath puts phi(50) at -3.63892801196e-5
+    f = ParamFunction(
+        eval=lambda u: 0.5 + np.sqrt(-2.0 * np.log(u)), epsilon_f=-1,
+        inverse=lambda w: np.exp(-0.5 * np.square(np.maximum(w - 0.5, 0.0))))
+    got = limit_char_fn(f, 50.0, QuadConfig(abs_tol=1e-8, rel_tol=1e-8))
+    assert got == pytest.approx(-3.63892801196e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize("target", ["gaussian", "cauchy"])
+@pytest.mark.parametrize("tol", [1e-10, 1e-7])
+def test_charfn_monotone_f_without_inverse(target, tol):
+    # the crossings come from bisecting f
+    from sinelaw.limitlaw import _charfn_zero_split
+    from sinelaw.sampler import builtin_f
+    f = ParamFunction(eval=builtin_f(target).eval, epsilon_f=-1)
+    cfg = QuadConfig(abs_tol=tol, rel_tol=tol)
+    ts = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 25.0])
+    want = np.exp(-0.5 * ts * ts) if target == "gaussian" else np.exp(-A * ts)
+    val, err = _charfn_zero_split(f, ts, cfg)
+    assert np.all(np.abs(val - want) <= err)
+    assert np.max(np.abs(limit_char_fn(f, ts, cfg) - want)) <= tol
 
 
 def test_charfn_lobe_sum_out_of_terms_names_its_t():
