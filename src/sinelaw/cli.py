@@ -615,6 +615,9 @@ def _check_flags(args):
     """Usage errors in sizes, seed and threshold, raised before any work."""
     if min(getattr(args, "n", 1), getattr(args, "count", 1)) < 1:
         raise ValueError("n and count must be >= 1")
+    if getattr(args, "table_points", 1) < 1:
+        raise ValueError(
+            f"--table-points must be >= 1, not {args.table_points}")
     if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
         raise ValueError(f"--seed must be in [0, 2^64), not {args.seed}")
     if not 0.0 < getattr(args, "ks_threshold", 1.0) <= 1.0:

@@ -38,6 +38,7 @@ _EPS = np.finfo(float).eps
 # degree-16 Chebyshev interpolation at the 17 Clenshaw-Curtis points
 # cos(j pi / 16): the values there times _CHEB are the coefficients
 _CC = np.cos(np.arange(17) * np.pi / 16.0)
+_YS = _CC[::-1] + 1.0  # the nodes in y = s + 1, ascending
 _CHEB = np.cos(np.outer(np.arange(17), np.arange(17)) * np.pi / 16.0) / 8.0
 _CHEB[[0, 16]] /= 2.0
 _CHEB[:, [0, 16]] /= 2.0
@@ -53,7 +54,7 @@ _ANTIDERIV = np.diag(1.0 / (_j[0] + 1.0)) + np.where(
 ) / np.maximum(_k * _k - 1, 1)
 _ANTIDERIV[1, 0] = -0.5
 # f pieces of degree 20 on the binary octaves of u down to 2^-14: they
-# interpolate at the Chebyshev points of the first kind and are checked
+# interpolate near the Chebyshev points of the first kind and are checked
 # at the extrema of T_21 between them
 _F_DEG, _F_OCTAVES = 20, 14
 _F_LOW = 2.0 ** -_F_OCTAVES
@@ -210,11 +211,11 @@ class KPsi:
 
     f = k^-1 is 14 degree-20 pieces: f = sqrt(v) p(4 v - 1), v = 1 - u,
     on [1/2, 1), where f has a square-root end at u = 1, and one piece
-    per binary octave of u below, down to 2^-14. They interpolate
-    Newton's roots, built once the table covers k <= 2^-14, so they
-    depend on the table alone. A piece that misses Newton by more than
-    0.0025 k_tol (1 + f) between its nodes is left to Newton, which also
-    serves u below 2^-14.
+    per binary octave of u below, down to 2^-14. They interpolate exact
+    points (k(t), t) of the table near their nodes, built once the table
+    covers k <= 2^-14, so they depend on the table alone. A piece whose
+    residual in k over m exceeds 0.0025 k_tol (1 + f) between its nodes
+    is left to Newton, which also serves u below 2^-14.
 
     `_table` is one tuple: the edges, the integral of m up to each, per
     piece the coefficients of m and of its integral from the left edge
@@ -393,16 +394,12 @@ class KPsi:
         and bracketed Newton solves int_0^t m = 1 - u in the piece, which
         is exact for u >= 1/2."""
         u_lo = u[u >= _U_FLOOR].min(initial=1.0)
-        edges, cum, pieces, _ = self._extend(
+        edges, cum, pieces, _ = table = self._extend(
             lambda table: 1.0 - table[1][-1] > u_lo)
         t = np.full(u.shape, math.inf)
         ok = u >= max(_U_FLOOR, 1.0 - cum[-1])
         if ok.any():
-            w = 1.0 - u[ok]
-            # the first piece i with cum[i] < w <= cum[i + 1] holds the root
-            i = np.minimum(np.searchsorted(cum, w) - 1, len(pieces) - 1)
-            r, whole = w - cum[i], cum[i + 1] - cum[i]
-            half = 0.5 * (edges[i + 1] - edges[i])
+            i, y, r, half, _ = _start(table, 1.0 - u[ok])
 
             # Newton in y = s + 1, on [0, 2], where an ulp of y is about
             # the precision of the residual
@@ -410,36 +407,69 @@ class KPsi:
                 m, area = _clenshaw(pieces[i[j]], y[:, None] - 1.0).T
                 return y * area - r[j], half[j] * m
 
-            # start by linear interpolation of the piece's integral between
-            # its nodes y = _CC + 1
-            ys = _CC[::-1] + 1.0
-            area = (ys * _clenshaw(pieces[:, 1, None, :], ys - 1.0))[i]
-            c = np.clip((area < r[:, None]).sum(axis=1), 1, 16)
-            a0, a1 = np.take_along_axis(area, np.stack([c - 1, c], 1), 1).T
-            y = ys[c - 1] + (ys[c] - ys[c - 1]) * np.divide(
-                r - a0, a1 - a0, out=np.zeros_like(r), where=a1 > a0)
-            y = _newton_bracketed(residual, np.clip(y, 0.0, 2.0),
-                                  np.zeros_like(r), np.full_like(r, 2.0))
+            y = _newton_bracketed(residual, y, np.zeros_like(r),
+                                  np.full_like(r, 2.0))
             t[ok] = edges[i] + y * half
         return t
 
     def _f_pieces(self, tol):
         """The f pieces, built under the lock on a table that covers
-        k <= 2^-14, so that newton grows nothing: the monomial
-        coefficients, a row per power from the highest down and a column
-        per piece, and whether each piece is within tol (1 + f) of newton
-        at the points between its nodes."""
-        j = np.arange(_F_OCTAVES)[:, None]
+        k <= 2^-14: the monomial coefficients, a row per power from the
+        highest down and a column per piece, and whether each piece is
+        within tol (1 + f) of the table's root between its nodes, taken
+        as the residual of k over m. A piece interpolates exact points
+        (k(t), t) of the table, one Newton step from newton's start at
+        its nodes, and is not ok unless these run monotone in x."""
+        table = edges, cum, pieces, _ = self._table
+        j, n = np.arange(_F_OCTAVES)[:, None], _F_DEG + 1
         x = np.concatenate([_F_NODES, _F_BETWEEN])
         # octave j: u = 2^-j (x + 3) / 4; the top piece: 1 - u = (x + 1) / 4
         u = np.where(j == 0, 1.0 - 0.25 * (x + 1.0),
                      np.ldexp(0.25 * (x + 3.0), -j))
-        t = self.newton(u.ravel()).reshape(u.shape)
-        n = _F_DEG + 1
-        p = t[:, :n] / np.where(j == 0, np.sqrt(1.0 - u[:, :n]), 1.0)
-        coef = np.linalg.solve(np.vander(_F_NODES), p.T)
-        miss = np.abs(_f_horner(coef, u[:, n:])[0] - t[:, n:])
-        return coef, np.all(miss <= tol * (1.0 + t[:, n:]), axis=1)
+        i, y, r, half, c = _start(table, 1.0 - u[:, :n].ravel())
+        with np.errstate(all="ignore"):
+            m, area = _clenshaw(pieces[i], y[:, None] - 1.0).T
+            step = y - (y * area - r) / (half * m)
+            y = np.where((m > 0.0) & np.isfinite(step),
+                         np.clip(step, _YS[c - 1], _YS[c]), y)
+            w = cum[i] + y * _clenshaw(pieces[i, 1], y - 1.0)
+            w, t = (v.reshape(j.size, n) for v in (w, edges[i] + y * half))
+            x = np.where(j == 0, 4.0 * w - 1.0,
+                         np.ldexp(4.0 * (1.0 - w), j) - 3.0)
+            ok = np.all(np.diff(x, axis=1) < 0.0, axis=1)
+            x = np.where(ok[:, None], x, _F_NODES)  # a solvable stand-in
+            pw = np.multiply.accumulate(np.repeat(x[..., None], _F_DEG, 2), 2)
+            coef = np.linalg.solve(np.dstack([pw[..., ::-1], np.ones_like(x)]),
+                                   (t / np.where(j == 0, np.sqrt(w), 1.0))[
+                                       ..., None])[..., 0].T
+            th = _f_horner(coef, u[:, n:])[0]
+            k = np.clip(np.searchsorted(edges, th, side="right") - 1, 0,
+                        len(pieces) - 1)
+            s = 2.0 * (th - edges[k]) / (edges[k + 1] - edges[k]) - 1.0
+            m, area = np.moveaxis(_clenshaw(pieces[k], s[..., None]), -1, 0)
+            # the residual in 1 - u, and two roundings of half an ulp there
+            miss = (np.abs(1.0 - u[:, n:] - cum[k] - (s + 1.0) * area)
+                    + 0.5 * _EPS) / m
+            ok &= np.all(np.isfinite(coef), axis=0) & np.all(
+                (m > 0.0) & (miss <= tol * (1.0 + th)), axis=1)
+        return coef, ok
+
+
+def _start(table, w):
+    """For each w = 1 - u of an array, on the table: the first piece i
+    with cum[i] < w <= cum[i + 1], which holds the root of int_0^t m = w,
+    r = w - cum[i], the piece's half width, a start y = s + 1 in [0, 2]
+    by linear interpolation of its integral between the nodes _YS, and
+    the index c of the node above y."""
+    edges, cum, pieces, _ = table
+    i = np.minimum(np.searchsorted(cum, w) - 1, len(pieces) - 1)
+    r, half = w - cum[i], 0.5 * (edges[i + 1] - edges[i])
+    area = (_YS * _clenshaw(pieces[:, 1, None, :], _YS - 1.0))[i]
+    c = np.clip((area < r[:, None]).sum(axis=1), 1, 16)
+    a0, a1 = np.take_along_axis(area, np.stack([c - 1, c], 1), 1).T
+    y = _YS[c - 1] + (_YS[c] - _YS[c - 1]) * np.divide(
+        r - a0, a1 - a0, out=np.zeros_like(r), where=a1 > a0)
+    return i, np.clip(y, 0.0, 2.0), r, half, c
 
 
 def _clenshaw(coef, s):

@@ -228,9 +228,10 @@ def miller(x, n):
             for v, t in zip(reversed(out), reversed(shifts))]
 
 
-def _j0_table():
+def _j0_table(rows=True):
     """The 256 pieces of J0 as (columns, rows): columns[p] holds
-    coefficient p of every piece, rows[k] is piece k as a list of floats.
+    coefficient p of every piece, rows[k] is piece k as a list of floats,
+    or None until a call with rows asks for them (the scalar j0 does).
 
     Built on the first call: the pieces past J0_PIECES interpolate
     miller up to _MILLER_END and _asymptotic beyond at the 11
@@ -238,7 +239,8 @@ def _j0_table():
     one statement, so concurrent first calls at worst build the same bits
     twice."""
     global _j0_tables
-    if _j0_tables is None:
+    tables = _j0_tables
+    if tables is None:
         s = np.cos((np.arange(11) + 0.5) * (math.pi / 11))
         k = np.arange(len(J0_PIECES), 2.0 * J0_TABLE_END)
         x = 0.5 * (k[:, None] + 0.5 * (1.0 + s))
@@ -246,9 +248,11 @@ def _j0_table():
         vals = np.vstack([miller(x[:m], 0)[0],
                           _asymptotic(x[m:], P0, Q0, 0.25 * math.pi)])
         built = np.linalg.solve(np.vander(s, increasing=True), vals.T)
-        cols = np.hstack([np.array(J0_PIECES).T, built])
-        _j0_tables = (cols, cols.T.tolist())
-    return _j0_tables
+        tables = (np.hstack([np.array(J0_PIECES).T, built]), None)
+    if rows and tables[1] is None:
+        tables = (tables[0], tables[0].T.tolist())
+    _j0_tables = tables
+    return tables
 
 
 def j0(x):
@@ -276,7 +280,7 @@ def _j0_pieces(t, slope=False):
     s = t - k
     s *= 2.0
     s -= 1.0
-    c = np.take(_j0_table()[0], k, axis=1)
+    c = np.take(_j0_table(False)[0], k, axis=1)
     acc, d = c[-1], 0.0
     for ck in c[-2::-1]:
         if slope:

@@ -206,9 +206,11 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
     else:
         c = _amplitude(g)
         cut, tail = _truncation_radius(g, tail_tol, weight_power, c)
-        # lobes once the cut holds _LOBE_CUT kernel zeros
-        lobe = np.divide(zeros(_LOBE_CUT), t, out=np.full(t.shape, math.inf),
-                         where=t > 0) < cut
+        # lobes once the cut holds _LOBE_CUT kernel zeros; zero m of either
+        # kernel is at (m - 1/2) pi or beyond (DLMF 10.21): look only there
+        lobe = t * cut >= (1.0 - 1e-9) * (_LOBE_CUT - 0.5) * math.pi
+        if lobe.any():
+            lobe[lobe] = zeros(_LOBE_CUT) / t[lobe] < cut[lobe]
     # each lobe to 2% of abs_tol, kept above the rounding noise
     panel_tol = np.maximum(abs_tol * 0.02, 1e-16)
     val, err = np.zeros(t.shape), np.zeros(t.shape)

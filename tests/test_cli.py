@@ -617,10 +617,17 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
      2, f"error: --seed must be in [0, 2^64), not {2 ** 64}"),
     (["charfn", "--f", "gaussian", "--t", "1", "--tol", "inf",
       "--out", "{dir}/c.csv"],
-     2, "error: tolerances must be finite and positive")],
+     2, "error: tolerances must be finite and positive"),
+    (["invert", "--psi", "gaussian", "--table-points", "0",
+      "--out", "{dir}/f.csv"],
+     2, "error: --table-points must be >= 1, not 0"),
+    (["invert", "--psi", "gaussian", "--table-points", "-3",
+      "--out", "{dir}/f.csv"],
+     2, "error: --table-points must be >= 1, not -3")],
     ids=["lorentz-0", "exp-tiny", "gaussian-tiny", "exponential-huge",
          "x-grid", "x-grid-n0", "x-empty", "t-empty-item", "ks-nan",
-         "ks-negative", "seed-negative", "seed-2^64", "tol-inf"])
+         "ks-negative", "seed-negative", "seed-2^64", "tol-inf",
+         "table-points-0", "table-points-negative"])
 def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
     # decay scales whose float arithmetic would overflow and malformed
     # or meaningless values are usage errors: one line on stderr, no

@@ -3,10 +3,12 @@ a closed form, drawn by hypothesis.
 
 Gaussian mixture:    psi = sum w_i e^{-s_i^2 r^2 / 2},  k = sum w_i e^{-t^2 / (2 s_i^2)}
 Exponential mixture: psi = sum w_i e^{-a_i r},          k = sum w_i a_i / sqrt(a_i^2 + t^2)
+Student t, 3 d.o.f.: psi = (1 + sqrt3 r) e^{-sqrt3 r},   k = (1 + t^2/3)^(-3/2)
 
 On one table per draw, k is checked against its closed form and the f
 pieces against Newton's roots on that table, unless building the table
-raises ConvergenceError.
+raises ConvergenceError. The Student t, the one family with an
+algebraic tail of k, is checked against its closed f as well.
 """
 
 import math
@@ -82,3 +84,19 @@ def test_gaussian_mixtures_k_and_f_pieces(draw):
 @settings(max_examples=8, deadline=None)
 def test_exponential_mixtures_k_and_f_pieces(draw):
     _check(_exponential, draw)
+
+
+def test_student_t_k_and_f():
+    r3 = math.sqrt(3.0)
+    psi = CharFn(
+        eval=lambda r: (1.0 + r3 * np.abs(r)) * np.exp(-r3 * np.abs(r)),
+        decay=Decay("exponential", r3), name="student3")
+    kp = inverse.KPsi(psi, QuadConfig())
+    ts = np.geomspace(1e-3, 100.0, 400)
+    assert np.max(np.abs(kp.k(ts) - (1.0 + ts * ts / 3.0) ** -1.5)) <= 1e-12
+    us = np.concatenate([np.geomspace(1e-4, 0.5, 400),
+                         1.0 - np.geomspace(1e-3, 0.5, 400)])
+    got, want = kp.invert(us), kp.newton(us)
+    f = np.sqrt(3.0 * (us ** (-2.0 / 3.0) - 1.0))
+    assert np.max(np.abs(got - f) / (1.0 + f)) <= 1e-9
+    assert np.all(np.abs(got - want) <= 0.01 * kp.k_tol * (1.0 + want))

@@ -518,6 +518,50 @@ def test_invert_round_trip_log_grid():
                       <= 0.01 * kp.k_tol * (1.0 + t[fin]))
 
 
+def _between_u():
+    # the points between the f pieces' nodes, a row per octave
+    j = np.arange(inverse._F_OCTAVES)[:, None]
+    x = inverse._F_BETWEEN
+    return np.where(j == 0, 1.0 - 0.25 * (x + 1.0),
+                    np.ldexp(0.25 * (x + 3.0), -j))
+
+
+def test_f_pieces_solve_no_root(monkeypatch):
+    kp = inverse.KPsi(psi_cauchy(), QuadConfig())
+    kp._extend(lambda table: 1.0 - table[1][-1] > inverse._F_LOW)
+    calls = []
+    newton, bracketed = inverse.KPsi.newton, inverse._newton_bracketed
+    monkeypatch.setattr(inverse.KPsi, "newton", lambda self, u: (
+        calls.append("newton"), newton(self, u))[1])
+    monkeypatch.setattr(inverse, "_newton_bracketed", lambda *args: (
+        calls.append("bracketed"), bracketed(*args))[1])
+    kp._f_pieces(0.0025 * kp.k_tol)
+    assert calls == []
+    kp.newton(np.array([0.5]))  # the counters see a root solve
+    assert calls == ["newton", "bracketed"]
+
+
+@pytest.mark.filterwarnings("ignore:heuristic")
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("make_psi", [psi_gauss, psi_cauchy])
+def test_f_piece_check_is_newtons(make_psi, tol):
+    # a piece is ok iff newton's roots at the points between its nodes
+    # are within 0.0025 k_tol (1 + f) of it; an ok piece is within
+    # 0.01 k_tol (1 + f) of newton on the grid of the log-grid round trip
+    kp = inverse.KPsi(make_psi(), QuadConfig(tol, tol))
+    coef, ok = kp._extend(lambda table: 1.0 - table[1][-1] > inverse._F_LOW,
+                          with_f=True)[-1]
+    u = _between_u()
+    t = kp.newton(u.ravel()).reshape(u.shape)
+    miss = np.abs(inverse._f_horner(coef, u)[0] - t)
+    assert np.array_equal(
+        ok, np.all(miss <= 0.0025 * kp.k_tol * (1.0 + t), axis=1))
+    us = np.geomspace(1e-16, 1.0 - 1e-12, 200)
+    got, i = inverse._f_horner(coef, us[us >= inverse._F_LOW])
+    want, ok = kp.newton(us[us >= inverse._F_LOW]), ok[i]
+    assert np.all(np.abs(got - want)[ok] <= 0.01 * kp.k_tol * (1.0 + want[ok]))
+
+
 def test_invert_domain():
     with pytest.raises(ValueError):
         invert_k(psi_gauss(), 0.0)

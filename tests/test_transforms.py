@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sinelaw import quadrature, transforms
+from sinelaw import inverse, quadrature, transforms
 from sinelaw.errors import ConvergenceError
 from sinelaw.inverse import CharFn, KPsi
 from sinelaw.quadrature import QuadConfig
@@ -345,6 +345,60 @@ def test_gaussian_k_table_makes_no_lobe_sum(monkeypatch):
     assert kp._h0_calls > 0 and calls == []
     hankel0(exp_fn(), 100.0)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_gaussian_k_table_computes_no_kernel_zero(tol, monkeypatch):
+    # each H0 value of the table has t cut below 31.5 pi, so no J0 zero
+    # can lie inside its cut and none is computed
+    calls = []
+
+    def zeros(m):
+        calls.append(m)
+        return _HANKEL[2](m)
+
+    kind = _HANKEL[:2] + (zeros,) + _HANKEL[3:]
+    monkeypatch.setattr(transforms, "_HANKEL", kind)
+    monkeypatch.setattr(inverse, "_HANKEL", kind)
+    psi = CharFn(eval=lambda t: np.exp(-0.5 * np.square(t)),
+                 decay=Decay("gaussian", 1.0))
+    kp = KPsi(psi, QuadConfig(abs_tol=tol, rel_tol=tol))
+    kp.invert(np.array([1e-6, 0.5]))
+    assert kp._h0_calls > 0 and calls == []
+    hankel0(exp_fn(), 100.0)
+    assert calls
+
+
+@pytest.mark.parametrize("kernel, op, g", [
+    (_HANKEL, hankel0, gauss_fn()), (_COSINE, fourier1, gauss_fn()),
+    (_HANKEL, hankel0, exp_fn()), (_COSINE, fourier1, exp_fn()),
+    (_COSINE, fourier1, lorentz_fn())])
+def test_branch_is_the_test_on_the_32nd_zero(kernel, op, g, monkeypatch):
+    # lobe sums where zero 32 / t < cut, and algebraic tails always: the
+    # test as it reads, on t that span it, also within 1e-9 of where
+    # zero 32 of the cosine meets the cut; each branch is the same code
+    # for every t, and an array call has the bits of the scalar calls
+    cfg = QuadConfig(abs_tol=1e-9)
+    algebraic = g.decay.kind == "algebraic"
+    cut = 8.0 * (1.0 + g.decay.scale) if algebraic else float(
+        _truncation_radius(g, np.array([0.01 * cfg.abs_tol]), kernel[1],
+                           _amplitude(g))[0][0])
+    edge = 31.5 * math.pi / cut
+    z32 = float(kernel[2](32)) / cut
+    ts = np.concatenate([
+        edge * (1.0 + np.array([-1e-9, -5e-10, -1e-12, 0.0, 1e-12, 5e-10,
+                                1e-9])),
+        [np.nextafter(z32, 0.0), z32, np.nextafter(z32, math.inf)],
+        edge * np.geomspace(0.05, 3.0, 7)])
+    calls = _counting_lobe_sums(monkeypatch)
+    single = []
+    for t in ts:
+        single.append(op(g, float(t), cfg, full_output=True))
+        assert bool(calls) == (algebraic or float(kernel[2](32)) / t < cut)
+        calls.clear()
+    v, e = op(g, ts, cfg, full_output=True)
+    assert np.array_equal(v, [s[0] for s in single])
+    assert np.array_equal(e, [s[1] for s in single])
 
 
 def _scalar_truncation_radius(g, tol, weight_power, c):
