@@ -26,7 +26,7 @@ from .errors import BracketError, ConvergenceError, ModelViolationError
 from .inverse import CharFn, solve_inverse
 from .limitlaw import ParamFunction, density_profile, limit_char_fn
 from .quadrature import QuadConfig
-from .sampler import SampleBatch, builtin_f, sample_vn
+from .sampler import _SQRT_PI_2, SampleBatch, builtin_f, sample_vn
 from .transforms import Decay, RealFunction, fourier1, hankel0
 from .verify import ecf, ks_statistic, target_library
 
@@ -122,11 +122,14 @@ def _load_f_table(path):
     if eps is not None:
 
         def inverse(t):
-            # f strictly monotone: reversed by eps, its values ascend
-            return np.interp(t, fs[::eps], us[::eps])
+            # f strictly monotone: reversed by eps, its values ascend; at
+            # or past them, the end of (0, 1) where f is smallest or largest
+            t = np.asarray(t, dtype=np.float64)
+            u = np.interp(t, fs[::eps], us[::eps])
+            return np.where(t <= fs[::eps][0], (1 - eps) / 2,
+                            np.where(t >= fs[::eps][-1], (1 + eps) / 2, u))
 
     return ParamFunction(eval=ev, epsilon_f=eps, inverse=inverse,
-                         range_=(float(np.min(fs)), float(np.max(fs))),
                          f_id=f"table:{os.path.basename(path)}")
 
 
@@ -142,9 +145,6 @@ def _decay_from_flag(arg):
         return Decay(kind, float(param) if param else 1.0)
     except ValueError as exc:
         raise ValueError(f"--psi-decay {arg}: {exc}") from None
-
-
-_SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
 
 def _builtin_psi(name):

@@ -67,8 +67,8 @@ class CharFn(RealFunction):
     a name. The transforms take it as it is, and H0(psi) is always their
     numerical Hankel transform."""
 
-    def __init__(self, eval, decay, support=(0.0, math.inf), name="psi"):
-        super().__init__(eval, decay, support)
+    def __init__(self, eval, decay, name="psi"):
+        super().__init__(eval, decay)
         self.name = name
 
 
@@ -708,7 +708,5 @@ def solve_inverse(psi: CharFn, cfg: QuadConfig = QuadConfig(),
         warnings.warn("solved f evaluates non-finite near the endpoints; "
                       "local integrability on (0,1) is in doubt")
 
-    return ParamFunction(
-        eval=kp.invert, epsilon_f=-1, inverse=kp.k,
-        range_=(0.0, math.inf), f_id=f"kpsi_inverse:{psi.name}",
-        char_decay=psi.decay)
+    return ParamFunction(eval=kp.invert, epsilon_f=-1, inverse=kp.k,
+                         f_id=f"kpsi_inverse:{psi.name}")

@@ -9,7 +9,8 @@ CDF
     p(x) = (1/pi) int_{f(u) > |x|} du / sqrt(f(u)^2 - x^2),
     F(x) = 1/2 + (1/pi) E[arcsin(clip(x / f(U), -1, 1))],
 
-one smooth integral each when f is monotone with a known inverse.
+one smooth integral each when f is monotone: its crossings come from its
+inverse, or from bisecting f where it has none.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from .bessel import _j0_zeros, j0_array
 from .errors import ConvergenceError
 from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
-from .transforms import Decay, _checked, _eval_array
+from .transforms import _checked, _eval_array
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
            "density_profile", "build_limit_law"]
@@ -31,24 +32,20 @@ class ParamFunction:
 
     epsilon_f: +1 if strictly increasing, -1 if strictly decreasing,
         None when monotonicity is unknown (phi then takes one adaptive
-        integral, and there is no density path).
-    inverse: exact or numeric inverse of f, when available. The density
-        needs it; phi bisects a monotone f that has none.
-    range_: image interval (a, b), a >= 0.
-    char_decay: decay class of the limiting characteristic function.
-        The density routines require a gaussian or exponential one (phi
-        integrable), though the mixture integral does not read it.
+        integral, and there is no density or CDF).
+    inverse: None (f is then bisected), or the u in [0, 1] where the
+        monotone f crosses w, at every w >= 0: the end of (0, 1) where f
+        is least for w at or below f's values, where f is greatest for w
+        at or above them (w = inf included).
     """
 
     def __init__(self, eval: Callable[[float], float],
                  epsilon_f: Optional[int] = None,
-                 inverse: Optional[Callable[[float], float]] = None,
-                 range_: tuple = (0.0, math.inf), f_id: str = "custom",
-                 char_decay: Optional[Decay] = None):
+                 inverse: Optional[Callable] = None, f_id: str = "custom"):
         if epsilon_f not in (None, 1, -1):
             raise ValueError("epsilon_f must be +1, -1 or None")
-        self.eval, self.epsilon_f, self.inverse = eval, epsilon_f, inverse
-        self.range_, self.f_id, self.char_decay = range_, f_id, char_decay
+        self.eval, self.epsilon_f, self.inverse, self.f_id = (
+            eval, epsilon_f, inverse, f_id)
 
     def eval_array(self, u):
         return _eval_array(self.eval, u)
@@ -89,24 +86,27 @@ def _first_zero_above(a, t):
 
 
 def _crossing(f, w):
-    """The u where the monotone f crosses w, at each w of an array: f^-1(w)
-    in [0, 1], or the end of (0, 1) where f is smallest for w <= a, where
-    it is largest for w >= b, f.range_ being (a, b). An f without an
-    inverse is bisected on (0, 1), 64 halvings for the whole array."""
-    (a, b), far = f.range_, (1.0 + f.epsilon_f) / 2.0
+    """The u in [0, 1] where the monotone f crosses w, at each w >= 0 of
+    an array: f.inverse(w), clipped, or 62 halvings of the floats in
+    [0, 1], which end on the two floats next to the crossing. A NaN
+    crossing would read as density 0, so an inverse's raises ValueError."""
+    far = (1.0 + f.epsilon_f) / 2.0
     if f.inverse is None:
-        lo, hi = np.zeros(w.shape), np.ones(w.shape)
+        # the bits of floats >= 0 order them: halve the bits of [0, 1.0]
+        lo, hi = np.zeros(w.shape, np.int64), np.full(w.shape, 1023 << 52)
         with np.errstate(all="ignore"):
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
+            for _ in range(62):
+                mid = (lo + hi) // 2
                 # f(mid) < w puts the crossing on the side where f is largest
-                up = (f.eval_array(mid) < w) == (far == 1.0)
+                up = (f.eval_array(mid.view(np.float64)) < w) == (far == 1.0)
                 lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        return 0.5 * (lo + hi)
-    u, mid = np.where(w <= a, 1.0 - far, far), (w > a) & (w < b)
+        return 0.5 * (lo.view(np.float64) + hi.view(np.float64))
     with np.errstate(all="ignore"):
-        u[mid] = np.clip(_eval_array(f.inverse, w[mid]), 0.0, 1.0)
-    return u
+        u = _eval_array(f.inverse, w)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise ValueError(f"f.inverse is not finite at w={w[bad][0]}")
+    return np.clip(u, 0.0, 1.0)
 
 
 def _charfn_zero_split(f, t, cfg):
@@ -154,14 +154,21 @@ def _charfn_zero_split(f, t, cfg):
 
 
 def _charfn_clipped(f, t, cfg):
-    """phi at each t by adaptive panels on (delta, 1 - delta).
-    Returns (values, error_bounds)."""
+    """phi at each t by adaptive panels on (delta, 1 - delta) in x =
+    logit u, graded toward both ends: where f diverges at one, J0 turns
+    near u ~ t, which panels even in u missed. Returns (values, bounds)."""
     delta = min(cfg.abs_tol / 4.0, 1e-3)
+    end = math.log((1.0 - delta) / delta)
+
+    def integrand(x, p):
+        # J0(t f(u)) du/dx, u = 1 / (1 + e^-x), du/dx = u (1 - u)
+        u = 1.0 / (1.0 + np.exp(-x))
+        return j0_array(t[p][:, None] * f.eval_array(u)) * u / (1 + np.exp(x))
+
     # |phi| <= 1, so a relative criterion would just duplicate the
     # absolute one; run the panels on the absolute budget alone
     val, err, _ = _integrate_rows(
-        lambda u, p: j0_array(t[p][:, None] * f.eval_array(u)),
-        np.full(t.shape, delta), np.full(t.shape, 1.0 - delta),
+        integrand, np.full(t.shape, -end), np.full(t.shape, end),
         (cfg.abs_tol - 2.0 * delta) * 0.9, 1e-15, cfg.max_panels)
     return val, err + 2.0 * delta
 
@@ -180,7 +187,7 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     where it has none, the lobes are integrated in the log of the
     distance to the end where f is largest, and their alternating sums
     are Euler-accelerated; the clip then cuts only that end. Any other
-    f takes one adaptive integral over the clip. Raises
+    f takes one adaptive integral over the clip, in logit u. Raises
     ConvergenceError, naming the first t whose error bound exceeds the
     tolerance.
     """
@@ -197,16 +204,6 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     _checked("limit_char_fn", ta, val, err, cfg.abs_tol, 0.0)
     val = np.clip(val, -1.0, 1.0)
     return float(val[0]) if tt.ndim == 0 else val.reshape(tt.shape)
-
-
-def _density_preconditions(f):
-    if f.inverse is None or f.epsilon_f is None:
-        raise ValueError("density requires an invertible, monotone f")
-    if f.char_decay is None:
-        raise ValueError("f.char_decay required")
-    if f.char_decay.kind not in ("gaussian", "exponential"):
-        raise ValueError("the density path needs gaussian or "
-                         "exponential char_decay (phi must be integrable)")
 
 
 def _arcsine_mixture(f, xs, cfg, cdf=False):
@@ -230,7 +227,8 @@ def _arcsine_mixture(f, xs, cfg, cdf=False):
     ConvergenceError naming the first x whose bound exceeds
     max(abs_tol, rel_tol |value|), abs_tol alone for the CDF.
     """
-    _density_preconditions(f)
+    if f.epsilon_f is None:
+        raise ValueError("the density and CDF need a monotone f")
     xs = np.asarray(xs, dtype=np.float64)
     x = xs.ravel()
     if not np.all(np.isfinite(x)):
@@ -335,21 +333,17 @@ def limit_density(f: ParamFunction, x: float, cfg: QuadConfig = QuadConfig(abs_t
 
 
 def density_profile(f: ParamFunction, xs, cfg: QuadConfig = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)):
-    """Density of the limit law at every x of xs, in the shape of xs.
-
-    Needs a strictly monotone f with a known inverse (the hypotheses
-    under which the density exists) and a gaussian or exponential
-    char_decay. Tests check it against the Fourier inversion of phi.
-    """
+    """Density of the limit law at every x of xs, in the shape of xs, for
+    a strictly monotone f. Tests check it against the Fourier inversion
+    of phi."""
     return _arcsine_mixture(f, xs, cfg)[0]
 
 
 def build_limit_law(f: ParamFunction, cfg: QuadConfig = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)):
-    """Assemble a LimitLaw for f; density/cdf only when the hypotheses hold."""
+    """Assemble a LimitLaw for f; density/cdf only for a monotone f."""
     char_fn = lambda t: limit_char_fn(f, t, cfg)
     density = cdf = None
-    if f.inverse is not None and f.epsilon_f is not None \
-            and f.char_decay is not None:
+    if f.epsilon_f is not None:
         density = lambda x: limit_density(f, x, cfg)
         cdf = lambda x: float(_arcsine_mixture(f, float(x), cfg, cdf=True)[0])
     return LimitLaw(char_fn=char_fn, density=density, cdf=cdf)

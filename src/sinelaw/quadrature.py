@@ -247,8 +247,8 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
     the same bits in any batch. From term 7 on, a sum stops once its
     bound, 10 times the larger of the last two increments of its top
     (one can be a chance settling), is within max(tail_tol, rel_tol
-    |top|), or two raw terms in a row are within a quarter of that, when
-    the plain sum is the value.
+    |top|), or two raw terms in a row are within 1/80 of that, when the
+    plain sum is the value and its bound is within the tolerance too.
     panel_tol and tail_tol are per problem or one scalar for all. More
     than _T_BLOCK problems are summed _T_BLOCK at a time.
 
@@ -303,8 +303,8 @@ def _lobe_sums(f, edges, n, panel_tol, tail_tol, rel_tol, max_terms):
         size = np.abs(v)
         size2 = after(size0, size)
         tt = tail_tol[todo, None]
-        quarter = 0.25 * _tol(tt, rel_tol, s[:, 60:])
-        raw = (m >= 6) & (size <= quarter) & (size2 <= quarter)
+        small = _tol(tt, rel_tol, s[:, 60:]) / 80.0
+        raw = (m >= 6) & (size <= small) & (size2 <= small)
         bound = 10.0 * np.where(raw, 4.0 * (size + size2),
                                 np.maximum(inc, inc2))
         stop = raw | ((m >= 6) & (bound <= _tol(tt, rel_tol, top)))

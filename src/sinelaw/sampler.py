@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .limitlaw import ParamFunction
-from .transforms import Decay
 
 __all__ = ["SampleBatch", "sample_vn", "builtin_f", "uniform_stream"]
 
@@ -122,18 +121,14 @@ def builtin_f(name: str) -> ParamFunction:
             eval=lambda u: np.sqrt(-2.0 * np.log(u)),
             epsilon_f=-1,
             inverse=lambda t: np.exp(-0.5 * np.square(t)),
-            range_=(0.0, math.inf),
-            f_id="gaussian",
-            char_decay=Decay("gaussian", 1.0))
+            f_id="gaussian")
     if name == "cauchy":
         return ParamFunction(
             eval=lambda u: _SQRT_PI_2 * np.sqrt(1.0 - np.square(u)) / u,
             epsilon_f=-1,
             inverse=lambda t: math.sqrt(math.pi) / np.sqrt(
                 2.0 * np.square(t) + math.pi),
-            range_=(0.0, math.inf),
-            f_id="cauchy",
-            char_decay=Decay("exponential", _SQRT_PI_2))
+            f_id="cauchy")
     if name.startswith("const:"):
         try:
             c = float(name.split(":", 1)[1])
@@ -142,9 +137,7 @@ def builtin_f(name: str) -> ParamFunction:
         if not math.isfinite(c):
             raise ValueError(f"constant in {name!r} must be finite")
         return ParamFunction(
-            eval=lambda u, c=c: np.full_like(np.asarray(u, dtype=np.float64), c),
-            epsilon_f=None,
-            range_=(c, c),
-            f_id=name)
+            eval=lambda u, c=c: np.full_like(np.asarray(u, dtype=np.float64),
+                                             c), f_id=name)
     raise ValueError(f"unknown builtin f {name!r}; "
                      "use gaussian, cauchy or const:<c>")

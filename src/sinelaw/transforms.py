@@ -1,15 +1,14 @@
 """Order-0 Hankel transform, cosine Fourier transform of even functions,
 and a radial 2-D Fourier cross-check.
 
-A function with gaussian or exponential decay, or finite support, is
-truncated where its declared envelope pushes the tail below tolerance;
-while fewer than 32 zeros of the kernel J0(rt) (or cos(tx)) lie inside
-the truncated support, one adaptive integral over it gives the
-transform at t. Past that, and for every algebraic tail, the integral
-over (0, inf) is computed lobe-by-lobe between consecutive kernel
-zeros, with the alternating lobe sums accelerated by the iterated-mean
-(Euler) transform. An algebraic tail at t = 0 is folded to a finite
-interval with a power substitution instead of being chopped.
+A function with gaussian or exponential decay is truncated where its
+declared envelope pushes the tail below tolerance; while fewer than 32
+zeros of the kernel J0(rt) (or cos(tx)) lie below the cut, one adaptive
+integral up to it gives the transform at t. Past that, and for every
+algebraic tail, the integral over (0, inf) is computed lobe-by-lobe
+between consecutive kernel zeros, with the alternating lobe sums
+accelerated by the iterated-mean (Euler) transform. An algebraic tail
+at t = 0 is folded to a finite interval with a power substitution.
 """
 
 import math
@@ -77,9 +76,8 @@ def _eval_array(fn, x):
 class RealFunction:
     """A real function on (0, inf) with the metadata the transforms need."""
 
-    def __init__(self, eval: Callable[[float], float], decay: Decay,
-                 support: tuple = (0.0, math.inf)):
-        self.eval, self.decay, self.support = eval, decay, support
+    def __init__(self, eval: Callable[[float], float], decay: Decay):
+        self.eval, self.decay = eval, decay
 
     def eval_array(self, r):
         return _eval_array(self.eval, r)
@@ -87,12 +85,11 @@ class RealFunction:
 
 def _amplitude(g: RealFunction):
     # crude probe of the constant C in |g| <= C * envelope, with one
-    # eval_array call on the probes inside the support
+    # eval_array call on the probes
     s = g.decay.scale if g.decay.kind != "exponential" else 1.0 / g.decay.scale
     grid = (2.0, 4.0, 8.0, 16.0) if g.decay.kind == "algebraic" else (
         0.5, 1.0, 2.0, 4.0)
-    env = {s * k: g.decay.envelope(s * k) for k in grid
-           if not s * k >= g.support[1]}
+    env = {s * k: g.decay.envelope(s * k) for k in grid}
     r = [r for r, e in env.items() if e > 0]
     c = 1e-12
     for x, v in zip(r, g.eval_array(r).tolist() if r else []):
@@ -106,10 +103,8 @@ def _truncation_radius(g: RealFunction, tol, weight_power, c):
     that tail integral.
 
     c is _amplitude(g). Only used for gaussian/exponential decay; algebraic
-    tails are folded instead. Finite declared support wins outright.
+    tails are folded instead.
     """
-    if math.isfinite(g.support[1]):
-        return np.full(tol.shape, g.support[1]), np.zeros(tol.shape)
     d = g.decay
     if d.kind == "gaussian":
         s2 = d.scale * d.scale

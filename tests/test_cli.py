@@ -78,6 +78,60 @@ def test_density_values(capsys):
     assert got == pytest.approx(want, abs=1e-5)
 
 
+def test_density_of_a_two_row_table_is_its_closed_form(tmp_path):
+    # f = 2 (1 - u) makes f(U) uniform on (0, 2): p(x) = arccosh(2/|x|)
+    # / (2 pi) and F(x) = 1/2 + (2 arcsin(x/2) + x arccosh(2/|x|)) / (2 pi)
+    table = tmp_path / "f.csv"
+    table.write_text("u,f_of_u\n0,2\n1,0\n")
+    xs = [0.01, 0.3, -1.0, 1.5, 1.99, 2.5]
+    out = str(tmp_path / "d.csv")
+    assert run("--quiet", "density", "--f", f"table:{table}", "--x",
+               ",".join(map(str, xs)), "--tol", "1e-10", "--out", out) == 0
+    got = _loadtxt(out, delimiter=",", ndmin=2)
+    y = np.abs(np.array(xs))
+    inner = y < 2.0
+    want = np.zeros(y.shape)
+    want[inner] = np.arccosh(2.0 / y[inner]) / (2.0 * math.pi)
+    assert got[:, 0].tolist() == xs
+    assert np.max(np.abs(got[:, 1] - want)) <= 1e-10
+    from sinelaw.limitlaw import build_limit_law
+    law = build_limit_law(_load_f_table(str(table)))
+    for x in xs:
+        a = min(abs(x), 2.0)
+        tail = a * math.acosh(2.0 / a) if a < 2.0 else 0.0
+        cdf = 0.5 + math.copysign(2.0 * math.asin(a / 2.0) + tail, x) / (
+            2.0 * math.pi)
+        assert law.cdf(x) == pytest.approx(cdf, abs=1e-6), x
+
+
+def test_density_of_an_inverted_table_exits_0(tmp_path):
+    # the table f of invert is monotone and needs nothing more; its law
+    # is the normal one, less what its u range [1e-4, 1 - 1e-4] keeps
+    # flat at the ends (1.8e-3 at x = 0)
+    table, out = str(tmp_path / "f_table.csv"), str(tmp_path / "d.csv")
+    assert run("--quiet", "invert", "--psi", "gaussian", "--out",
+               table) == 0
+    assert run("--quiet", "density", "--f", f"table:{table}", "--out",
+               out) == 0
+    got = _loadtxt(out, delimiter=",", ndmin=2)
+    assert got.shape == (161, 2)
+    want = np.exp(-0.5 * got[:, 0] ** 2) / math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(got[:, 1] - want)) <= 2e-3
+
+
+def test_density_needs_a_monotone_f_with_a_finite_inverse(monkeypatch,
+                                                          capsys):
+    assert run("--quiet", "density", "--f", "const:2", "--x", "0.5") == 2
+    assert "monotone" in capsys.readouterr().err
+    from sinelaw import cli
+    from sinelaw.sampler import builtin_f
+    f = builtin_f("gaussian")
+    f.inverse = lambda w: np.full(np.shape(w), np.nan)
+    monkeypatch.setattr(cli, "_load_f", lambda arg: f)
+    assert run("--quiet", "density", "--f", "gaussian", "--x", "0.5") == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_invert_table_format(tmp_path):
     out = str(tmp_path / "f_table.csv")
     rc = run("--quiet", "invert", "--psi", "gaussian", "--table-points",

@@ -735,9 +735,9 @@ def test_equal_configs_share_one_k_table():
     # a CharFn keeps its k tables in its own __dict__, one per distinct
     # QuadConfig: two equal configs built apart find the same table
     ev = lambda t: np.exp(-0.5 * np.square(t))
-    psi = CharFn(ev, Decay("gaussian", 1.0), (0.0, math.inf), "gaussian")
-    assert (psi.eval, psi.decay, psi.support, psi.name) == (
-        ev, Decay("gaussian", 1.0), (0.0, math.inf), "gaussian")
+    psi = CharFn(ev, Decay("gaussian", 1.0), "gaussian")
+    assert (psi.eval, psi.decay, psi.name) == (
+        ev, Decay("gaussian", 1.0), "gaussian")
     assert CharFn(eval=ev, decay=Decay("gaussian", 1.0)).name == "psi"
     kp = inverse._get_kpsi(psi, QuadConfig())
     assert inverse._get_kpsi(psi, QuadConfig()) is kp
@@ -909,7 +909,8 @@ def test_solved_inverse_roundtrip(solved_gauss):
 def test_solved_epsilon_and_metadata(solved_gauss):
     assert solved_gauss.epsilon_f == -1
     assert solved_gauss.f_id.startswith("kpsi_inverse:")
-    assert solved_gauss.char_decay is not None
+    # the inverse is k, which puts w = 0 at the end where f is smallest
+    assert solved_gauss.inverse(0.0) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,16 +27,14 @@ CFG = QuadConfig(abs_tol=1e-7, rel_tol=1e-7, max_panels=200_000)
 def f_gauss():
     return ParamFunction(
         eval=lambda u: np.sqrt(-2.0 * np.log(u)), epsilon_f=-1,
-        inverse=lambda t: math.exp(-0.5 * t * t), range_=(0.0, math.inf),
-        f_id="gaussian", char_decay=Decay("gaussian", 1.0))
+        inverse=lambda t: math.exp(-0.5 * t * t), f_id="gaussian")
 
 
 def f_cauchy():
     return ParamFunction(
         eval=lambda u: A * np.sqrt(1.0 - np.square(u)) / u, epsilon_f=-1,
         inverse=lambda t: math.sqrt(math.pi) / math.sqrt(2.0 * t * t + math.pi),
-        range_=(0.0, math.inf),
-        f_id="cauchy", char_decay=Decay("exponential", A))
+        f_id="cauchy")
 
 
 def test_param_function_spot_checks():
@@ -49,11 +47,10 @@ def test_param_function_spot_checks():
 
 def test_param_function_construction():
     ev = lambda u: 1.0 - u
-    f = ParamFunction(ev, 1, None, (0.0, 1.0), "line")
-    assert (f.eval, f.epsilon_f, f.inverse, f.range_, f.f_id,
-            f.char_decay) == (ev, 1, None, (0.0, 1.0), "line", None)
+    f = ParamFunction(ev, 1, None, "line")
+    assert vars(f) == dict(eval=ev, epsilon_f=1, inverse=None, f_id="line")
     g = ParamFunction(eval=ev)
-    assert (g.epsilon_f, g.range_, g.f_id) == (None, (0.0, math.inf), "custom")
+    assert (g.epsilon_f, g.inverse, g.f_id) == (None, None, "custom")
     for bad in (0, 2, -2, "up"):
         with pytest.raises(ValueError, match="epsilon_f"):
             ParamFunction(eval=ev, epsilon_f=bad)
@@ -74,7 +71,7 @@ def test_charfn_at_zero_is_exactly_one():
 def test_charfn_constant_f_is_bessel(c):
     f = ParamFunction(
         eval=lambda u, c=c: np.full_like(np.asarray(u, dtype=np.float64), c),
-        range_=(c, c), f_id=f"const:{c}")
+        f_id=f"const:{c}")
     for t in (0.7, 3.0):
         assert limit_char_fn(f, t, CFG) == pytest.approx(j0(c * t), abs=1e-6)
 
@@ -101,7 +98,7 @@ def test_charfn_increasing_f_mirror(t):
         eval=lambda u: A * np.sqrt(1.0 - np.square(1.0 - u)) / (1.0 - u),
         epsilon_f=1,
         inverse=lambda w: 1.0 - math.sqrt(math.pi) / math.sqrt(2.0 * w * w + math.pi),
-        range_=(0.0, math.inf), f_id="cauchy_mirror")
+        f_id="cauchy_mirror")
     assert limit_char_fn(f, t, CFG) == pytest.approx(math.exp(-A * t),
                                                      abs=1e-6)
 
@@ -109,7 +106,7 @@ def test_charfn_increasing_f_mirror(t):
 def f_const(c=2.5):
     return ParamFunction(
         eval=lambda u: np.full_like(np.asarray(u, dtype=np.float64), c),
-        range_=(c, c), f_id=f"const:{c}")
+        f_id=f"const:{c}")
 
 
 def f_cauchy_mirror():
@@ -118,7 +115,7 @@ def f_cauchy_mirror():
         eval=lambda u: A * np.sqrt(1.0 - np.square(1.0 - u)) / (1.0 - u),
         epsilon_f=1,
         inverse=lambda w: 1.0 - math.sqrt(math.pi) / math.sqrt(2.0 * w * w + math.pi),
-        range_=(0.0, math.inf), f_id="cauchy_mirror")
+        f_id="cauchy_mirror")
 
 
 @pytest.mark.parametrize("make", [f_gauss, f_cauchy, f_const, f_cauchy_mirror])
@@ -180,9 +177,8 @@ def test_charfn_zero_split_starts_at_mcmahons_estimate(monkeypatch):
     # zero is the 1,001st: stepping from m = 1 took a round per zero
     f = ParamFunction(
         eval=lambda u: 0.5 + np.sqrt(-2.0 * np.log(u)), epsilon_f=-1,
-        inverse=lambda w: np.exp(-0.5 * np.square(w - 0.5)),
-        range_=(0.5, math.inf), f_id="shifted",
-        char_decay=Decay("gaussian", 1.0))
+        inverse=lambda w: np.exp(-0.5 * np.square(np.maximum(w - 0.5, 0.0))),
+        f_id="shifted")
     edge = _j0_zeros(np.arange(1, 60)) / 0.5  # j0_m / t = a exactly
     ts = np.concatenate([[0.5, 4.0, 2000.0 * math.pi], edge,
                          np.nextafter(edge, 0.0), np.nextafter(edge, 1e9)])
@@ -203,6 +199,35 @@ def test_charfn_cauchy_small_t_at_the_clip():
     ts = np.array([1e-4, 0.0151])
     assert np.allclose(limit_char_fn(f, ts, cfg), np.exp(-A * ts),
                        rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_charfn_clipped_panels_grade_toward_both_ends(mirror, tol):
+    # the cauchy f with no epsilon_f, so on the clipped path: it diverges
+    # at one end, where J0(t f(u)) turns near u ~ t; panels even in u
+    # missed that turn by up to 962 abs_tol, silently, at 12 of these t
+    # at 1e-6 and 25 at 1e-9
+    from sinelaw.limitlaw import _charfn_clipped
+    ev = f_cauchy().eval
+    f = ParamFunction(eval=(lambda u: ev(1.0 - u)) if mirror else ev)
+    ts = np.geomspace(tol / 30.0, 1e3 * tol, 40)
+    cfg = QuadConfig(abs_tol=tol, rel_tol=tol)
+    val, err = _charfn_clipped(f, ts, cfg)
+    miss = np.abs(val - np.exp(-A * ts))
+    assert np.all(miss <= err)
+    assert np.max(miss) <= tol
+    assert np.array_equal(limit_char_fn(f, ts, cfg), val)
+
+
+def test_charfn_raw_stop_bound_is_within_tolerance():
+    # a lobe sum that stops on two small raw terms bounds its tail by 40
+    # times their sum; each within a quarter of the tolerance let that
+    # reach 20 times it, so these t raised on true errors near 1e-9
+    ts = np.array([6.3e-6, 1.04e-5, 1.51e-5])
+    got = limit_char_fn(f_cauchy(), ts, QuadConfig(abs_tol=1e-6,
+                                                   rel_tol=1e-6))
+    assert np.max(np.abs(got - np.exp(-A * ts))) <= 1e-8
 
 
 @pytest.mark.parametrize("make", [f_cauchy, f_cauchy_mirror])
@@ -235,7 +260,7 @@ def test_charfn_array_failure_names_the_failing_t():
 
 
 def test_charfn_lobes_start_from_f_not_its_declared_range():
-    # f >= 0.5, though range_ declares (0, inf): the lobes below f's
+    # f >= 0.5, not the (0, inf) of the builtins: the lobes below f's
     # least value are empty, and a sum started there stops on them at
     # 0.0. mpmath puts phi(50) at -3.63892801196e-5
     f = ParamFunction(
@@ -288,12 +313,11 @@ def test_charfn_unreachable_tolerance_raises():
 def numeric_inverse_derivative(f, u):
     """(f^-1)'(u) = 1 / f'(f^-1(u)) by central differences on f.
 
-    u lives in the range (a, b) of f. One Richardson level on top of the
+    u is a value of f, so positive. One Richardson level on top of the
     central difference gives ~1e-9 truncation error at double precision.
     """
-    a, b = f.range_
-    if not (a < u < b):
-        raise ValueError(f"u={u} outside the range ({a}, {b}) of f")
+    if not u > 0.0:
+        raise ValueError(f"u={u} is not a value of f, which is positive")
     if f.inverse is not None:
         x = float(f.inverse(u))
     else:
@@ -346,8 +370,7 @@ def test_inverse_derivative_gaussian_h(w):
 
 def test_inverse_derivative_linear_map():
     f = ParamFunction(eval=lambda u: 2.0 * np.asarray(u, dtype=np.float64),
-                      epsilon_f=1, inverse=lambda t: 0.5 * t,
-                      range_=(0.0, 2.0), f_id="linear")
+                      epsilon_f=1, inverse=lambda t: 0.5 * t, f_id="linear")
     for w in (0.3, 1.0, 1.7):
         assert numeric_inverse_derivative(f, w) == pytest.approx(0.5, abs=1e-9)
 
@@ -422,36 +445,74 @@ def test_density_cauchy_closed_form(x):
     assert got == pytest.approx(want, abs=1e-5)
 
 
-def test_density_requires_inverse_and_monotonicity():
+def test_density_requires_monotonicity():
     f = f_gauss()
-    f.inverse = None
-    with pytest.raises(ValueError):
-        limit_density(f, 0.0)
-    f2 = f_gauss()
-    f2.epsilon_f = None
-    with pytest.raises(ValueError):
-        limit_density(f2, 0.0)
+    f.epsilon_f = None
+    for call in (lambda: density_profile(f, [0.0]),
+                 lambda: limit_density(f, 0.0)):
+        with pytest.raises(ValueError, match="monotone"):
+            call()
+    law = build_limit_law(f)
+    assert law.density is None and law.cdf is None
 
 
-def fourier_oracle(f, xs, decay=None):
-    """F1(phi)(x) / sqrt(2 pi) with phi from limit_char_fn: the paper's
-    Levy inversion, which the package no longer runs, as an independent
-    check of the arcsine-mixture density."""
+def fourier_oracle(f, xs, decay):
+    """F1(phi)(x) / sqrt(2 pi) with phi from limit_char_fn, of the decay
+    class given: the paper's Levy inversion, which the package no longer
+    runs, as an independent check of the arcsine-mixture density."""
     inner = QuadConfig(abs_tol=1e-9, rel_tol=1e-10, max_panels=200_000)
     phi = RealFunction(eval=lambda t: limit_char_fn(f, t, inner),
-                       decay=decay or f.char_decay)
+                       decay=decay)
     scale = math.sqrt(2.0 * math.pi)
     outer = QuadConfig(abs_tol=1e-7 * scale, rel_tol=1e-7,
                        max_panels=200_000)
     return fourier1(phi, np.asarray(xs, dtype=np.float64), outer) / scale
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_density_and_cdf_bisect_a_monotone_f_without_inverse(tol):
+    # the gaussian f with its inverse removed: the crossings come from
+    # bisecting the floats of (0, 1), which keeps digits of u* near 0,
+    # so both paths stay within their bounds of each other and of the
+    # closed forms on the CLI grid
+    from sinelaw.sampler import builtin_f
+    f, g = builtin_f("gaussian"), builtin_f("gaussian")
+    g.inverse = None
+    cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_panels=200_000)
+    xs = np.linspace(-8.0, 8.0, 161)
+    for cdf in (False, True):
+        want = (np.array([normal_cdf(x) for x in xs]) if cdf
+                else np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi))
+        v, e = limitlaw._arcsine_mixture(f, xs, cfg, cdf)
+        w, d = limitlaw._arcsine_mixture(g, xs, cfg, cdf)
+        assert np.all(np.abs(v - w) <= e + d)
+        assert np.all(np.abs(w - want) <= d)
+    law = build_limit_law(g, cfg)
+    assert law.density(0.3) == density_profile(g, 0.3, cfg)
+    assert law.cdf(0.0) == 0.5
+
+
+def test_density_and_cdf_reject_a_non_finite_inverse():
+    # an inverse that turns NaN past w = 1 would put a NaN crossing in
+    # the mixture, which the density reads as 0: it raises instead
+    f = f_gauss()
+    f.inverse = lambda w: np.where(w > 1.0, np.nan, np.exp(-0.5 * w * w))
+    assert density_profile(f, [0.5]) == pytest.approx(
+        math.exp(-0.125) / math.sqrt(2.0 * math.pi), abs=1e-6)
+    for call in (lambda: density_profile(f, [0.5, 2.0]),
+                 lambda: build_limit_law(f).cdf(0.5)):
+        with pytest.raises(ValueError, match="not finite"):
+            call()
+
+
 def test_density_profile_matches_pointwise_and_normalizes():
     # pointwise against the Fourier inversion of phi, for both builtins
     xs = np.array([0.0, 0.8, 2.3])
-    for f in (f_gauss(), f_cauchy()):
+    for f, decay in ((f_gauss(), Decay("gaussian", 1.0)),
+                     (f_cauchy(), Decay("exponential", A))):
         prof = density_profile(f, xs)
-        assert np.max(np.abs(prof - fourier_oracle(f, xs))) <= 2e-6, f.f_id
+        assert np.max(np.abs(prof - fourier_oracle(f, xs, decay))) <= 2e-6, \
+            f.f_id
     # normalization over [-8, 8] on a fixed composite Gauss grid
     panels = np.linspace(-8.0, 8.0, 33)
     nodes, weights = [], []
@@ -493,7 +554,7 @@ def test_build_limit_law():
     assert law.cdf(0.0) == 0.5
     law2 = build_limit_law(
         ParamFunction(eval=lambda u: np.full_like(np.asarray(u, float), 1.0),
-                      range_=(1.0, 1.0), f_id="const:1"))
+                      f_id="const:1"))
     assert law2.density is None and law2.cdf is None
 
 
@@ -502,33 +563,30 @@ def f_gauss_increasing():
     return ParamFunction(
         eval=lambda u: np.sqrt(-2.0 * np.log1p(-u)), epsilon_f=1,
         inverse=lambda t: -np.expm1(-0.5 * np.square(t)),
-        range_=(0.0, math.inf), f_id="gaussian_mirror",
-        char_decay=Decay("gaussian", 1.0))
+        f_id="gaussian_mirror")
 
 
 def f_cauchy_increasing():
     # the u -> 1-u mirror of f_cauchy; its inverse 1 - 1/sqrt(1 + w),
-    # w = 2 t^2 / pi, keeps the digits of small u
+    # w = 2 t^2 / pi, keeps the digits of small u, and is 1 at w = inf
     def inverse(t):
         w = 2.0 * np.square(t) / math.pi
         r = np.sqrt(1.0 + w)
-        return w / (r * (1.0 + r))
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(w), 1.0, w / (r * (1.0 + r)))
     return ParamFunction(
         eval=lambda u: A * np.sqrt(u * (2.0 - u)) / (1.0 - u), epsilon_f=1,
-        inverse=inverse, range_=(0.0, math.inf), f_id="cauchy_mirror",
-        char_decay=Decay("exponential", A))
+        inverse=inverse, f_id="cauchy_mirror")
 
 
 def f_shifted(a=0.5):
     # f = a + (-3 ln u)^(1/3) on the range (a, inf): the 2-D law behind
     # V vanishes inside the disc of radius a, quadratically at its edge,
-    # so phi decays like t^-3.5 only; the declared char_decay just opens
-    # the density path, which does not read it
+    # so phi decays like t^-3.5 only, which the density does not need
     return ParamFunction(
         eval=lambda u: a + np.cbrt(-3.0 * np.log(u)), epsilon_f=-1,
         inverse=lambda t: np.exp(-np.maximum(t - a, 0.0) ** 3 / 3.0),
-        range_=(a, math.inf), f_id="shifted",
-        char_decay=Decay("exponential", 1.0))
+        f_id="shifted")
 
 
 def normal_cdf(x):
@@ -713,13 +771,6 @@ def test_density_failure_bound_covers_the_best_estimate(x):
     assert abs(info.value.best - exact) <= info.value.error_bound
 
 
-def test_density_rejects_non_integrable_char_decay_and_nan():
-    f = f_gauss()
-    f.char_decay = Decay("algebraic", 2.0)
-    for call in (lambda: density_profile(f, [0.0]),
-                 lambda: limit_density(f, 0.0),
-                 lambda: build_limit_law(f).cdf(0.0)):
-        with pytest.raises(ValueError, match="gaussian or exponential"):
-            call()
+def test_density_rejects_nan_x():
     with pytest.raises(ValueError, match="finite"):
         density_profile(f_gauss(), [0.0, math.nan])

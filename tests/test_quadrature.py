@@ -173,9 +173,9 @@ def _euler_reference(terms, errs, abs_tol, rel_tol):
         for w, s in zip(weights[1:], sums[-60:]):
             new_top += w * s
         new_inc = abs(new_top - top)
-        quarter = 0.25 * max(abs_tol, rel_tol * abs(sums[-1]))
-        if m >= 6 and abs(t) <= quarter and size <= quarter:
-            # two raw terms in a row within a quarter of the tolerance
+        small = max(abs_tol, rel_tol * abs(sums[-1])) / 80.0
+        if m >= 6 and abs(t) <= small and size <= small:
+            # two raw terms in a row within 1/80 of the tolerance
             return sums[-1], 10.0 * (4.0 * (abs(t) + size)) + err, m + 1
         if m >= 6 and 10.0 * max(new_inc, inc) <= max(
                 abs_tol, rel_tol * abs(new_top)):

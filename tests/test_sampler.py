@@ -113,7 +113,7 @@ def test_resampling_of_nonfinite_is_deterministic():
         u = np.asarray(u, dtype=np.float64)
         return np.where((u > 0.4) & (u < 0.45), np.inf, 1.0)
 
-    f = ParamFunction(eval=spiky, f_id="spiky", range_=(0.0, math.inf))
+    f = ParamFunction(eval=spiky, f_id="spiky")
     with pytest.warns(UserWarning):
         a = sample_vn(f, 3, 4000, 17)
     with pytest.warns(UserWarning):

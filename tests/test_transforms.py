@@ -212,9 +212,10 @@ def test_concurrent_transform_calls_agree():
 
 
 def test_finite_support_hint():
+    # a g of finite support is truncated at its declared envelope like
+    # any other: H0(1_{r<1})(0) = 1/2, the panels finding the jump
     g = RealFunction(eval=lambda r: np.where(r < 1.0, 1.0, 0.0),
-                     decay=Decay("gaussian", 1.0), support=(0.0, 1.0))
-    # H0(1_{r<1})(0) = 1/2
+                     decay=Decay("gaussian", 1.0))
     assert hankel0(g, 0.0) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -403,8 +404,6 @@ def test_branch_is_the_test_on_the_32nd_zero(kernel, op, g, monkeypatch):
 
 def _scalar_truncation_radius(g, tol, weight_power, c):
     # the one-tolerance formulas, in math, as the reference
-    if math.isfinite(g.support[1]):
-        return g.support[1], 0.0
     d = g.decay
     if d.kind == "gaussian":
         s2 = d.scale * d.scale
@@ -428,7 +427,7 @@ def _scalar_truncation_radius(g, tol, weight_power, c):
     exp_fn(), RealFunction(eval=lambda r: np.exp(-0.2 * r),
                            decay=Decay("exponential", 0.2)),
     RealFunction(eval=lambda r: np.where(r < 2.0, 1.0, 0.0),
-                 decay=Decay("gaussian", 1.0), support=(0.0, 2.0))])
+                 decay=Decay("gaussian", 1.0))])
 @pytest.mark.parametrize("weight_power", [0, 1])
 def test_truncation_radius_array_matches_scalar_formulas(g, weight_power):
     tol = 10.0 ** -np.linspace(3.0, 16.0, 27)
