@@ -9,7 +9,6 @@ package.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -119,37 +118,20 @@ def parseval_partial(w, K):
 
 
 # ---------------------------------------------------------------------------
-# zeros of J0, cached
-
-_MCMAHON = (0.125, -31.0 / 384.0, 3779.0 / 15360.0)
-_zeros_lock = threading.Lock()
-_zeros = np.empty(0)  # the first zeros, in order; replaced whole, never changed
-
+# zeros of J0
 
 def j0_zero(m):
-    """m-th positive zero of J0 (m >= 1), within an ulp; see _j0_zeros."""
-    return float(_j0_zeros(m))
-
-
-def _j0_zeros(m):
-    """j0_zero over an integer array of indices m >= 1. A growth takes
-    the missing zeros from McMahon's expansion by three array Newton steps
-    (J0 by kernels.j0_array, its slope by kernels.j0_slope) under a lock,
-    and swaps in the extended cache: a reader keeps the snapshot it took."""
-    global _zeros
-    m = np.asarray(m)
-    if m.size and m.min() < 1:
-        raise ValueError("zero index starts at 1")
-    zeros = _zeros
-    if m.size and m.max() > zeros.size:
-        with _zeros_lock:
-            beta = np.arange(_zeros.size + 1, int(m.max()) + 1) - 0.25
-            beta *= math.pi
-            bi = 1.0 / beta
-            x = beta + bi * (_MCMAHON[0] + bi * bi * (
-                _MCMAHON[1] + bi * bi * _MCMAHON[2]))
-            for _ in range(3):
-                fx, dfx = kernels.j0_array(x), kernels.j0_slope(x)
-                x -= np.divide(fx, dfx, out=np.zeros_like(x), where=dfx != 0.0)
-            _zeros = zeros = np.concatenate([_zeros, x])
-    return zeros[m - 1]
+    """m-th positive zero of J0 (m >= 1), within an ulp of mpmath for
+    m <= 256: McMahon's expansion from beta = (m - 1/4) pi, then three
+    Newton steps with J0' = -J1."""
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"zero index starts at 1, got {m!r}")
+    beta = (int(m) - 0.25) * math.pi
+    bi = 1.0 / beta
+    x = beta + bi * (0.125 + bi * bi * (-31.0 / 384.0 + bi * bi * (
+        3779.0 / 15360.0)))
+    for _ in range(3):
+        dfx = -kernels.j1(x)
+        if dfx != 0.0:
+            x -= kernels.j0(x) / dfx
+    return x

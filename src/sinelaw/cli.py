@@ -345,14 +345,15 @@ def _cmd_density(args):
 
 def _solve(args, psi, summary, **kw):
     """solve_inverse with its warnings caught. Unless --quiet, the check_L
-    summary is printed if `summary`, and each warning not listed there as
-    a WARN line."""
+    summary is printed if `summary` (a failed check's error carries it
+    instead), and each warning not listed there as a WARN line."""
     shown = []
 
     def on_report(report):
         if summary:
-            _say(args, report.summary())
             shown.extend(report.warnings)
+            if report.passed or kw.get("override_checks"):
+                _say(args, report.summary())
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)

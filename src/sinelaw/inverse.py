@@ -447,9 +447,8 @@ class KPsi:
                         len(pieces) - 1)
             s = 2.0 * (th - edges[k]) / (edges[k + 1] - edges[k]) - 1.0
             m, area = np.moveaxis(_clenshaw(pieces[k], s[..., None]), -1, 0)
-            # the residual in 1 - u, and two roundings of half an ulp there
-            miss = (np.abs(1.0 - u[:, n:] - cum[k] - (s + 1.0) * area)
-                    + 0.5 * _EPS) / m
+            # the residual in 1 - u, which newton solves against as rounded
+            miss = np.abs(1.0 - u[:, n:] - cum[k] - (s + 1.0) * area) / m
             ok &= np.all(np.isfinite(coef), axis=0) & np.all(
                 (m > 0.0) & (miss <= tol * (1.0 + th)), axis=1)
         return coef, ok

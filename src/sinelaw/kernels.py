@@ -273,30 +273,18 @@ def j1(x):
     return -v if x < 0 else v
 
 
-def _j0_pieces(t, slope=False):
-    # J0(t / 2) for 0 <= t < 2 J0_TABLE_END: the steps of j0, in place;
-    # with slope, the piece's derivative in x instead, by Horner alongside
+def _j0_pieces(t):
+    # J0(t / 2) for 0 <= t < 2 J0_TABLE_END: the steps of j0, in place
     k = t.astype(np.intp)
     s = t - k
     s *= 2.0
     s -= 1.0
     c = np.take(_j0_table(False)[0], k, axis=1)
-    acc, d = c[-1], 0.0
+    acc = c[-1]
     for ck in c[-2::-1]:
-        if slope:
-            d = d * s + acc
         acc *= s
         acc += ck
-    return 4.0 * d if slope else acc
-
-
-def j0_slope(x):
-    """dJ0/dx over a float64 array of x >= 0: the derivative of J0's own
-    piece below J0_TABLE_END, -J1 by the asymptotic form beyond."""
-    far, out = x >= J0_TABLE_END, np.empty_like(x)
-    out[~far] = _j0_pieces(2.0 * x[~far], slope=True)
-    out[far] = -_asymptotic(x[far], P1, Q1, 0.75 * math.pi)
-    return out
+    return acc
 
 
 def j0_array(x):

@@ -18,10 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import _j0_zeros, j0_array
+from .bessel import j0_array
 from .errors import ConvergenceError
 from .quadrature import QuadConfig, _integrate_rows, _lobe_sums
-from .transforms import _checked, _eval_array
+from .transforms import _HANKEL, _checked, _eval_array
 
 __all__ = ["ParamFunction", "LimitLaw", "limit_char_fn", "limit_density",
            "density_profile", "build_limit_law"]
@@ -76,15 +76,6 @@ class LimitLaw:
         self.char_fn, self.density, self.cdf = char_fn, density, cdf
 
 
-def _first_zero_above(a, t):
-    """The least m >= 1 with j0_m / t > a, at each t: McMahon's j0_m ~
-    (m - 1/4) pi puts it at floor(a t / pi + 1/4) or one above."""
-    m = np.maximum(np.floor(a * t / math.pi + 0.25), 1.0).astype(np.intp)
-    for _ in range(2):
-        m += _j0_zeros(m) / t <= a
-    return m
-
-
 def _crossing(f, w):
     """The u in [0, 1] where the monotone f crosses w, at each w >= 0 of
     an array: f.inverse(w), clipped, or 62 halvings of the floats in
@@ -110,9 +101,9 @@ def _crossing(f, w):
 
 
 def _charfn_zero_split(f, t, cfg):
-    """phi at each t via lobes of u -> J0(t f(u)), cut where f crosses the
-    kernel zeros j0_m / t, each lobe integrated in x = ln d, d being the
-    distance of u from the end where f is largest.
+    """phi at each t via lobes of u -> J0(t f(u)), cut where f crosses
+    J0's lobe points (m - 1/4) pi / t, each lobe integrated in x = ln d,
+    d being the distance of u from the end where f is largest.
 
     Needs a monotone f. The lobes crowd toward that end, geometrically
     when f diverges like 1/d, and lobe 0 reaches from the first crossing
@@ -120,21 +111,26 @@ def _charfn_zero_split(f, t, cfg):
     panels of a lobe 0 from d = 1e-7 to 1 missed the change of J0 near
     its crossing. The lobe integrals alternate, so the Euler-accelerated
     tail converges in tens of lobes even when the raw oscillation count
-    runs to millions. Returns (values, error_bounds).
+    runs to millions. A t whose lobes start at m >= 2^51, where m - 1/4
+    is not exact, gets the bound inf. Returns (values, error_bounds).
     """
     delta = min(cfg.abs_tol / 4.0, 1e-3)
     far = (1.0 + f.epsilon_f) / 2.0
-    # the lobes start at the first zero above f's least value on the clip
+    # the lobes start at the first point above f's least value on the clip
     low = f.eval_array(np.array([delta if far else 1.0 - delta]))[0]
-    m0 = _first_zero_above(low, t)
+    with np.errstate(over="ignore"):  # an m0 of inf is past 2^51 too
+        m0 = np.floor(low * t / math.pi + 0.25) + 1.0
+    on = m0 < 2.0 ** 51
+    t, m0 = t[on], m0[on]
 
     def lobes(p, k):
-        # lobe k spans the x where f crosses zeros m - 1 and m, clamped to
-        # the clip d >= delta; zero m0 - 1 is not above f's least value,
-        # so lobe 0 starts at the end where f is smallest, x = 0
-        m = m0[p] + k
-        w = np.stack([np.where(k > 0, _j0_zeros(np.maximum(m - 1, 1)), 0.0),
-                      _j0_zeros(m)]) / t[p]
+        # lobe k spans the x where f crosses points z(m - 1) and z(m),
+        # clamped to the clip d >= delta; point m0 - 1 is not above f's
+        # least value (to rounding), so lobe 0 starts at the end where f
+        # is smallest, x = 0
+        m, z = m0[p] + k, _HANKEL[2]
+        with np.errstate(over="ignore"):  # inf past the largest float
+            w = np.stack([np.where(k > 0, z(m - 1), 0.0), z(m)]) / t[p]
         u = _crossing(f, w)
         u[0, k == 0] = 1.0 - far
         with np.errstate(divide="ignore"):
@@ -147,7 +143,8 @@ def _charfn_zero_split(f, t, cfg):
         fu = f.eval_array(far - f.epsilon_f * d)
         return j0_array(t[p][:, None] * fu) * d
 
-    val, err, _ = _lobe_sums(
+    val, err = np.zeros(on.shape), np.full(on.shape, math.inf)
+    val[on], err[on], _ = _lobe_sums(
         integrand, lobes, t.size, max(cfg.abs_tol * 0.01, 1e-16),
         cfg.abs_tol * 0.05, 1e-12, cfg.max_panels)
     return val, err + delta
@@ -183,7 +180,7 @@ def limit_char_fn(f: ParamFunction, t, cfg: QuadConfig = QuadConfig()):
     The interval is clipped to (delta, 1-delta) with delta =
     min(abs_tol/4, 1e-3); |J0| <= 1 bounds the discarded contribution by
     its length. At every t != 0, a monotone f (epsilon_f set) is split
-    at the kernel zeros pulled back through its inverse, or by bisection
+    at J0's lobe points pulled back through its inverse, or by bisection
     where it has none, the lobes are integrated in the log of the
     distance to the end where f is largest, and their alternating sums
     are Euler-accelerated; the clip then cuts only that end. Any other

@@ -3,12 +3,14 @@ and a radial 2-D Fourier cross-check.
 
 A function with gaussian or exponential decay is truncated where its
 declared envelope pushes the tail below tolerance; while fewer than 32
-zeros of the kernel J0(rt) (or cos(tx)) lie below the cut, one adaptive
-integral up to it gives the transform at t. Past that, and for every
-algebraic tail, the integral over (0, inf) is computed lobe-by-lobe
-between consecutive kernel zeros, with the alternating lobe sums
-accelerated by the iterated-mean (Euler) transform. An algebraic tail
-at t = 0 is folded to a finite interval with a power substitution.
+lobe points of the kernel J0(rt) (or cos(tx)) lie below the cut, one
+adaptive integral up to it gives the transform at t. Past that, and for
+every algebraic tail, the integral over (0, inf) is computed
+lobe-by-lobe, lobe m ending at (m - 1/4) pi / t for J0 (McMahon's
+leading term for its zeros) or (m - 1/2) pi / t, and the alternating
+lobe sums are accelerated by the iterated-mean (Euler) transform. An
+algebraic tail at t = 0 is folded to a finite interval with a power
+substitution.
 """
 
 import math
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import _j0_zeros, j0_array
+from .bessel import j0_array
 from .errors import ConvergenceError
 from .quadrature import (_LOBE_BLOCK, QuadConfig, _Value, _integrate_rows,
                          _lobe_sums, _one_row, integrate)
@@ -24,7 +26,7 @@ from .quadrature import (_LOBE_BLOCK, QuadConfig, _Value, _integrate_rows,
 __all__ = ["Decay", "RealFunction", "QuadConfig", "hankel0", "fourier1",
            "fourier2_radial_crosscheck"]
 
-# kernel zeros inside the truncated support at which the lobe sums take
+# lobe points inside the truncated support at which the lobe sums take
 # over from one adaptive integral: there the two cost about the same per t
 _LOBE_CUT = 4 * _LOBE_BLOCK
 
@@ -154,10 +156,12 @@ def _folded_tail(g: RealFunction, r0, weight_power, tol, max_panels):
     return val, err
 
 
-# the two transforms: name, weight power w, kernel zeros z(m) for m >= 1
-# at t = 1, and the integrand x^w g(x) K(x t); lobe m of the integral
-# lies between zeros z(m) / t and z(m + 1) / t, lobe 0 starting at 0
-_HANKEL = ("hankel0", 1, _j0_zeros,
+# the two transforms: name, weight power w, the kernel's lobe points z(m)
+# for m >= 1 at t = 1, and the integrand x^w g(x) K(x t); lobe m lies
+# between z(m) / t and z(m + 1) / t, lobe 0 starting at 0. A lobe sum
+# telescopes, so its points need only track the kernel's sign changes:
+# J0's lie less than 0.05 below its zeros
+_HANKEL = ("hankel0", 1, lambda m: (m - 0.25) * math.pi,
            lambda g, r, t: r * g.eval_array(r) * j0_array(r * t))
 _COSINE = ("fourier1", 0, lambda m: (m - 0.5) * math.pi,
            lambda g, x, t: g.eval_array(x) * np.cos(t * x))
@@ -168,9 +172,9 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
     prefactor, of g at each t >= 0 of an array, to per-t tolerances
     abs_tol and tail_tol (of the truncated or Euler-summed tail).
 
-    Each t takes one of two branches, by how many kernel zeros the
+    Each t takes one of two branches, by how many lobe points the
     truncated support [0, cut] holds. With fewer than _LOBE_CUT (a t
-    with zeros(_LOBE_CUT) / t >= cut), one adaptive integral covers
+    with points(_LOBE_CUT) / t >= cut), one adaptive integral covers
     [0, cut], plus the bound of the truncated tail; otherwise, and for
     every algebraic tail, the lobe sums run over (0, inf). At t <= 1e-14
     an algebraic tail is instead integrated up to a fixed cut and folded
@@ -179,7 +183,7 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
     call for all its t, and every element has the bits of a one-element
     call.
     """
-    name, weight_power, zeros, integrand = kind
+    name, weight_power, points, integrand = kind
     if g.decay.kind == "algebraic" and g.decay.scale <= weight_power + 1:
         raise ValueError(
             f"algebraic decay p={g.decay.scale} makes x^{weight_power} g(x) "
@@ -189,8 +193,8 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
         return integrand(g, x, t[p][:, None])
 
     def edges(p, m):
-        lo = np.where(m == 0, 0.0, zeros(np.maximum(m, 1)) / t[p])
-        return lo, zeros(m + 1) / t[p]
+        lo = np.where(m == 0, 0.0, points(np.maximum(m, 1)) / t[p])
+        return lo, points(m + 1) / t[p]
 
     algebraic = g.decay.kind == "algebraic"
     if algebraic:
@@ -201,11 +205,9 @@ def _transform_rows(kind, g, t, abs_tol, tail_tol, rel_tol, max_panels):
     else:
         c = _amplitude(g)
         cut, tail = _truncation_radius(g, tail_tol, weight_power, c)
-        # lobes once the cut holds _LOBE_CUT kernel zeros; zero m of either
-        # kernel is at (m - 1/2) pi or beyond (DLMF 10.21): look only there
-        lobe = t * cut >= (1.0 - 1e-9) * (_LOBE_CUT - 0.5) * math.pi
-        if lobe.any():
-            lobe[lobe] = zeros(_LOBE_CUT) / t[lobe] < cut[lobe]
+        # lobes once the cut holds _LOBE_CUT lobe points; none at t = 0
+        with np.errstate(divide="ignore", over="ignore"):
+            lobe = points(_LOBE_CUT) / t < cut
     # each lobe to 2% of abs_tol, kept above the rounding noise
     panel_tol = np.maximum(abs_tol * 0.02, 1e-16)
     val, err = np.zeros(t.shape), np.zeros(t.shape)

@@ -269,16 +269,11 @@ def test_j0_zeros_are_roots_and_spaced():
 def test_j0_zero_index_validation():
     with pytest.raises(ValueError):
         bessel.j0_zero(0)
-    # index 0 would read the last zero of the cache through m - 1 = -1
-    bessel.j0_zero(5)
-    for m in ([3, 0], [-2]):
-        with pytest.raises(ValueError):
-            bessel._j0_zeros(np.array(m))
 
 
 def test_j0_zero_cache_concurrent_growth():
-    # growths swap in a whole array; hammering it from threads must stay
-    # consistent
+    # j0_zero keeps no state: calls from threads have the bits of serial
+    # calls
     from concurrent.futures import ThreadPoolExecutor
     ms = list(range(1, 300)) * 4
     with ThreadPoolExecutor(max_workers=8) as ex:
@@ -305,14 +300,8 @@ def _zeros_by_scalar_newton(count):
     return out
 
 
-def test_j0_zeros_array_newton_is_the_scalar_newton(monkeypatch):
-    # grown in two steps from an empty cache: every zero is its own array
-    # element, whatever else grows with it
-    monkeypatch.setattr(bessel, "_zeros", np.empty(0))
-    first = bessel._j0_zeros(np.arange(1, 33))
-    got = bessel._j0_zeros(np.arange(1, 257))
-    assert bessel._zeros.size == 256
-    assert first.tolist() == got[:32].tolist()
+def test_j0_zero_is_the_scalar_newton():
+    got = np.array([bessel.j0_zero(m) for m in range(1, 257)])
     assert got.tolist() == _zeros_by_scalar_newton(256)
     with mp.workdps(20):
         want = [float(mp.besseljzero(0, m)) for m in range(1, 257)]

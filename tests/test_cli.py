@@ -357,6 +357,26 @@ def test_invert_runs_the_admissibility_checks_once(monkeypatch, capsys,
                                        + f"\nwrote {out}\n")
 
 
+@pytest.mark.parametrize("quiet", [False, True])
+def test_invert_failing_psi_prints_its_report_once(tmp_path, quiet):
+    # psi(0) = 0.9 fails check_L: the report is printed and the error
+    # names the failure without repeating it; under --quiet the error
+    # alone carries the report
+    table = tmp_path / "psi.csv"
+    t = np.linspace(0.0, 4.0, 5)
+    table.write_text("t,psi\n" + "".join(
+        f"{a!r},{0.9 * math.exp(-0.5 * a * a)!r}\n" for a in t.tolist()))
+    out = _cli(*(["--quiet"] if quiet else []), "invert", "--psi",
+               f"table:{table}", "--psi-decay", "gaussian",
+               "--out", str(tmp_path / "f.csv"))
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    fails = [x for x in lines if x.startswith("FAIL")]
+    assert fails and all(lines.count(x) == 1 for x in fails), out.stderr
+    assert "error: psi fails the admissibility conditions" in out.stderr
+    assert os.listdir(tmp_path) == ["psi.csv"]
+
+
 def test_charfn_evaluates_all_t_in_one_call(monkeypatch, capsys):
     import sinelaw.cli as cli
     calls = []
@@ -677,20 +697,36 @@ def test_header_only_tables_print_only_the_error_line(tmp_path, header):
      2, "error: --table-points must be >= 1, not 0"),
     (["invert", "--psi", "gaussian", "--table-points", "-3",
       "--out", "{dir}/f.csv"],
-     2, "error: --table-points must be >= 1, not -3")],
+     2, "error: --table-points must be >= 1, not -3"),
+    (["charfn", "--f", "gaussian", "--t", "1e12"], 0, "0.000000"),
+    (["charfn", "--f", "gaussian", "--t", "1e-320"], 0, "1.000000"),
+    (["charfn", "--f", "gaussian", "--t", "1e20"],
+     3, "numeric failure: limit_char_fn error bound inf exceeds tolerance "
+        "at t=1e+20"),
+    (["charfn", "--f", "gaussian", "--t", "3e23"],
+     3, "numeric failure: limit_char_fn error bound inf exceeds tolerance "
+        "at t=3e+23"),
+    (["charfn", "--f", "cauchy", "--t", "1e300"],
+     3, "numeric failure: limit_char_fn error bound inf exceeds tolerance "
+        "at t=1e+300")],
     ids=["lorentz-0", "exp-tiny", "gaussian-tiny", "exponential-huge",
          "x-grid", "x-grid-n0", "x-empty", "t-empty-item", "ks-nan",
          "ks-negative", "seed-negative", "seed-2^64", "tol-inf",
-         "table-points-0", "table-points-negative"])
+         "table-points-0", "table-points-negative", "t-1e12",
+         "t-subnormal", "t-1e20", "t-3e23", "cauchy-t-1e300"])
 def test_extreme_inputs_print_one_error_line(tmp_path, argv, rc, says):
     # decay scales whose float arithmetic would overflow and malformed
-    # or meaningless values are usage errors: one line on stderr, no
-    # traceback, and no file written
+    # or meaningless values are usage errors, and a t whose lobe points
+    # floats cannot resolve a numeric failure: one line on stderr, no
+    # traceback, and no file written. A t of 1e12 or a subnormal t is
+    # no error: its one value is the line, on stdout
     _gaussian_psi_table(tmp_path / "psi.csv")
     out = _cli("--quiet", *(a.format(dir=tmp_path) for a in argv))
     assert out.returncode == rc
-    assert out.stderr.splitlines() == [says], out.stderr
-    assert out.stdout == ""
+    printed, quiet = (out.stdout, out.stderr) if rc == 0 else (
+        out.stderr, out.stdout)
+    assert printed.splitlines() == [says], out.stderr
+    assert quiet == ""
     assert os.listdir(tmp_path) == ["psi.csv"]
 
 

@@ -212,18 +212,6 @@ def test_j1_against_mpmath():
             assert kernels.j1(-x) == -kernels.j1(x)
 
 
-def test_j0_slope_is_the_piece_derivative():
-    # the derivative of J0's own piece below 128 (1.2e-13 off -J1 at most,
-    # at 65) and the asymptotic -J1 beyond, at piece edges and either side
-    # of 128 too
-    xs = np.concatenate([np.linspace(0.0, 200.0, 2001),
-                         [12.5, 20.0, np.nextafter(128.0, 0.0), 128.0]])
-    slope = kernels.j0_slope(xs)
-    with mp.workdps(30):
-        want = [-float(mp.besselj(1, mp.mpf(x))) for x in xs.tolist()]
-    assert np.all(np.abs(slope - want) <= np.where(xs < 12.5, 1e-15, 2e-13))
-
-
 def test_miller_rescaling_and_batching_keep_the_bits(monkeypatch):
     # for order 40 at x = 0.3 the recurrence grows past _BIG = 2^500 on
     # its way down; dividing by a power of two is exact, so the results

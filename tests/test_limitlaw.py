@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sinelaw import limitlaw, quadrature
-from sinelaw.bessel import _j0_zeros, j0
+from sinelaw.bessel import j0
 from sinelaw.errors import ConvergenceError
 from sinelaw.limitlaw import (ParamFunction, build_limit_law, density_profile,
                               limit_char_fn, limit_density)
@@ -164,32 +164,63 @@ def test_charfn_sweep_within_tolerance(target, tol):
     assert np.max(np.abs(got - want)) <= tol
 
 
-def _stepped_first_zero(a, t):
-    # the least m >= 1 with j0_m / t > a, stepping m from 1
-    m = np.ones(t.shape, dtype=np.intp)
-    while (low := _j0_zeros(m) / t <= a).any():
+def _stepped_first_point(a, t):
+    # the least m >= 1 with (m - 1/4) pi / t > a, stepping m from 1
+    m = np.ones(t.shape)
+    while (low := (m - 0.25) * math.pi / t <= a).any():
         m[low] += 1
     return m
 
 
 def test_charfn_zero_split_starts_at_mcmahons_estimate(monkeypatch):
-    # f's range starts at a = 0.5, so at t = 2000 pi the first usable
-    # zero is the 1,001st: stepping from m = 1 took a round per zero
+    # f's range starts at a = 0.5, so at t = 2000 pi the first lobe point
+    # above it is the 1,001st: stepping from m = 1 took a round per point.
+    # The start is read from the first lobe edges the split pulls back
+    # through f. At a phase point (m - 1/4) pi / a and one ulp either side
+    # of it, rounding may start the lobes one point early (lobe 0 is then
+    # empty) or late (lobe 0 then holds a sign change); phi stays within
+    # its tolerance either way
     f = ParamFunction(
         eval=lambda u: 0.5 + np.sqrt(-2.0 * np.log(u)), epsilon_f=-1,
         inverse=lambda w: np.exp(-0.5 * np.square(np.maximum(w - 0.5, 0.0))),
         f_id="shifted")
-    edge = _j0_zeros(np.arange(1, 60)) / 0.5  # j0_m / t = a exactly
-    ts = np.concatenate([[0.5, 4.0, 2000.0 * math.pi], edge,
-                         np.nextafter(edge, 0.0), np.nextafter(edge, 1e9)])
-    want = _stepped_first_zero(0.5, ts)
-    assert np.array_equal(limitlaw._first_zero_above(0.5, ts), want)
-    assert want[2] == 1001
+    phase = (np.arange(1, 60) - 0.25) * math.pi / 0.5
+    ts = np.concatenate([[0.5, 4.0, 2000.0 * math.pi], phase,
+                         np.nextafter(phase, 0.0), np.nextafter(phase, 1e9)])
+    edges = []
+    crossing = limitlaw._crossing
+
+    def spy(f, w):
+        edges.append(w[1].copy())
+        return crossing(f, w)
+
+    monkeypatch.setattr(limitlaw, "_crossing", spy)
     cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
-    got = limitlaw._charfn_zero_split(f, ts[:3], cfg)
-    monkeypatch.setattr(limitlaw, "_first_zero_above", _stepped_first_zero)
-    ref = limitlaw._charfn_zero_split(f, ts[:3], cfg)
-    assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+    val, err = limitlaw._charfn_zero_split(f, ts, cfg)
+    # the first block's lobe 0 of each t ends at its first point
+    start = np.rint(edges[0][::quadrature._LOBE_BLOCK] * ts / math.pi + 0.25)
+    want = _stepped_first_point(0.5, ts)
+    assert np.array_equal(start[:3], want[:3]) and want[2] == 1001
+    assert np.all(np.abs(start - want) <= 1.0)
+    assert np.all(err <= cfg.abs_tol)
+    near = val[3:].reshape(3, -1)
+    assert np.all(np.abs(near[1:] - near[0]) <= 2.0 * cfg.abs_tol)
+
+
+def test_charfn_extreme_t_is_resolved_or_names_its_t():
+    # at the CLI's 1e-7 the gaussian f's lobes start near point 2.2e-4 t /
+    # pi: at t = 3e19 below 2^51, where m - 1/4 is exact, at t = 1e20
+    # above it, where the edges cannot be resolved and the bound is inf.
+    # A subnormal t puts every lobe point past the largest float, with no
+    # overflow warning
+    cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
+    ts = np.array([5e-324, 1e-320, 1e12, 3e19])
+    got = limit_char_fn(f_gauss(), ts, cfg)
+    assert np.all(np.abs(got - np.exp(-0.5 * ts * ts)) <= 1e-7)
+    for f in (f_gauss(), f_cauchy()):
+        with pytest.raises(ConvergenceError, match=r"at t=1e\+20$") as e:
+            limit_char_fn(f, np.array([1.0, 1e20, 1e300]), cfg)
+        assert e.value.error_bound == math.inf
 
 
 def test_charfn_cauchy_small_t_at_the_clip():

@@ -350,24 +350,32 @@ def test_gaussian_k_table_makes_no_lobe_sum(monkeypatch):
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 def test_gaussian_k_table_computes_no_kernel_zero(tol, monkeypatch):
-    # each H0 value of the table has t cut below 31.5 pi, so no J0 zero
-    # can lie inside its cut and none is computed
-    calls = []
-
-    def zeros(m):
-        calls.append(m)
-        return _HANKEL[2](m)
-
-    kind = _HANKEL[:2] + (zeros,) + _HANKEL[3:]
-    monkeypatch.setattr(transforms, "_HANKEL", kind)
-    monkeypatch.setattr(inverse, "_HANKEL", kind)
+    # the lobes end at closed-form points, so neither the k table nor
+    # either branch of hankel0 and fourier1, nor phi's zero split, asks
+    # j0_zero for a zero; these modules take only j0_array from bessel,
+    # so no zero solver is bound by a name that a patch would miss
+    from sinelaw import bessel, limitlaw
+    from sinelaw.sampler import builtin_f
+    for mod in (transforms, limitlaw, inverse, quadrature):
+        taken = {v for v in vars(mod).values()
+                 if getattr(v, "__module__", None) == "sinelaw.bessel"}
+        assert taken <= {bessel.j0_array}, mod
+    real, calls = bessel.j0_zero, []
+    monkeypatch.setattr(bessel, "j0_zero",
+                        lambda m: calls.append(m) or real(m))
+    lobes = _counting_lobe_sums(monkeypatch)
+    cfg = QuadConfig(abs_tol=tol, rel_tol=tol)
+    ts = np.array([0.5, 100.0])  # one t on each branch
+    for op in (hankel0, fourier1):
+        for g in (gauss_fn(), exp_fn()):
+            op(g, ts, cfg)
+    assert lobes == [1] * 4
     psi = CharFn(eval=lambda t: np.exp(-0.5 * np.square(t)),
                  decay=Decay("gaussian", 1.0))
-    kp = KPsi(psi, QuadConfig(abs_tol=tol, rel_tol=tol))
-    kp.invert(np.array([1e-6, 0.5]))
-    assert kp._h0_calls > 0 and calls == []
-    hankel0(exp_fn(), 100.0)
-    assert calls
+    KPsi(psi, cfg).invert(np.array([1e-6, 0.5]))
+    for name in ("gaussian", "cauchy"):
+        limitlaw.limit_char_fn(builtin_f(name), ts, cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kernel, op, g", [
